@@ -9,9 +9,9 @@ Two estimation paths are supported:
   refit is reconstructed from rank-one updates of the full fit instead
   of refitting T times.
 
-The Gram matrix of the regressors is factorized once and reused for all
-T leave-one-out terms; everything downstream of the full fit costs
-O(N (N + M)) per sample.
+The Gram matrix of the regressors is factorized once; the rank-one
+updates of all T samples are computed together as column blocks (sample
+t is column t), so nothing downstream of the full fit loops over samples.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ __all__ = [
     "OlsLooTerm",
     "ols_fit",
     "ols_covariance",
+    "ols_loo_blocks",
     "ols_loo_terms",
     "ols_loo_covariance",
     "ols_loo_covariances",
@@ -138,31 +139,33 @@ def ols_covariance(fit: OlsFit) -> np.ndarray:
     return fit.coef @ fit.coef.conj().T + fit.noise_var * np.eye(n)
 
 
-def ols_loo_terms(x: np.ndarray, y: np.ndarray, fit: OlsFit) -> list[OlsLooTerm]:
-    """Per-sample rank-one update terms for all T leave-one-out refits.
+def ols_loo_blocks(fit: OlsFit) -> tuple[np.ndarray, ...]:
+    """Blocks ``(E, F, delta, Phi, Psi)`` of all T leave-one-out updates.
 
-    Requires every leverage to be strictly below one, i.e. T > M in
-    general position; otherwise some refit is underdetermined.
+    Column t (entry t of ``delta``) is sample t's :class:`OlsLooTerm`.
+    Needs every leverage below one (T > M in general position).
     """
-    t = x.shape[1]
-    n = y.shape[0]
+    e = fit.residuals
+    n, t = e.shape
     if t < 2:
         raise ValueError("leave-one-out needs at least two samples")
     if np.max(fit.leverage) >= 1.0 - 1e-10:
         raise ValueError("a leverage value reaches one; leave-one-out refits "
                          "are underdetermined (need T > M)")
-    terms = []
-    for i in range(t):
-        e = fit.residuals[:, i]
-        slack = 1.0 - fit.leverage[i]
-        f = fit.gram_dirs[:, i] / slack
-        delta = (float(np.vdot(e, e).real) / (n * (t - 1) * slack)
-                 - fit.noise_var / (t - 1))
-        phi = fit.coef @ f
-        psi = phi - float(np.vdot(f, f).real) * e
-        terms.append(OlsLooTerm(residual=e, gram_dir=f, noise_shift=delta,
-                                fitted_dir=phi, mixed_dir=psi))
-    return terms
+    slack = 1.0 - fit.leverage
+    f = fit.gram_dirs / slack
+    delta = (np.einsum("ij,ij->j", e.conj(), e).real / (n * (t - 1) * slack)
+             - fit.noise_var / (t - 1))
+    phi = fit.coef @ f
+    psi = phi - np.einsum("ij,ij->j", f.conj(), f).real * e
+    return e, f, delta, phi, psi
+
+
+def ols_loo_terms(x: np.ndarray, y: np.ndarray, fit: OlsFit) -> list[OlsLooTerm]:
+    """Per-sample views of :func:`ols_loo_blocks` for ``fit`` of (x, y)."""
+    e, f, delta, phi, psi = ols_loo_blocks(fit)
+    return [OlsLooTerm(e[:, i], f[:, i], float(delta[i]), phi[:, i], psi[:, i])
+            for i in range(delta.size)]
 
 
 def ols_loo_covariance(r: np.ndarray, term: OlsLooTerm) -> np.ndarray:

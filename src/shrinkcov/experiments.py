@@ -42,7 +42,7 @@ from .estimators import ols_covariance, ols_fit, scm
 from .hermitian import frobenius_norm_sq, hermitize
 from .multi_target import mt_select
 from .single_target import (
-    ols_fast_moments,
+    ols_loo_moments,
     oracle_moments,
     scm_solution_unconstrained,
     shrink,
@@ -188,12 +188,11 @@ def _replicate_linear_model(params, t, methods, stream: RngStream):
         if method == "scm":
             est = scm(y)
         elif method == "cv_identity":
-            sol = solve_quadratic_2d(ols_fast_moments(x, y, t0))
-            est = shrink(r, t0, sol)
+            est = shrink(r, t0, solve_quadratic_2d(ols_loo_moments(fit, y, t0)))
         elif method == "cv_past":
             _, past = scene.generator(params["past_t"], stream.generator(2))
             t0_past = knowledge_aided_target(past)
-            sol = solve_quadratic_2d(ols_fast_moments(x, y, t0_past))
+            sol = solve_quadratic_2d(ols_loo_moments(fit, y, t0_past))
             est = shrink(r, t0_past, sol)
         else:  # oracle_identity
             est = shrink(r, t0, solve_quadratic_2d(oracle_moments(r, t0, sigma)))

@@ -27,6 +27,8 @@ def real_trace_product(a: np.ndarray, b: np.ndarray) -> float:
     For Hermitian ``a`` and ``b`` the trace is real; the explicit real
     part just drops rounding dust.  Uses tr(a b) = sum_ij a_ij * b_ji.
     """
+    if a.shape != b.T.shape:
+        raise ValueError(f"trace of mismatched shapes {a.shape} and {b.shape}")
     return float(np.sum(a * b.T).real)
 
 

@@ -25,7 +25,7 @@ from .estimators import (
     OlsFit,
     ols_covariance,
     ols_fit,
-    ols_loo_terms,
+    ols_loo_blocks,
     scm,
 )
 from .hermitian import real_trace_product, require_hermitian, validate_samples
@@ -38,6 +38,7 @@ __all__ = [
     "loocv_moments_general",
     "scm_fast_moments",
     "ols_fast_moments",
+    "ols_loo_moments",
     "oracle_moments",
     "scm_solution_unconstrained",
     "scm_solution_constrained",
@@ -199,73 +200,67 @@ def scm_fast_moments(samples: np.ndarray, target: np.ndarray) -> QuadMoments:
                        b_r=b_r, b_t=cross, const=quart / count)
 
 
+def _col_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Column-wise inner products a[:, j]^H b[:, j] of equal-shape blocks."""
+    return np.einsum("ij,ij->j", a.conj(), b)
+
+
 def ols_fast_moments(inputs: np.ndarray, outputs: np.ndarray,
                      target: np.ndarray) -> QuadMoments:
-    """Cross-validation moments on the least-squares path.
+    """Least-squares cross-validation moments: one fit, then the block core."""
+    return ols_loo_moments(ols_fit(inputs, outputs), outputs, target)
 
-    The full fit is computed once; every leave-one-out contribution is
-    expressed through the rank-one update vectors, so each sample costs
-    O(N^2) instead of a refit.
+
+def ols_loo_moments(fit: OlsFit, outputs: np.ndarray,
+                    target: np.ndarray) -> QuadMoments:
+    """Cross-validation moments from a full least-squares fit of ``outputs``.
+
+    Per-sample traces of the rank-one updates (:func:`ols_loo_blocks`)
+    are column inner products of N x T blocks; the only matrix products
+    are R E, T0 E, R Y and T0 Y, and no R_t or refit is formed.
     """
-    x = validate_samples(inputs, name="inputs")
     y = validate_samples(outputs, name="outputs")
+    if y.shape != fit.residuals.shape:
+        raise ValueError(f"outputs of shape {y.shape} do not match the fit's "
+                         f"residuals {fit.residuals.shape}")
     t0 = require_hermitian(target)
-    fit = ols_fit(x, y)
-    terms = ols_loo_terms(x, y, fit)
+    e, _, delta, phi, psi = ols_loo_blocks(fit)
     r = ols_covariance(fit)
-    count = y.shape[1]
-    n = y.shape[0]
-    tr_r = float(np.trace(r).real)
+    n, count = y.shape
     tr_r2 = real_trace_product(r, r)
-    tr_t0 = float(np.trace(t0).real)
     rt_cross = real_trace_product(r, t0)
+    tr_r, tr_t0 = float(np.trace(r).real), float(np.trace(t0).real)
 
-    a_rr = []
-    a_rt = []
-    b_r = []
-    b_t = []
-    const = []
-    for i, term in enumerate(terms):
-        y_i = y[:, i]
-        e, phi, psi = term.residual, term.fitted_dir, term.mixed_dir
-        delta = term.noise_shift
+    # linear-in-update traces
+    re_ = r @ e
+    tr_rd = (delta * tr_r + _col_inner(phi, re_).real
+             + _col_inner(re_, psi).real)
+    # quadratic-in-update traces via scalar products of the vectors
+    pe = _col_inner(phi, e)     # phi^H e
+    ep = _col_inner(e, psi)     # e^H psi
+    ee = _col_inner(e, e).real
+    pp = _col_inner(phi, psi)   # phi^H psi
+    tr_d2 = (n * delta * delta + 2.0 * delta * (pe + ep).real
+             + (pe * pe + ep * ep + 2.0 * ee * pp).real)
+    a_rr = tr_r2 - 2.0 * tr_rd + tr_d2
 
-        # linear-in-update traces
-        re_ = r @ e
-        tr_rd = (delta * tr_r + float(np.vdot(phi, re_).real)
-                 + float(np.vdot(re_, psi).real))
-        # quadratic-in-update traces via scalar products of the vectors
-        pe = complex(np.vdot(phi, e))     # phi^H e
-        ep = complex(np.vdot(e, psi))     # e^H psi
-        ee = float(np.vdot(e, e).real)
-        pp = complex(np.vdot(phi, psi))   # phi^H psi
-        tr_d2 = (n * delta * delta
-                 + 2.0 * delta * (pe + ep).real
-                 + (pe * pe + ep * ep + 2.0 * ee * pp).real)
-        a_rr.append(tr_r2 - 2.0 * tr_rd + tr_d2)
+    t0e = t0 @ e
+    a_rt = rt_cross - (delta * tr_t0 + _col_inner(phi, t0e).real
+                       + _col_inner(t0e, psi).real)
 
-        t0e = t0 @ e
-        a_rt.append(rt_cross - (delta * tr_t0
-                                + float(np.vdot(phi, t0e).real)
-                                + float(np.vdot(t0e, psi).real)))
+    ny2 = _col_inner(y, y).real
+    ye = _col_inner(y, e)       # y^H e; e^H y is its conjugate
+    py = _col_inner(phi, y)     # phi^H y
+    ys = _col_inner(y, psi)     # y^H psi
+    quad_full = _col_inner(y, r @ y).real
+    b_r = quad_full - (delta * ny2 + (ye * py).real + (ys * ye.conj()).real)
+    b_t = _col_inner(y, t0 @ y).real
 
-        ny2 = float(np.vdot(y_i, y_i).real)
-        ye = complex(np.vdot(y_i, e))     # y^H e
-        py = complex(np.vdot(phi, y_i))   # phi^H y
-        ys = complex(np.vdot(y_i, psi))   # y^H psi
-        ey = complex(np.vdot(e, y_i))     # e^H y
-        quad_full = float(np.vdot(y_i, r @ y_i).real)
-        b_r.append(quad_full - (delta * ny2 + (ye * py).real
-                                + (ys * ey).real))
-        b_t.append(float(np.vdot(y_i, t0 @ y_i).real))
-        const.append(ny2 ** 2)
-
-    return QuadMoments(a_rr=math.fsum(a_rr) / count,
-                       a_rt=math.fsum(a_rt) / count,
-                       a_tt=real_trace_product(t0, t0),
-                       b_r=math.fsum(b_r) / count,
-                       b_t=math.fsum(b_t) / count,
-                       const=math.fsum(const) / count)
+    def mean(v):  # correctly rounded, whatever the summation order
+        return math.fsum(v.tolist()) / count
+    return QuadMoments(a_rr=mean(a_rr), a_rt=mean(a_rt),
+                       a_tt=real_trace_product(t0, t0), b_r=mean(b_r),
+                       b_t=mean(b_t), const=mean(ny2 * ny2))
 
 
 def oracle_moments(base: np.ndarray, target: np.ndarray,

@@ -5,6 +5,8 @@ grid scans, projected gradient. Apart from the paired MultiTargetAr
 reference at the end, nothing imports from shrinkcov, so the package and
 these oracles can only agree by computing the same mathematics.
 """
+import math
+
 import numpy as np
 
 from shrinkcov.datagen import RngStream, ar_covariance, gaussian_samples
@@ -77,6 +79,66 @@ def ols_loo_cov_refit(x, y, t):
     xr = np.delete(x, t, axis=1)
     yr = np.delete(y, t, axis=1)
     return ols_refit(xr, yr)[2]
+
+
+def ols_loo_moments_loop(x, y, target):
+    """Least-squares LOOCV moments by a per-sample loop over rank-one terms.
+
+    The same update algebra as the package's column-block path, one
+    sample at a time with scalar products of vectors, as the package
+    computed it before the blocks.  Returns the six moments by name.
+    """
+    n, t = y.shape
+    gram_dirs = np.linalg.solve(x @ x.conj().T, x)
+    coef = y @ gram_dirs.conj().T
+    resid = y - coef @ x
+    noise_var = float(np.vdot(resid, resid).real) / (t * n)
+    leverage = np.sum(x.conj() * gram_dirs, axis=0).real
+    r = coef @ coef.conj().T + noise_var * np.eye(n)
+    tr_r = float(np.trace(r).real)
+    tr_r2 = trace_product_dense(r, r)
+    tr_t0 = float(np.trace(target).real)
+    rt_cross = trace_product_dense(r, target)
+    acc = {f: [] for f in ("a_rr", "a_rt", "b_r", "b_t", "const")}
+    for i in range(t):
+        y_i = y[:, i]
+        e = resid[:, i]
+        slack = 1.0 - leverage[i]
+        f = gram_dirs[:, i] / slack
+        delta = (float(np.vdot(e, e).real) / (n * (t - 1) * slack)
+                 - noise_var / (t - 1))
+        phi = coef @ f
+        psi = phi - float(np.vdot(f, f).real) * e
+
+        re_ = r @ e
+        tr_rd = (delta * tr_r + float(np.vdot(phi, re_).real)
+                 + float(np.vdot(re_, psi).real))
+        pe = complex(np.vdot(phi, e))
+        ep = complex(np.vdot(e, psi))
+        ee = float(np.vdot(e, e).real)
+        pp = complex(np.vdot(phi, psi))
+        tr_d2 = (n * delta * delta + 2.0 * delta * (pe + ep).real
+                 + (pe * pe + ep * ep + 2.0 * ee * pp).real)
+        acc["a_rr"].append(tr_r2 - 2.0 * tr_rd + tr_d2)
+
+        t0e = target @ e
+        acc["a_rt"].append(rt_cross - (delta * tr_t0
+                                       + float(np.vdot(phi, t0e).real)
+                                       + float(np.vdot(t0e, psi).real)))
+
+        ny2 = float(np.vdot(y_i, y_i).real)
+        ye = complex(np.vdot(y_i, e))
+        py = complex(np.vdot(phi, y_i))
+        ys = complex(np.vdot(y_i, psi))
+        ey = complex(np.vdot(e, y_i))
+        quad_full = float(np.vdot(y_i, r @ y_i).real)
+        acc["b_r"].append(quad_full - (delta * ny2 + (ye * py).real
+                                       + (ys * ey).real))
+        acc["b_t"].append(float(np.vdot(y_i, target @ y_i).real))
+        acc["const"].append(ny2 ** 2)
+    out = {f: math.fsum(v) / t for f, v in acc.items()}
+    out["a_tt"] = trace_product_dense(target, target)
+    return out
 
 
 def cv_cost_direct(rho, tau, loo_covs, samples, target):

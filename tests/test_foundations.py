@@ -34,6 +34,15 @@ def test_real_trace_product_matches_dense_oracle():
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+def test_real_trace_product_rejects_mismatched_shapes():
+    # elementwise a * b.T would broadcast these into a finite wrong number
+    with pytest.raises(ValueError, match=r"\(3, 3\).*\(1, 1\)"):
+        real_trace_product(np.eye(3), np.array([[2.0]]))
+    with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 3\)"):
+        real_trace_product(np.ones((2, 3)), np.ones((2, 3)))
+    assert real_trace_product(np.ones((2, 3)), np.ones((3, 2))) == 6.0
+
+
 def test_real_trace_product_psd_pairs_nonnegative():
     rng = np.random.default_rng(72)
     for _ in range(20):

@@ -290,3 +290,13 @@ def test_mt_select_guards():
         mt_select("oracle", targets, samples=y)  # truth missing
     with pytest.raises(ValueError):
         mt_select("bogus", targets, samples=y)
+
+
+def test_mt_select_rejects_a_target_of_another_size():
+    rng = np.random.default_rng(64)
+    sigma = ar_covariance(5, 0.5)
+    y = gaussian_samples(sigma, 10, rng)
+    targets = [scaled_identity_target(scm(y)), np.array([[2.0]])]
+    for method in ("cv", "oracle"):
+        with pytest.raises(ValueError, match=r"\(5, 5\).*\(1, 1\)"):
+            mt_select(method, targets, samples=y, truth=sigma)
