@@ -4,9 +4,17 @@ All covariance-like objects in this package are Hermitian positive
 semidefinite numpy arrays (real symmetric matrices are the special case
 of real dtype).  The helpers here keep the real-part bookkeeping in one
 place so the estimation code can stay close to the math.
+
+Validation and trace products run on every selection call, so at large
+N each is a single pass over its operands that allocates no N x N
+temporary: :func:`require_hermitian` walks row tiles of the upper
+triangle (one tile up to N = 128) and :func:`real_trace_product` is one
+contiguous inner product.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -22,14 +30,18 @@ __all__ = [
 
 
 def real_trace_product(a: np.ndarray, b: np.ndarray) -> float:
-    """Return Re tr(a @ b) without forming the product matrix.
+    """Return Re tr(a @ b) of Hermitian operands without forming a @ b.
 
-    For Hermitian ``a`` and ``b`` the trace is real; the explicit real
-    part just drops rounding dust.  Uses tr(a b) = sum_ij a_ij * b_ji.
+    For Hermitian ``a`` the trace tr(a b) = sum_ij a_ji b_ij equals the
+    Frobenius inner product sum_ij conj(a_ij) b_ij, which is read in
+    memory order with no temporary; it is real, and the explicit real
+    part just drops rounding dust.  The identity pairs entries
+    positionally, so both operands must be square of the same shape.
     """
-    if a.shape != b.T.shape:
-        raise ValueError(f"trace of mismatched shapes {a.shape} and {b.shape}")
-    return float(np.sum(a * b.T).real)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != b.shape:
+        raise ValueError(f"trace of mismatched shapes {a.shape} and {b.shape}; "
+                         "expected square operands of equal shape")
+    return float(np.vdot(a, b).real)
 
 
 def frobenius_norm_sq(a: np.ndarray) -> float:
@@ -61,17 +73,52 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
+# Tiles of the Hermitian check hold about _TILE_ELEMENTS entries and at
+# least _TILE_ROWS rows: up to N = 128 one tile is the whole matrix, as in
+# the dense formula, and at large N the temporaries stay O(N * _TILE_ROWS).
+_TILE_ROWS = 32
+_TILE_ELEMENTS = 16384
+
+
+def _tile_rows(n: int) -> int:
+    """Rows per tile of :func:`require_hermitian` for an n x n matrix."""
+    return max(_TILE_ROWS, _TILE_ELEMENTS // max(n, 1))
+
+
 def require_hermitian(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Validate that ``a`` is square and Hermitian within ``tol``.
+    """Validate that ``a`` is square, finite and Hermitian within ``tol``.
+
+    The test is max|a - a^H| <= tol * max(1, max|a|).  Both maxima are
+    taken in one pass over row tiles of the upper triangle: rows
+    i:i+tile against columns i:i+tile read as their conjugate
+    transpose, which covers every pair (p, q), and the peak is taken over
+    the row tile and the column entries below it, which covers every
+    entry.  A max does not depend on the order it is taken in, and
+    |a_pq - conj(a_qp)| equals |a_qp - conj(a_pq)| bit for bit, so the
+    decision and the reported deviation are those of the dense formula.
+    A NaN or infinite entry makes a block's peak non-finite and is
+    rejected.
 
     Returns ``a`` unchanged so the call can be chained.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    if dev > tol * scale:
+    n = a.shape[0]
+    tile = _tile_rows(n)
+    dev = peak = 0.0
+    for i in range(0, n, tile):
+        rows = a[i:i + tile, i:]
+        cols = a[i:, i:i + tile]
+        for block in (rows, cols[tile:]):
+            if block.size:
+                block_peak = np.abs(block).max()
+                if not math.isfinite(block_peak):
+                    raise ValueError("matrix is non-finite "
+                                     "(NaN or infinite entries)")
+                peak = max(peak, block_peak)
+        dev = max(dev, np.abs(rows - cols.T.conj()).max())
+    if dev > tol * max(1.0, peak):
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     return a
 

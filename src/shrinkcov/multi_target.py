@@ -25,6 +25,7 @@ from .hermitian import (
     require_hermitian,
     validate_samples,
 )
+from .single_target import _scm_loocv_terms
 
 __all__ = [
     "MultiMoments",
@@ -214,23 +215,20 @@ def mt_scm_loocv_moments(samples: np.ndarray, targets) -> MultiMoments:
     """
     y = validate_samples(samples, min_count=3)
     targets = [require_hermitian(t0) for t0 in targets]
-    count = y.shape[1]
     r = scm(y)
-    tr_r2 = real_trace_product(r, r)
-    quart = float(np.sum(np.sum(np.abs(y) ** 2, axis=0) ** 2))
+    a_rr, b_r, quart = _scm_loocv_terms(r, y)
     k = len(targets)
     a = np.zeros((k + 1, k + 1))
     b = np.zeros(k + 1)
-    a[0, 0] = (count * (count - 2) / (count - 1) ** 2 * tr_r2
-               + quart / (count * (count - 1) ** 2))
-    b[0] = count / (count - 1) * tr_r2 - quart / (count * (count - 1))
+    a[0, 0] = a_rr
+    b[0] = b_r
     for j, t0 in enumerate(targets):
         cross = real_trace_product(r, t0)
         a[0, j + 1] = a[j + 1, 0] = cross
         b[j + 1] = cross
         for l in range(j, k):
             a[j + 1, l + 1] = a[l + 1, j + 1] = real_trace_product(t0, targets[l])
-    return MultiMoments(a=a, b=b, const=quart / count)
+    return MultiMoments(a=a, b=b, const=quart / y.shape[1])
 
 
 def mt_oracle_moments(base: np.ndarray, targets, truth: np.ndarray) -> MultiMoments:
@@ -313,19 +311,13 @@ def mt_constrained_moments(samples: np.ndarray, targets,
                 a[m_, n_] = a[n_, m_] = math.fsum(a_acc[m_][n_]) / count
         return MultiMoments(a=a, b=b, const=math.fsum(const) / count)
 
-    tr_r2 = real_trace_product(r, r)
-    quart = float(np.sum(np.sum(np.abs(y) ** 2, axis=0) ** 2))
-    a_rr = (count * (count - 2) / (count - 1) ** 2 * tr_r2
-            + quart / (count * (count - 1) ** 2))
-    b_r = count / (count - 1) * tr_r2 - quart / (count * (count - 1))
+    a_rr, b_r, quart = _scm_loocv_terms(r, y)
+    cross = [real_trace_product(t0, r) for t0 in targets]
     a = np.zeros((k, k))
     for m_ in range(k):
-        cross_m = real_trace_product(targets[m_], r)
         for n_ in range(m_, k):
             a[m_, n_] = a[n_, m_] = (real_trace_product(targets[m_], targets[n_])
-                                     - cross_m
-                                     - real_trace_product(targets[n_], r)
-                                     + a_rr)
+                                     - cross[m_] - cross[n_] + a_rr)
     # the mean leave-one-out estimate equals R, so the linear term loses
     # its target dependence and is shared by every coordinate
     b = np.full(k, a_rr - b_r)

@@ -187,17 +187,29 @@ def scm_fast_moments(samples: np.ndarray, target: np.ndarray) -> QuadMoments:
     """
     y = validate_samples(samples, min_count=3)
     t0 = require_hermitian(target)
-    count = y.shape[1]
     r = scm(y)
+    a_rr, b_r, quart = _scm_loocv_terms(r, y)
+    cross = real_trace_product(r, t0)
+    return QuadMoments(a_rr=a_rr, a_rt=cross,
+                       a_tt=real_trace_product(t0, t0),
+                       b_r=b_r, b_t=cross, const=quart / y.shape[1])
+
+
+def _scm_loocv_terms(r: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Base-estimate terms of the SCM cross-validation cost, T >= 3.
+
+    With R = scm(y) and R_t its leave-one-out estimates, returns
+    a_rr = mean_t tr(R_t^2), b_r = mean_t y_t^H R_t y_t and the
+    fourth-moment sum quart = sum_t ||y_t||^4, from tr(R^2) and quart
+    alone by the rank-one leave-one-out identity.
+    """
+    count = y.shape[1]
     tr_r2 = real_trace_product(r, r)
     quart = float(np.sum(np.sum(np.abs(y) ** 2, axis=0) ** 2))
-    cross = real_trace_product(r, t0)
     a_rr = (count * (count - 2) / (count - 1) ** 2 * tr_r2
             + quart / (count * (count - 1) ** 2))
     b_r = count / (count - 1) * tr_r2 - quart / (count * (count - 1))
-    return QuadMoments(a_rr=a_rr, a_rt=cross,
-                       a_tt=real_trace_product(t0, t0),
-                       b_r=b_r, b_t=cross, const=quart / count)
+    return a_rr, b_r, quart
 
 
 def _col_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -347,4 +359,9 @@ def shrink(base: np.ndarray, target: np.ndarray,
     """
     if solution.rho < 0.0 or solution.tau < 0.0:
         raise ValueError("shrinkage coefficients must be nonnegative")
-    return solution.rho * base + solution.tau * target
+    est = solution.rho * base
+    step = solution.tau * target
+    if est.shape != step.shape or not np.can_cast(step.dtype, est.dtype):
+        return est + step  # e.g. a real base with a complex target
+    est += step
+    return est

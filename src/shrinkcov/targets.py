@@ -48,13 +48,17 @@ def toeplitz_average_target(r: np.ndarray) -> np.ndarray:
 
     Band ``i`` of the result carries the mean real part of the i-th
     super/sub-diagonal of ``r``; band 0 is tr(r)/n, so the trace is
-    preserved exactly.
+    preserved exactly.  Band i is read as the strided slice
+    ``flat[i:(n - i)(n + 1):n + 1]`` of the raveled matrix (a view for
+    a contiguous ``r``); its sum over the band length is what
+    ``np.mean`` of the diagonal computes, bit for bit.
     """
     r = require_hermitian(r)
     n = r.shape[0]
+    flat = r.ravel()
     first_row = np.empty(n)
     for i in range(n):
-        first_row[i] = float(np.mean(np.diagonal(r, offset=i).real))
+        first_row[i] = flat[i:(n - i) * (n + 1):n + 1].real.sum() / (n - i)
     return scipy.linalg.toeplitz(first_row)
 
 

@@ -28,6 +28,26 @@ def trace_product_dense(a, b):
     return float(np.trace(a @ b).real)
 
 
+def hermitian_check_dense(a):
+    """Deviation and scale of the Hermitian check, from dense N x N arrays.
+
+    Returns (max|a - a^H|, max(1, max|a|)); the check accepts ``a`` at
+    tolerance ``tol`` when the first is at most ``tol`` times the second.
+    """
+    dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
+    return dev, scale
+
+
+def toeplitz_first_row_loop(r):
+    """Band means of ``r``: the mean real part of each superdiagonal."""
+    n = r.shape[0]
+    first_row = np.empty(n)
+    for i in range(n):
+        first_row[i] = float(np.mean(np.diagonal(r, offset=i).real))
+    return first_row
+
+
 def random_hermitian(n, rng, complex_field=True):
     a = rng.standard_normal((n, n))
     if complex_field:

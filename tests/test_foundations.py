@@ -1,7 +1,11 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from shrinkcov.hermitian import (
+    _tile_rows,
     frobenius_norm_sq,
     hermitize,
     is_psd,
@@ -10,8 +14,14 @@ from shrinkcov.hermitian import (
     require_hermitian,
     validate_samples,
 )
+from shrinkcov.targets import toeplitz_average_target
 
-from oracles import random_hermitian, random_psd, trace_product_dense
+from oracles import (
+    hermitian_check_dense,
+    random_hermitian,
+    random_psd,
+    trace_product_dense,
+)
 
 
 def test_real_trace_product_frozen():
@@ -24,8 +34,8 @@ def test_real_trace_product_frozen():
 
 def test_real_trace_product_matches_dense_oracle():
     rng = np.random.default_rng(71)
-    for k in range(25):
-        n = int(rng.integers(1, 9))
+    for k in range(29):
+        n = int(rng.integers(1, 9)) if k < 25 else (129, 513)[k % 2]
         cplx = bool(k % 2)
         a = random_hermitian(n, rng, cplx)
         b = random_hermitian(n, rng, cplx)
@@ -40,7 +50,10 @@ def test_real_trace_product_rejects_mismatched_shapes():
         real_trace_product(np.eye(3), np.array([[2.0]]))
     with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 3\)"):
         real_trace_product(np.ones((2, 3)), np.ones((2, 3)))
-    assert real_trace_product(np.ones((2, 3)), np.ones((3, 2))) == 6.0
+    # the Frobenius form pairs entries positionally, so a transposed
+    # pair is no longer a valid trace
+    with pytest.raises(ValueError, match=r"\(2, 3\).*\(3, 2\)"):
+        real_trace_product(np.ones((2, 3)), np.ones((3, 2)))
 
 
 def test_real_trace_product_psd_pairs_nonnegative():
@@ -98,6 +111,93 @@ def test_hermitize_and_validation():
         require_hermitian(a)
     # tolerated asymmetry just below the threshold
     require_hermitian(h + 1e-14 * 1j * np.eye(4))
+
+
+def _flip_tolerances(a):
+    """Largest tolerance the dense check rejects ``a`` at, and the next float up."""
+    dev, scale = hermitian_check_dense(a)
+    assert dev > 0.0
+    tol = dev / scale
+    while not dev > tol * scale:
+        tol = np.nextafter(tol, 0.0)
+    while dev > np.nextafter(tol, np.inf) * scale:
+        tol = np.nextafter(tol, np.inf)
+    return tol, np.nextafter(tol, np.inf)
+
+
+def _planted_positions(n):
+    """Below-diagonal (row, col) pairs on either side of the first tile
+    edge and in the last row, plus the last diagonal entry."""
+    edge = [p for p in (_tile_rows(n) - 1, _tile_rows(n)) if p < n]
+    rows = {(p, q) for p in edge for q in (0, p - 1) if 0 <= q < p}
+    cols = {(n - 1, q) for q in edge if q < n - 1}
+    return sorted(rows | cols | {(n - 1, n - 1)})
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 128, 129, 300, 511, 512, 513])
+def test_require_hermitian_tiled_equals_dense_formula(n, cplx):
+    rng = np.random.default_rng(1000 + n)
+    h = 1e-3 * random_hermitian(n, rng, cplx)
+    assert hermitian_check_dense(h)[0] == 0.0
+    require_hermitian(h, tol=0.0)
+    # a small bump keeps the scale at 1, so the flip tolerance pins the
+    # deviation; a large one makes the planted entry the peak, so it pins
+    # the scale too
+    for bump in (2.5e-4, 10.0):
+        for p, q in _planted_positions(n) if n else []:
+            a = h.copy()
+            a[p, q] += bump * (1 + 0.5j if cplx else 1.0)
+            if p == q and not cplx:
+                require_hermitian(a, tol=0.0)  # a real diagonal stays symmetric
+                continue
+            reject, accept = _flip_tolerances(a)
+            dev = hermitian_check_dense(a)[0]
+            with pytest.raises(ValueError, match=re.escape(f"deviation {dev:.3e}")):
+                require_hermitian(a, tol=reject)
+            assert require_hermitian(a, tol=accept) is a
+            if hermitian_check_dense(a)[1] == 1.0:
+                # scale 1: the tolerance pins the deviation to the bit
+                assert accept == dev
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 1.0)])
+@pytest.mark.parametrize("n", [3, 300])
+def test_require_hermitian_rejects_non_finite(n, bad):
+    for p, q in ((0, 0), (0, n - 1), (n - 1, 0), (n - 1, n // 2), (n - 1, n - 2)):
+        a = np.eye(n, dtype=complex if isinstance(bad, complex) else float)
+        a[p, q] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            require_hermitian(a)
+        if p != q:  # the mirrored entry too, so the deviation is NaN
+            a[q, p] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                require_hermitian(a)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_selection_path_allocates_no_dense_temporary(cplx):
+    n = 512
+    rng = np.random.default_rng(76)
+    a = random_hermitian(n, rng, cplx)
+    b = random_hermitian(n, rng, cplx)
+    assert _traced_peak(require_hermitian, a) < a.nbytes / 4
+    assert _traced_peak(real_trace_product, a, b) < a.nbytes / 4
+    # the real N x N output plus O(N * tile) from the Hermitian check
+    out_bytes = n * n * 8
+    assert (_traced_peak(toeplitz_average_target, a)
+            < out_bytes + 64 * n * a.itemsize + 65536)
 
 
 def test_validate_samples():

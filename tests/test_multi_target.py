@@ -300,3 +300,15 @@ def test_mt_select_rejects_a_target_of_another_size():
     for method in ("cv", "oracle"):
         with pytest.raises(ValueError, match=r"\(5, 5\).*\(1, 1\)"):
             mt_select(method, targets, samples=y, truth=sigma)
+
+
+def test_mt_select_rejects_a_non_finite_target():
+    rng = np.random.default_rng(65)
+    sigma = ar_covariance(5, 0.5)
+    y = gaussian_samples(sigma, 10, rng)
+    targets = make_targets(scm(y))
+    targets[1] = targets[1].copy()
+    targets[1][3, 1] = np.nan
+    for method in ("cv", "cv_constrained", "oracle", "oracle_constrained"):
+        with pytest.raises(ValueError, match="non-finite"):
+            mt_select(method, targets, samples=y, truth=sigma)

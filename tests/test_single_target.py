@@ -478,3 +478,19 @@ def test_shrink_nonneg_guard_and_psd():
     assert np.allclose(est, 0.5 * r + 0.25 * t0)
     with pytest.raises(ValueError):
         shrink(r, t0, ShrinkageSolution(rho=-0.1, tau=0.5))
+
+
+def test_shrink_dtype_values_and_inputs_unmodified():
+    from shrinkcov.single_target import ShrinkageSolution
+    rng = np.random.default_rng(45)
+    sol = ShrinkageSolution(rho=0.7, tau=0.3)
+    real = random_psd(5, rng, complex_field=False)
+    cplx = random_psd(5, rng)
+    for base, target in ((real, cplx), (cplx, real), (real, real.T.copy()),
+                         (cplx, cplx.conj())):
+        saved = base.copy(), target.copy()
+        est = shrink(base, target, sol)
+        want = sol.rho * base + sol.tau * target
+        assert est.dtype == want.dtype
+        assert np.array_equal(est, want)
+        assert np.array_equal(base, saved[0]) and np.array_equal(target, saved[1])

@@ -11,7 +11,7 @@ from shrinkcov.targets import (
     toeplitz_average_target,
 )
 
-from oracles import random_psd
+from oracles import random_psd, toeplitz_first_row_loop
 
 
 def toeplitz_band_oracle(r):
@@ -76,6 +76,22 @@ def test_toeplitz_average_matches_band_oracle():
             assert np.trace(got).real == pytest.approx(np.trace(r).real,
                                                        rel=1e-12)
             assert is_psd(got, tol=1e-8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, 100, 1000])
+def test_toeplitz_first_row_equals_the_mean_loop(n):
+    rng = np.random.default_rng(23)
+    for cplx in (False, True):
+        r = random_psd(n, rng, cplx, rank=40)
+        got = toeplitz_average_target(r)
+        assert np.array_equal(got[0], toeplitz_first_row_loop(r))
+
+
+def test_scaled_identity_rejects_non_finite_input():
+    r = np.eye(3)
+    r[2, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        scaled_identity_target(r)
 
 
 def test_targets_preserve_trace_and_psd():
