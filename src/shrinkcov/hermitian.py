@@ -9,7 +9,8 @@ Validation and trace products run on every selection call, so at large
 N each is a single pass over its operands that allocates no N x N
 temporary: :func:`require_hermitian` walks row tiles of the upper
 triangle (one tile up to N = 128) and :func:`real_trace_product` is one
-contiguous inner product.
+contiguous inner product.  Both reduce in numpy without BLAS, so their
+results do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -30,18 +31,26 @@ __all__ = [
 
 
 def real_trace_product(a: np.ndarray, b: np.ndarray) -> float:
-    """Return Re tr(a @ b) of Hermitian operands without forming a @ b.
+    """Return Re <a, b>_F = Re sum_ij conj(a_ij) b_ij, the real Frobenius product.
 
-    For Hermitian ``a`` the trace tr(a b) = sum_ij a_ji b_ij equals the
-    Frobenius inner product sum_ij conj(a_ij) b_ij, which is read in
-    memory order with no temporary; it is real, and the explicit real
-    part just drops rounding dust.  The identity pairs entries
-    positionally, so both operands must be square of the same shape.
+    When either operand is Hermitian this equals Re tr(a @ b), since
+    tr(a b) = sum_ij a_ji b_ij; that is how the estimation code uses it,
+    and nothing here checks it.  The sum pairs entries by position, so
+    both operands must be square of the same shape.  It is one pass in
+    memory order with no temporary for C-contiguous operands, and it is
+    computed by ``np.einsum`` rather than BLAS, so its summation order
+    does not depend on the BLAS thread count.
     """
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != b.shape:
         raise ValueError(f"trace of mismatched shapes {a.shape} and {b.shape}; "
                          "expected square operands of equal shape")
-    return float(np.vdot(a, b).real)
+    if np.iscomplexobj(a) and np.iscomplexobj(b):
+        # Re(conj(x) y) = Re x Re y + Im x Im y: pair the interleaved parts
+        a = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+        b = np.ascontiguousarray(b, dtype=np.complex128).view(np.float64)
+    else:
+        a, b = a.real, b.real
+    return float(np.einsum("ij,ij->", a, b))
 
 
 def frobenius_norm_sq(a: np.ndarray) -> float:

@@ -359,9 +359,4 @@ def shrink(base: np.ndarray, target: np.ndarray,
     """
     if solution.rho < 0.0 or solution.tau < 0.0:
         raise ValueError("shrinkage coefficients must be nonnegative")
-    est = solution.rho * base
-    step = solution.tau * target
-    if est.shape != step.shape or not np.can_cast(step.dtype, est.dtype):
-        return est + step  # e.g. a real base with a complex target
-    est += step
-    return est
+    return solution.rho * base + solution.tau * target

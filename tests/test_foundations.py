@@ -44,14 +44,27 @@ def test_real_trace_product_matches_dense_oracle():
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+def test_real_trace_product_one_hermitian_operand_any_layout():
+    # Re <a, b>_F equals Re tr(ab) when either operand is Hermitian; the
+    # other may be any square matrix of either field, in any memory layout
+    rng = np.random.default_rng(77)
+    for n in (1, 5, 130):
+        h = random_hermitian(n, rng, True)
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for a, b in ((h, g), (g, h), (h, g.real), (g.real, h), (h.real, g),
+                     (h.T, g), (h, g[:, ::-1].T), (h, np.asfortranarray(g))):
+            assert real_trace_product(a, b) == pytest.approx(
+                trace_product_dense(a, b), rel=1e-12, abs=1e-12)
+
+
 def test_real_trace_product_rejects_mismatched_shapes():
     # elementwise a * b.T would broadcast these into a finite wrong number
     with pytest.raises(ValueError, match=r"\(3, 3\).*\(1, 1\)"):
         real_trace_product(np.eye(3), np.array([[2.0]]))
     with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 3\)"):
         real_trace_product(np.ones((2, 3)), np.ones((2, 3)))
-    # the Frobenius form pairs entries positionally, so a transposed
-    # pair is no longer a valid trace
+    # the Frobenius inner product pairs entries by position, so operands
+    # must be square of equal shape
     with pytest.raises(ValueError, match=r"\(2, 3\).*\(3, 2\)"):
         real_trace_product(np.ones((2, 3)), np.ones((3, 2)))
 
