@@ -9,8 +9,8 @@ Validation and trace products run on every selection call, so at large
 N each is a single pass over its operands that allocates no N x N
 temporary: :func:`require_hermitian` walks row tiles of the upper
 triangle (one tile up to N = 128) and :func:`real_trace_product` is one
-contiguous inner product.  Both reduce in numpy without BLAS, so their
-results do not depend on the BLAS thread count.
+contiguous inner product.  They and :func:`frobenius_norm_sq` reduce in
+numpy without BLAS, so do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -54,8 +54,11 @@ def real_trace_product(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def frobenius_norm_sq(a: np.ndarray) -> float:
-    """Squared Frobenius norm ||a||_F^2 = sum |a_ij|^2."""
-    return float(np.vdot(a, a).real)
+    """Squared Frobenius norm sum |a_ij|^2 of any shape, reduced by einsum."""
+    a = np.ravel(a, order="K")  # a view of any contiguous input
+    if np.iscomplexobj(a):
+        a = a.astype(np.complex128, copy=False).view(np.float64)
+    return float(np.einsum("i,i->", a, a))
 
 
 def outer_product(y: np.ndarray) -> np.ndarray:

@@ -4,10 +4,10 @@ The leave-one-out selection cost is a K+1 dimensional convex quadratic
 (or K dimensional under the convex-combination constraint
 rho = 1 - sum_k tau_k).  The dimension equals the number of targets
 plus one, which stays tiny in practice, so the nonnegativity
-constraints are handled by exact active-set enumeration instead of an
-iterative QP solver: every face of the feasible cone is solved in
-closed form and the best feasible face wins.  That keeps the selection
-exactly reproducible.
+constraints are handled by a primal active-set method after Lawson and
+Hanson's NNLS: each step solves one face of the feasible set in closed
+form, visiting about one face per coordinate instead of all 2^(K+1).
+That keeps the selection exactly reproducible.
 """
 
 from __future__ import annotations
@@ -77,91 +77,88 @@ def _validate_qp(m: MultiMoments) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("moment matrix and vector shapes do not match")
     if a.shape[0] > _MAX_DIM:
         raise ValueError(f"quadratic dimension {a.shape[0]} exceeds the "
-                         f"exact-enumeration limit {_MAX_DIM}")
+                         f"supported limit {_MAX_DIM}")
     if not is_psd(a):
         raise ValueError("moment matrix is not positive semidefinite; "
                          "the selection objective is not convex")
     return a, b
 
 
-def _faces(dim: int):
-    """All index subsets, largest first, in a fixed deterministic order."""
-    masks = sorted(range(1 << dim),
-                   key=lambda msk: (bin(msk).count("1"), msk), reverse=True)
-    for mask in masks:
-        yield [i for i in range(dim) if mask >> i & 1]
+def _active_set(a: np.ndarray, b: np.ndarray, simplex=False) -> np.ndarray:
+    """Minimize x^T a x - 2 b . x over x >= 0 (and sum x = 1 for ``simplex``).
+
+    Lawson-Hanson style primal active set: start at x = 0, or at the best
+    vertex of the simplex, and free the coordinate with the largest
+    multiplier w = b - a x - lam.  Each free block is a minimum-norm least
+    squares solve, bordered by the sum-to-one row for the simplex; when
+    it leaves the orthant, x steps back to the boundary.  As in NNLS, a
+    freed coordinate whose own value comes out nonpositive is rejected
+    until x moves.  Coordinates off the final free set are exact zeros.
+    """
+    dim = b.size
+    x = np.zeros(dim)
+    free = np.zeros(dim, dtype=bool)
+    rejected = np.zeros(dim, dtype=bool)
+    lam = 0.0
+    if simplex:
+        i = int(np.argmin(np.diag(a) - 2.0 * b))
+        x[i], free[i], lam = 1.0, True, b[i] - a[i, i]
+    tol = 1e-12 * max([1.0, *np.diag(a), *np.abs(b)])  # PSD: max|a| on diag
+
+    def face(free):
+        idx = np.flatnonzero(free)
+        k = idx.size
+        kkt = np.ones((k + simplex, k + simplex))
+        kkt[:k, :k] = a[idx[:, None], idx]
+        kkt[k:, k:] = 0.0
+        sol = np.linalg.lstsq(kkt, np.append(b[idx], [1.0] * simplex),
+                              rcond=None)[0]
+        z = np.zeros(dim)
+        z[idx] = sol[:k]
+        return z, float(sol[k]) if simplex else 0.0
+
+    # in exact arithmetic each freeing lowers the objective: no face repeats
+    for _ in range(4 * dim * dim + 4):
+        w = np.where(free | rejected, -np.inf, b - a @ x - lam)
+        if not dim or w.max() <= tol:
+            return x
+        j = int(np.argmax(w))
+        free[j] = True
+        z, z_lam = face(free)
+        if z[j] <= 0.0:
+            free[j], rejected[j] = False, True
+            continue
+        rejected[:] = False
+        while np.min(z[free], initial=np.inf) <= 0.0:
+            out = free & (z <= 0.0)
+            ratio = x[out] / (x[out] - z[out])
+            x = x + float(np.min(ratio)) * (z - x)
+            x[np.flatnonzero(out)[np.argmin(ratio)]] = 0.0
+            free &= x > 0.0
+            x[~free] = 0.0
+            z, z_lam = face(free)
+        x, lam = z, z_lam
+    raise RuntimeError("active-set solve did not converge")
 
 
 def solve_nonneg_qp(m: MultiMoments) -> tuple[np.ndarray, float]:
-    """Minimize x^T a x - 2 b . x over x >= 0 by exact face enumeration.
-
-    On each face the free block is solved with a minimum-norm least
-    squares solve, so singular but consistent moment systems still get
-    a deterministic answer.  Returns the minimizer and the attained
-    objective.
-    """
+    """Minimize x^T a x - 2 b . x over x >= 0; returns (x, objective)."""
     a, b = _validate_qp(m)
-    dim = a.shape[0]
-    best_x = None
-    best_obj = math.inf
-    for idx in _faces(dim):
-        x = np.zeros(dim)
-        if idx:
-            sub_a = a[np.ix_(idx, idx)]
-            sub_b = b[idx]
-            sol = np.linalg.lstsq(sub_a, sub_b, rcond=None)[0]
-            scale = max(1.0, float(np.max(np.abs(sub_b))))
-            if np.max(np.abs(sub_a @ sol - sub_b)) > 1e-9 * scale:
-                continue  # face minimum not attained (b outside the range)
-            if np.min(sol) < -1e-12:
-                continue
-            x[idx] = np.maximum(sol, 0.0)
-        obj = m.objective(x)
-        if best_x is None or obj < best_obj - 1e-15 * max(1.0, abs(best_obj)):
-            best_x, best_obj = x, obj
-    return best_x, best_obj
+    x = _active_set(a, b)
+    return x, m.objective(x)
 
 
 def solve_nonneg_qp_simplex(m: MultiMoments) -> tuple[np.ndarray, float]:
     """Minimize the quadratic over the simplex x >= 0, sum x <= 1.
 
     If the nonnegative minimizer already satisfies the sum constraint it
-    is returned unchanged; otherwise the optimum lies on sum x = 1 and
-    is found by enumerating the equality-constrained faces.
+    is returned unchanged; otherwise the optimum lies on sum x = 1.
     """
     a, b = _validate_qp(m)
-    x, obj = solve_nonneg_qp(m)
-    if float(np.sum(x)) <= 1.0 + 1e-12:
-        return x, obj
-    dim = a.shape[0]
-    best_x = None
-    best_obj = math.inf
-    for idx in _faces(dim):
-        if not idx:
-            continue
-        k = len(idx)
-        kkt = np.zeros((k + 1, k + 1))
-        kkt[:k, :k] = a[np.ix_(idx, idx)]
-        kkt[:k, k] = 1.0
-        kkt[k, :k] = 1.0
-        rhs = np.concatenate([b[idx], [1.0]])
-        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-        scale = max(1.0, float(np.max(np.abs(rhs))))
-        if np.max(np.abs(kkt @ sol - rhs)) > 1e-9 * scale:
-            continue
-        x_face, lam = sol[:k], sol[k]
-        if np.min(x_face) < -1e-12:
-            continue
-        x_full = np.zeros(dim)
-        x_full[idx] = np.maximum(x_face, 0.0)
-        grad = a @ x_full - b
-        off = [i for i in range(dim) if i not in idx]
-        if off and np.min(grad[off] + lam) < -1e-9:
-            continue  # releasing a clamped coordinate would descend
-        obj = m.objective(x_full)
-        if best_x is None or obj < best_obj - 1e-15 * max(1.0, abs(best_obj)):
-            best_x, best_obj = x_full, obj
-    return best_x, best_obj
+    x = _active_set(a, b)
+    if float(np.sum(x)) > 1.0 + 1e-12:
+        x = _active_set(a, b, simplex=True)
+    return x, m.objective(x)
 
 
 # ---------------------------------------------------------------------------

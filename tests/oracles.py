@@ -1,9 +1,9 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately naive: dense products, explicit refits,
-grid scans, projected gradient. Apart from the paired MultiTargetAr
-reference at the end, nothing imports from shrinkcov, so the package and
-these oracles can only agree by computing the same mathematics.
+grid scans, projected gradient, face enumeration. Apart from the paired
+MultiTargetAr reference at the end, nothing imports from shrinkcov, so the
+package and these oracles can only agree by computing the same mathematics.
 """
 import math
 
@@ -272,6 +272,88 @@ def projected_gradient_nonneg(a, b, iters=20000):
         x = np.maximum(x - step * grad, 0.0)
     return x
 
+
+
+def _faces(dim):
+    """All index subsets, largest first, in a fixed deterministic order."""
+    masks = sorted(range(1 << dim),
+                   key=lambda msk: (bin(msk).count("1"), msk), reverse=True)
+    for mask in masks:
+        yield [i for i in range(dim) if mask >> i & 1]
+
+
+def enumerate_nonneg_qp(m):
+    """Minimize x^T a x - 2 b . x over x >= 0 by exact face enumeration.
+
+    On each face the free block is solved with a minimum-norm least
+    squares solve, so singular but consistent moment systems still get
+    a deterministic answer.  Returns the minimizer and the attained
+    objective.  Reference for the package's active-set solver: 2^dim solves.
+    """
+    a = np.asarray(m.a, dtype=float)
+    b = np.asarray(m.b, dtype=float)
+    dim = a.shape[0]
+    best_x = None
+    best_obj = math.inf
+    for idx in _faces(dim):
+        x = np.zeros(dim)
+        if idx:
+            sub_a = a[np.ix_(idx, idx)]
+            sub_b = b[idx]
+            sol = np.linalg.lstsq(sub_a, sub_b, rcond=None)[0]
+            scale = max(1.0, float(np.max(np.abs(sub_b))))
+            if np.max(np.abs(sub_a @ sol - sub_b)) > 1e-9 * scale:
+                continue  # face minimum not attained (b outside the range)
+            if np.min(sol) < -1e-12:
+                continue
+            x[idx] = np.maximum(sol, 0.0)
+        obj = m.objective(x)
+        if best_x is None or obj < best_obj - 1e-15 * max(1.0, abs(best_obj)):
+            best_x, best_obj = x, obj
+    return best_x, best_obj
+
+
+def enumerate_nonneg_qp_simplex(m):
+    """Minimize the quadratic over the simplex x >= 0, sum x <= 1.
+
+    If the nonnegative minimizer already satisfies the sum constraint it
+    is returned unchanged; otherwise the optimum lies on sum x = 1 and
+    is found by enumerating the equality-constrained faces.
+    """
+    a = np.asarray(m.a, dtype=float)
+    b = np.asarray(m.b, dtype=float)
+    x, obj = enumerate_nonneg_qp(m)
+    if float(np.sum(x)) <= 1.0 + 1e-12:
+        return x, obj
+    dim = a.shape[0]
+    best_x = None
+    best_obj = math.inf
+    for idx in _faces(dim):
+        if not idx:
+            continue
+        k = len(idx)
+        kkt = np.zeros((k + 1, k + 1))
+        kkt[:k, :k] = a[np.ix_(idx, idx)]
+        kkt[:k, k] = 1.0
+        kkt[k, :k] = 1.0
+        rhs = np.concatenate([b[idx], [1.0]])
+        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+        scale = max(1.0, float(np.max(np.abs(rhs))))
+        if np.max(np.abs(kkt @ sol - rhs)) > 1e-9 * scale:
+            continue
+        x_face, lam = sol[:k], sol[k]
+        if np.min(x_face) < -1e-12:
+            continue
+        x_full = np.zeros(dim)
+        x_full[idx] = np.maximum(x_face, 0.0)
+        grad = a @ x_full - b
+        off = [i for i in range(dim) if i not in idx]
+        if off and np.min(grad[off] + lam) < -1e-9:
+            continue  # releasing a clamped coordinate would descend
+        obj = m.objective(x_full)
+        if best_x is None or obj < best_obj - 1e-15 * max(1.0, abs(best_obj)):
+            best_x, best_obj = x_full, obj
+    return best_x, best_obj
 
 # ---------------------------------------------------------------------------
 # Paired reference for the MultiTargetAr experiment.

@@ -93,6 +93,22 @@ def test_frobenius_norm_sq_consistency():
                                                  rel=1e-13)
 
 
+@pytest.mark.parametrize("shape, cplx, order", [
+    ((6, 6), False, "C"), ((6, 6), True, "C"), ((4, 9), False, "C"),
+    ((4, 9), True, "C"), ((7, 3), False, "F"), ((7, 3), True, "F"),
+    ((2, 3, 5), True, "C"), ((5,), False, "C")])
+def test_frobenius_norm_sq_any_shape_and_layout(shape, cplx, order):
+    rng = np.random.default_rng(78)
+    a = rng.standard_normal(shape)
+    if cplx:
+        a = a + 1j * rng.standard_normal(shape)
+    a = np.asarray(a, order=order)
+    want = np.linalg.norm(a) ** 2
+    assert frobenius_norm_sq(a) == pytest.approx(want, rel=1e-13)
+    assert frobenius_norm_sq(a[::-2]) == pytest.approx(
+        np.linalg.norm(a[::-2]) ** 2, rel=1e-13)
+
+
 def test_outer_product_frozen():
     y = np.array([1 + 1j, 2.0])
     want = np.array([[2.0, 2 + 2j], [2 - 2j, 4.0]])

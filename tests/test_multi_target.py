@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shrinkcov.datagen import ar_covariance, gaussian_samples
 from shrinkcov.estimators import scm, scm_leave_one_out
@@ -27,6 +29,8 @@ from shrinkcov.targets import (
 )
 
 from oracles import (
+    enumerate_nonneg_qp,
+    enumerate_nonneg_qp_simplex,
     mt_constrained_cost_direct,
     mt_cv_cost_direct,
     projected_gradient_nonneg,
@@ -102,6 +106,13 @@ def test_qp_nonpsd_guard():
         solve_nonneg_qp(MultiMoments(a=a, b=np.zeros(2), const=0.0))
 
 
+def test_qp_zero_dimension():
+    m = MultiMoments(a=np.zeros((0, 0)), b=np.zeros(0), const=2.0)
+    for solve in (solve_nonneg_qp, solve_nonneg_qp_simplex):
+        x, obj = solve(m)
+        assert x.shape == (0,) and obj == 2.0
+
+
 def test_qp_simplex_frozen():
     m = MultiMoments(a=np.eye(2), b=np.array([2.0, 2.0]), const=0.0)
     x, _ = solve_nonneg_qp(m)
@@ -133,6 +144,76 @@ def test_qp_simplex_matches_dense_scan():
         pts = pts[pts.sum(axis=1) <= 1.0]
         vals = np.einsum("ij,jk,ik->i", pts, a, pts) - 2 * pts @ b
         assert obj <= float(vals.min()) + 1e-8
+
+
+def least_squares_qp(rng, dim, rank):
+    """a = F^T F, b = F^T d for a random rank x dim F, as moment matrices are.
+
+    Returns the moments and a function evaluating the objective in the
+    factored form ||F x - d||^2 - ||d||^2, which is free of the
+    cancellation x^T a x - 2 b . x suffers at large x.
+    """
+    f = rng.standard_normal((rank, dim)) * rng.uniform(0.1, 10.0)
+    d = rng.standard_normal(rank) + rng.uniform(0.0, 3.0)
+    m = MultiMoments(a=f.T @ f, b=f.T @ d, const=0.0)
+    return m, lambda x: float(np.sum((f @ x - d) ** 2) - d @ d)
+
+
+QP_SOLVERS = {"cone": (solve_nonneg_qp, enumerate_nonneg_qp, 8),
+              "simplex": (solve_nonneg_qp_simplex, enumerate_nonneg_qp_simplex, 6)}
+
+
+@pytest.mark.parametrize("kind", sorted(QP_SOLVERS))
+def test_qp_matches_enumeration_positive_definite(kind):
+    solve, enumerate_faces, max_dim = QP_SOLVERS[kind]
+    rng = np.random.default_rng(66)
+    for dim in range(1, max_dim + 1):
+        for _ in range(6):
+            l = rng.standard_normal((dim, dim))
+            a = l @ l.T + 0.1 * np.eye(dim)
+            b = rng.standard_normal(dim) + rng.uniform(0.0, 2.0)
+            m = MultiMoments(a=a, b=b, const=0.0)
+            x, obj = solve(m)
+            ref_x, ref_obj = enumerate_faces(m)
+            assert abs(obj - ref_obj) <= 1e-12 * max(1.0, abs(ref_obj))
+            assert np.max(np.abs(x - ref_x)) <= 1e-10
+            assert np.all(x[ref_x == 0] == 0.0)
+
+
+@pytest.mark.parametrize("kind", sorted(QP_SOLVERS))
+def test_qp_matches_enumeration_rank_deficient(kind):
+    # the minimizer is not unique here, so only the objectives are compared
+    solve, enumerate_faces, max_dim = QP_SOLVERS[kind]
+    rng = np.random.default_rng(67)
+    for dim in range(1, max_dim + 1):
+        for rank in range(dim):
+            m, objective = least_squares_qp(rng, dim, rank)
+            x, obj = solve(m)
+            ref_x, _ = enumerate_faces(m)
+            assert obj == m.objective(x)
+            got, want = objective(x), objective(ref_x)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(dim=st.integers(1, 8), rank=st.integers(0, 7),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_qp_kkt_property_on_singular_psd(dim, rank, seed):
+    m, _ = least_squares_qp(np.random.default_rng(seed), dim,
+                            min(rank, dim - 1))
+    for solve in (solve_nonneg_qp, solve_nonneg_qp_simplex):
+        x, _ = solve(m)
+        grad = m.a @ x - m.b
+        tol = 1e-9 * max(1.0, float(np.max(np.abs(m.b))),
+                         float(np.max(np.abs(m.a))) * float(np.sum(x)))
+        assert np.all(x >= 0.0)
+        lam = 0.0
+        if solve is solve_nonneg_qp_simplex:
+            assert np.sum(x) <= 1.0 + 1e-12
+            if np.sum(x) >= 1.0 - 1e-9:
+                lam = max(0.0, -float(np.mean(grad[x > 0])))
+        assert np.all(grad + lam >= -tol)  # dual feasibility
+        assert np.all(np.abs(grad + lam)[x > 0] <= tol)  # complementarity
 
 
 # ------------------------------------------------------------------- moments
