@@ -1,18 +1,23 @@
 """Multi-target linear shrinkage: rho R + sum_k tau_k T_k.
 
-The leave-one-out selection cost is a K+1 dimensional convex quadratic
-(or K dimensional under the convex-combination constraint
-rho = 1 - sum_k tau_k).  The dimension equals the number of targets
-plus one, which stays tiny in practice, so the nonnegativity
-constraints are handled by a primal active-set method after Lawson and
-Hanson's NNLS: each step solves one face of the feasible set in closed
-form, visiting about one face per coordinate instead of all 2^(K+1).
-That keeps the selection exactly reproducible.
+This module is the package's one accumulator of trace-product moments:
+the leave-one-out and oracle selection costs are a K+1 dimensional
+convex quadratic in (rho, tau_1..tau_K), and the single-target moments
+of :mod:`shrinkcov.single_target` are its K = 1 case.  The
+convex-combination design rho = 1 - sum_k tau_k is one substitution
+applied to those moments, which leaves a K dimensional quadratic.
+
+The dimension stays tiny in practice, so the nonnegativity constraints
+are handled by a primal active-set method after Lawson and Hanson's
+NNLS: each step solves one face of the feasible set in closed form,
+visiting about one face per coordinate instead of all 2^(K+1).  That
+keeps the selection exactly reproducible.  The solvers divide the
+moments by their largest diagonal entry first, so the selection does
+not depend on the units of the data.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +26,11 @@ from .estimators import scm
 from .hermitian import (
     frobenius_norm_sq,
     is_psd,
+    outer_product,
     real_trace_product,
     require_hermitian,
     validate_samples,
 )
-from .single_target import _scm_loocv_terms
 
 __all__ = [
     "MultiMoments",
@@ -71,6 +76,10 @@ class MtSolution:
 
 
 def _validate_qp(m: MultiMoments) -> tuple[np.ndarray, np.ndarray]:
+    """Checked (a, b) divided by the largest diagonal moment, so that the
+    PSD check, the stopping rule and ``lstsq``'s cutoff on the simplex
+    border do not depend on the units of the data (moments scale as c^4).
+    """
     a = np.asarray(m.a, dtype=float)
     b = np.asarray(m.b, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape != (a.shape[0],):
@@ -78,6 +87,9 @@ def _validate_qp(m: MultiMoments) -> tuple[np.ndarray, np.ndarray]:
     if a.shape[0] > _MAX_DIM:
         raise ValueError(f"quadratic dimension {a.shape[0]} exceeds the "
                          f"supported limit {_MAX_DIM}")
+    scale = float(a.diagonal().max(initial=0.0))
+    if scale > 0.0:
+        a, b = a / scale, b / scale
     if not is_psd(a):
         raise ValueError("moment matrix is not positive semidefinite; "
                          "the selection objective is not convex")
@@ -142,7 +154,10 @@ def _active_set(a: np.ndarray, b: np.ndarray, simplex=False) -> np.ndarray:
 
 
 def solve_nonneg_qp(m: MultiMoments) -> tuple[np.ndarray, float]:
-    """Minimize x^T a x - 2 b . x over x >= 0; returns (x, objective)."""
+    """Minimize x^T a x - 2 b . x over x >= 0; returns (x, objective).
+
+    The objective is evaluated on the moments as given.
+    """
     a, b = _validate_qp(m)
     x = _active_set(a, b)
     return x, m.objective(x)
@@ -165,88 +180,83 @@ def solve_nonneg_qp_simplex(m: MultiMoments) -> tuple[np.ndarray, float]:
 # moment accumulation
 
 
+def _gram(mats) -> np.ndarray:
+    """Symmetric matrix of the real trace products tr(M_i M_j)."""
+    k = len(mats)
+    g = np.zeros((k, k))
+    for i in range(k):
+        for j in range(i, k):
+            g[i, j] = g[j, i] = real_trace_product(mats[i], mats[j])
+    return g
+
+
 def mt_loocv_moments(loo_covs, samples: np.ndarray, targets) -> MultiMoments:
     """Cross-validation quadratic in (rho, tau_1..tau_K) from explicit R_t.
 
-    Reference accumulator; :func:`mt_scm_loocv_moments` must agree with
-    it on the sample-covariance path.
+    Fold t's cost || rho R_t + sum_k tau_k T_k - y_t y_t^H ||_F^2 is the
+    oracle quadratic of R_t against the held-out y_t y_t^H, so this is
+    the mean of T :func:`mt_oracle_moments`.  Reference accumulator;
+    :func:`mt_scm_loocv_moments` must agree with it on the
+    sample-covariance path.
     """
     y = validate_samples(samples)
-    targets = [require_hermitian(t0) for t0 in targets]
-    count = y.shape[1]
-    if len(loo_covs) != count:
+    targets = list(targets)
+    if len(loo_covs) != y.shape[1]:
         raise ValueError("need one leave-one-out estimate per sample")
-    k = len(targets)
-    a = np.zeros((k + 1, k + 1))
-    b = np.zeros(k + 1)
-    a00 = []
-    a0k = [[] for _ in range(k)]
-    b0 = []
-    bk = [[] for _ in range(k)]
-    const = []
-    for i in range(count):
-        r_i = loo_covs[i]
-        y_i = y[:, i]
-        a00.append(real_trace_product(r_i, r_i))
-        b0.append(float(np.vdot(y_i, r_i @ y_i).real))
-        const.append(float(np.vdot(y_i, y_i).real) ** 2)
-        for j, t0 in enumerate(targets):
-            a0k[j].append(real_trace_product(r_i, t0))
-            bk[j].append(float(np.vdot(y_i, t0 @ y_i).real))
-    a[0, 0] = math.fsum(a00) / count
-    b[0] = math.fsum(b0) / count
-    for j in range(k):
-        a[0, j + 1] = a[j + 1, 0] = math.fsum(a0k[j]) / count
-        b[j + 1] = math.fsum(bk[j]) / count
-        for l in range(k):
-            a[j + 1, l + 1] = real_trace_product(targets[j], targets[l])
-    return MultiMoments(a=a, b=b, const=math.fsum(const) / count)
+    folds = [mt_oracle_moments(r_i, targets, outer_product(y_i))
+             for r_i, y_i in zip(loo_covs, y.T)]
+    return MultiMoments(a=np.mean([f.a for f in folds], axis=0),
+                        b=np.mean([f.b for f in folds], axis=0),
+                        const=float(np.mean([f.const for f in folds])))
 
 
 def mt_scm_loocv_moments(samples: np.ndarray, targets) -> MultiMoments:
     """Closed-form cross-validation quadratic on the SCM path (T >= 3).
 
-    Every block reduces to tr(R^2), tr(R T_k), tr(T_j T_k) and the
-    fourth-moment sum; the K+1 dimensional analogue of the single-target
-    fast accumulator.
+    With R = scm(y) and R_t its leave-one-out estimates, the rank-one
+    leave-one-out identity expresses a_00 = mean_t tr(R_t^2) and
+    b_0 = mean_t y_t^H R_t y_t through tr(R^2) and the fourth-moment sum
+    sum_t ||y_t||^4 alone, so no R_t is ever formed.  The mean R_t is R,
+    so a_0k = b_k = tr(R T_k); a_jk = tr(T_j T_k).  Requires T >= 3 so
+    the T-2 factor stays positive.
     """
     y = validate_samples(samples, min_count=3)
     targets = [require_hermitian(t0) for t0 in targets]
-    r = scm(y)
-    a_rr, b_r, quart = _scm_loocv_terms(r, y)
-    k = len(targets)
-    a = np.zeros((k + 1, k + 1))
-    b = np.zeros(k + 1)
-    a[0, 0] = a_rr
-    b[0] = b_r
-    for j, t0 in enumerate(targets):
-        cross = real_trace_product(r, t0)
-        a[0, j + 1] = a[j + 1, 0] = cross
-        b[j + 1] = cross
-        for l in range(j, k):
-            a[j + 1, l + 1] = a[l + 1, j + 1] = real_trace_product(t0, targets[l])
-    return MultiMoments(a=a, b=b, const=quart / y.shape[1])
+    count = y.shape[1]
+    a = _gram([scm(y), *targets])
+    b = a[0].copy()
+    tr_r2 = float(a[0, 0])
+    quart = float(np.sum(np.sum(np.abs(y) ** 2, axis=0) ** 2))
+    a[0, 0] = (count * (count - 2) / (count - 1) ** 2 * tr_r2
+               + quart / (count * (count - 1) ** 2))
+    b[0] = count / (count - 1) * tr_r2 - quart / (count * (count - 1))
+    return MultiMoments(a=a, b=b, const=quart / count)
 
 
 def mt_oracle_moments(base: np.ndarray, targets, truth: np.ndarray) -> MultiMoments:
     """Frobenius-error quadratic || rho R + sum tau_k T_k - Sigma ||_F^2."""
-    r = require_hermitian(base)
-    targets = [require_hermitian(t0) for t0 in targets]
+    mats = [require_hermitian(base), *map(require_hermitian, targets)]
     sigma = require_hermitian(truth)
-    mats = [r] + list(targets)
-    k = len(mats)
-    a = np.zeros((k, k))
-    b = np.zeros(k)
-    for i in range(k):
-        b[i] = real_trace_product(mats[i], sigma)
-        for j in range(i, k):
-            a[i, j] = a[j, i] = real_trace_product(mats[i], mats[j])
+    a = _gram(mats)
+    b = np.array([real_trace_product(m, sigma) for m in mats])
     return MultiMoments(a=a, b=b, const=frobenius_norm_sq(sigma))
 
 
-def _require_matched_traces(reference: np.ndarray, targets) -> None:
-    tr_ref = float(np.trace(reference).real)
-    tol = 1e-8 * max(1.0, abs(tr_ref))
+def _convex_design(m: MultiMoments) -> MultiMoments:
+    """Substitute rho = 1 - sum_k tau_k into a (rho, tau) quadratic.
+
+    Returns the quadratic in tau alone, exactly:
+    a'_kl = a_kl - a_0k - a_0l + a_00, b'_k = b_k - a_0k + a_00 - b_0 and
+    c' = a_00 - 2 b_0 + c.
+    """
+    a, b = m.a, m.b
+    return MultiMoments(a=a[1:, 1:] - a[1:, :1] - a[:1, 1:] + a[0, 0],
+                        b=b[1:] - a[0, 1:] + a[0, 0] - b[0],
+                        const=float(a[0, 0] - 2.0 * b[0] + m.const))
+
+
+def _require_matched_traces(tr_ref: float, targets) -> None:
+    tol = 1e-8 * abs(tr_ref)
     for j, t0 in enumerate(targets):
         if abs(float(np.trace(t0).real) - tr_ref) > tol:
             raise ValueError(f"target {j} does not match the base estimate "
@@ -277,66 +287,25 @@ def mt_constrained_moments(samples: np.ndarray, targets,
     neither is better overall.  The bias is a property of the design,
     kept as is.
     """
-    y = validate_samples(samples, min_count=2 if loo_covs is not None else 3)
-    targets = [require_hermitian(t0) for t0 in targets]
-    count = y.shape[1]
-    r = scm(y)
-    _require_matched_traces(r, targets)
-    k = len(targets)
-
-    if loo_covs is not None:
-        if len(loo_covs) != count:
-            raise ValueError("need one leave-one-out estimate per sample")
-        a = np.zeros((k, k))
-        b = np.zeros(k)
-        const = []
-        a_acc = [[[] for _ in range(k)] for _ in range(k)]
-        b_acc = [[] for _ in range(k)]
-        for i in range(count):
-            r_i = loo_covs[i]
-            y_i = y[:, i]
-            resid = r_i - np.outer(y_i, y_i.conj())
-            const.append(frobenius_norm_sq(resid))
-            diffs = [t0 - r_i for t0 in targets]
-            for m_ in range(k):
-                b_acc[m_].append(-real_trace_product(diffs[m_], resid))
-                for n_ in range(m_, k):
-                    a_acc[m_][n_].append(real_trace_product(diffs[m_], diffs[n_]))
-        for m_ in range(k):
-            b[m_] = math.fsum(b_acc[m_]) / count
-            for n_ in range(m_, k):
-                a[m_, n_] = a[n_, m_] = math.fsum(a_acc[m_][n_]) / count
-        return MultiMoments(a=a, b=b, const=math.fsum(const) / count)
-
-    a_rr, b_r, quart = _scm_loocv_terms(r, y)
-    cross = [real_trace_product(t0, r) for t0 in targets]
-    a = np.zeros((k, k))
-    for m_ in range(k):
-        for n_ in range(m_, k):
-            a[m_, n_] = a[n_, m_] = (real_trace_product(targets[m_], targets[n_])
-                                     - cross[m_] - cross[n_] + a_rr)
-    # the mean leave-one-out estimate equals R, so the linear term loses
-    # its target dependence and is shared by every coordinate
-    b = np.full(k, a_rr - b_r)
-    return MultiMoments(a=a, b=b, const=a_rr - 2.0 * b_r + quart / count)
+    targets = list(targets)
+    if loo_covs is None:
+        m = mt_scm_loocv_moments(samples, targets)
+    else:
+        m = mt_loocv_moments(loo_covs, samples, targets)
+    # tr R = sum_t ||y_t||^2 / T, read off the samples the call validated;
+    # the guard's 1e-8 tolerance does not see BLAS's summation order
+    y = np.asarray(samples)
+    _require_matched_traces(float(np.vdot(y, y).real) / y.shape[1], targets)
+    return _convex_design(m)
 
 
 def mt_constrained_oracle_moments(base: np.ndarray, targets,
                                   truth: np.ndarray) -> MultiMoments:
     """Oracle quadratic || sum tau_k (T_k - R) + (R - Sigma) ||_F^2."""
-    r = require_hermitian(base)
-    targets = [require_hermitian(t0) for t0 in targets]
-    sigma = require_hermitian(truth)
-    _require_matched_traces(r, targets)
-    k = len(targets)
-    diffs = [t0 - r for t0 in targets]
-    a = np.zeros((k, k))
-    b = np.zeros(k)
-    for m_ in range(k):
-        b[m_] = real_trace_product(diffs[m_], sigma - r)
-        for n_ in range(m_, k):
-            a[m_, n_] = a[n_, m_] = real_trace_product(diffs[m_], diffs[n_])
-    return MultiMoments(a=a, b=b, const=frobenius_norm_sq(r - sigma))
+    targets = list(targets)
+    m = mt_oracle_moments(base, targets, truth)
+    _require_matched_traces(float(np.trace(base).real), targets)
+    return _convex_design(m)
 
 
 # ---------------------------------------------------------------------------

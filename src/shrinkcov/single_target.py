@@ -11,13 +11,19 @@ without materializing the T leave-one-out estimates R_t on either the
 sample-covariance or the least-squares path.  Oracle selection uses the
 same machinery with the true covariance in place of the held-out
 samples.
+
+On the sample-covariance and oracle paths the moments are the K = 1
+case of :mod:`shrinkcov.multi_target`'s accumulators; only the
+least-squares path (:func:`ols_loo_moments`) accumulates here.  The 2x2
+program is solved in closed form with thresholds relative to the
+moments, so the selection does not depend on the units of the data.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +35,12 @@ from .estimators import (
     scm,
 )
 from .hermitian import real_trace_product, require_hermitian, validate_samples
+from .multi_target import (
+    MultiMoments,
+    mt_loocv_moments,
+    mt_oracle_moments,
+    mt_scm_loocv_moments,
+)
 
 __all__ = [
     "Clip",
@@ -88,7 +100,7 @@ class ShrinkageSolution:
 
 
 def _require_psd_moments(m: QuadMoments) -> None:
-    scale = max(m.a_rr, m.a_tt, 1.0)
+    scale = max(m.a_rr, m.a_tt)
     det = m.a_rr * m.a_tt - m.a_rt * m.a_rt
     if m.a_rr < -1e-12 * scale or m.a_tt < -1e-12 * scale \
             or det < -1e-10 * scale * scale:
@@ -108,7 +120,7 @@ def solve_quadratic_2d(m: QuadMoments, constrained: bool = False) -> ShrinkageSo
     if constrained:
         return _solve_convex_segment(m)
 
-    scale = max(m.a_rr, m.a_tt, 1.0)
+    scale = max(m.a_rr, m.a_tt)
     det = m.a_rr * m.a_tt - m.a_rt * m.a_rt
     if det > 1e-14 * scale * scale:
         rho = (m.a_tt * m.b_r - m.a_rt * m.b_t) / det
@@ -128,7 +140,7 @@ def solve_quadratic_2d(m: QuadMoments, constrained: bool = False) -> ShrinkageSo
 def _solve_convex_segment(m: QuadMoments) -> ShrinkageSolution:
     """Minimize along rho + tau = 1 with rho in [0, 1]."""
     curv = m.a_rr - 2.0 * m.a_rt + m.a_tt
-    scale = max(m.a_rr, m.a_tt, 1.0)
+    scale = max(m.a_rr, m.a_tt)
     if curv <= 1e-14 * scale:
         # every point of the segment yields the same estimate
         return ShrinkageSolution(1.0, 0.0, Clip.CONVEX_BOUNDARY,
@@ -144,6 +156,13 @@ def _solve_convex_segment(m: QuadMoments) -> ShrinkageSolution:
 # moment accumulation
 
 
+def _quad(m: MultiMoments) -> QuadMoments:
+    """The single-target view of one-target (2 x 2) moments, as floats."""
+    (a_rr, a_rt), (_, a_tt) = m.a.tolist()
+    b_r, b_t = m.b.tolist()
+    return QuadMoments(a_rr, a_rt, a_tt, b_r, b_t, m.const)
+
+
 def loocv_moments_general(loo_covs, samples: np.ndarray,
                           target: np.ndarray) -> QuadMoments:
     """Accumulate the cross-validation quadratic from explicit R_t matrices.
@@ -151,30 +170,7 @@ def loocv_moments_general(loo_covs, samples: np.ndarray,
     Works for any estimation path; the fast accumulators below must
     agree with this reference on their respective paths.
     """
-    y = validate_samples(samples)
-    t0 = require_hermitian(target)
-    count = y.shape[1]
-    if len(loo_covs) != count:
-        raise ValueError("need one leave-one-out estimate per sample")
-    a_rr = []
-    a_rt = []
-    b_r = []
-    b_t = []
-    const = []
-    for i in range(count):
-        r_i = loo_covs[i]
-        y_i = y[:, i]
-        a_rr.append(real_trace_product(r_i, r_i))
-        a_rt.append(real_trace_product(r_i, t0))
-        b_r.append(float(np.vdot(y_i, r_i @ y_i).real))
-        b_t.append(float(np.vdot(y_i, t0 @ y_i).real))
-        const.append(float(np.vdot(y_i, y_i).real) ** 2)
-    return QuadMoments(a_rr=math.fsum(a_rr) / count,
-                       a_rt=math.fsum(a_rt) / count,
-                       a_tt=real_trace_product(t0, t0),
-                       b_r=math.fsum(b_r) / count,
-                       b_t=math.fsum(b_t) / count,
-                       const=math.fsum(const) / count)
+    return _quad(mt_loocv_moments(loo_covs, samples, [target]))
 
 
 def scm_fast_moments(samples: np.ndarray, target: np.ndarray) -> QuadMoments:
@@ -182,34 +178,10 @@ def scm_fast_moments(samples: np.ndarray, target: np.ndarray) -> QuadMoments:
 
     Uses the rank-one leave-one-out identity to express every moment
     through tr(R^2), tr(R T0) and the fourth-moment sum of the samples,
-    so no R_t is ever formed.  Requires T >= 3 so the T-2 factor stays
-    positive.
+    so no R_t is ever formed (:func:`mt_scm_loocv_moments` with one
+    target).  Requires T >= 3 so the T-2 factor stays positive.
     """
-    y = validate_samples(samples, min_count=3)
-    t0 = require_hermitian(target)
-    r = scm(y)
-    a_rr, b_r, quart = _scm_loocv_terms(r, y)
-    cross = real_trace_product(r, t0)
-    return QuadMoments(a_rr=a_rr, a_rt=cross,
-                       a_tt=real_trace_product(t0, t0),
-                       b_r=b_r, b_t=cross, const=quart / y.shape[1])
-
-
-def _scm_loocv_terms(r: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Base-estimate terms of the SCM cross-validation cost, T >= 3.
-
-    With R = scm(y) and R_t its leave-one-out estimates, returns
-    a_rr = mean_t tr(R_t^2), b_r = mean_t y_t^H R_t y_t and the
-    fourth-moment sum quart = sum_t ||y_t||^4, from tr(R^2) and quart
-    alone by the rank-one leave-one-out identity.
-    """
-    count = y.shape[1]
-    tr_r2 = real_trace_product(r, r)
-    quart = float(np.sum(np.sum(np.abs(y) ** 2, axis=0) ** 2))
-    a_rr = (count * (count - 2) / (count - 1) ** 2 * tr_r2
-            + quart / (count * (count - 1) ** 2))
-    b_r = count / (count - 1) * tr_r2 - quart / (count * (count - 1))
-    return a_rr, b_r, quart
+    return _quad(mt_scm_loocv_moments(samples, [target]))
 
 
 def _col_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -282,15 +254,7 @@ def oracle_moments(base: np.ndarray, target: np.ndarray,
     Minimizing the resulting quadratic gives the oracle coefficients:
     || rho R + tau T0 - Sigma ||_F^2 expanded in trace products.
     """
-    r = require_hermitian(base)
-    t0 = require_hermitian(target)
-    sigma = require_hermitian(truth)
-    return QuadMoments(a_rr=real_trace_product(r, r),
-                       a_rt=real_trace_product(r, t0),
-                       a_tt=real_trace_product(t0, t0),
-                       b_r=real_trace_product(r, sigma),
-                       b_t=real_trace_product(t0, sigma),
-                       const=real_trace_product(sigma, sigma))
+    return _quad(mt_oracle_moments(base, [target], truth))
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,14 @@ def mt_constrained_cost_direct(taus, loo_covs, samples, targets):
     return acc / t
 
 
+def mt_constrained_oracle_cost_direct(taus, base, targets, truth):
+    """Direct || sum_k tau_k (T_k - R) + (R - Sigma) ||_F^2, no expansion."""
+    d = base - truth
+    for k, tk in enumerate(targets):
+        d = d + taus[k] * (tk - base)
+    return float(np.vdot(d, d).real)
+
+
 def quad_objective(a, b, c, x):
     x = np.asarray(x, dtype=float)
     return float(x @ a @ x - 2.0 * x @ b + c)

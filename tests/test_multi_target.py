@@ -8,6 +8,7 @@ from shrinkcov.estimators import scm, scm_leave_one_out
 from shrinkcov.hermitian import frobenius_norm_sq
 from shrinkcov.multi_target import (
     MultiMoments,
+    _convex_design,
     mt_constrained_moments,
     mt_constrained_oracle_moments,
     mt_loocv_moments,
@@ -20,6 +21,7 @@ from shrinkcov.multi_target import (
 from shrinkcov.single_target import (
     scm_fast_moments,
     scm_solution_constrained,
+    select_single_target,
     solve_quadratic_2d,
 )
 from shrinkcov.targets import (
@@ -32,6 +34,7 @@ from oracles import (
     enumerate_nonneg_qp,
     enumerate_nonneg_qp_simplex,
     mt_constrained_cost_direct,
+    mt_constrained_oracle_cost_direct,
     mt_cv_cost_direct,
     projected_gradient_nonneg,
     random_psd,
@@ -216,6 +219,22 @@ def test_qp_kkt_property_on_singular_psd(dim, rank, seed):
         assert np.all(np.abs(grad + lam)[x > 0] <= tol)  # complementarity
 
 
+def test_qp_simplex_feasible_at_large_moments():
+    # moments of 1e8 must not push the unit sum-to-one border of the
+    # simplex solve below lstsq's relative cutoff
+    rng = np.random.default_rng(68)
+    for _ in range(200):
+        dim = int(rng.integers(2, 7))
+        f = rng.standard_normal((int(rng.integers(1, dim + 1)), dim))
+        a = f.T @ f
+        a *= 1e8 / float(np.max(np.diag(a)))
+        # the cone optimum is x0 >= 0, mostly with sum x0 > 1
+        b = a @ rng.uniform(0.0, 1.0, size=dim)
+        x, _ = solve_nonneg_qp_simplex(MultiMoments(a=a, b=b, const=0.0))
+        assert np.all(x >= 0.0)
+        assert np.sum(x) <= 1.0 + 1e-12
+
+
 # ------------------------------------------------------------------- moments
 
 def test_mt_oracle_moments_frozen():
@@ -287,6 +306,35 @@ def test_mt_constrained_objective_matches_direct_cost():
         assert m.objective(taus) == pytest.approx(want, rel=1e-9)
 
 
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(k=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_convex_design_substitution_is_exact(k, seed):
+    # the substituted quadratic at tau is the full one at (1 - sum tau, tau)
+    rng = np.random.default_rng(seed)
+    m = MultiMoments(a=random_psd(k + 1, rng, complex_field=False),
+                     b=rng.standard_normal(k + 1),
+                     const=float(rng.standard_normal()))
+    sub = _convex_design(m)
+    for _ in range(5):
+        taus = rng.uniform(0.0, 1.0, size=k) * rng.uniform(0.0, 1.5)
+        full = m.objective(np.concatenate([[1.0 - np.sum(taus)], taus]))
+        assert sub.objective(taus) == pytest.approx(full, rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_mt_constrained_oracle_objective_matches_direct_cost(cplx):
+    rng = np.random.default_rng(70)
+    sigma = random_psd(5, rng, complex_field=cplx)
+    y = gaussian_samples(sigma, 8, rng, complex_field=cplx)
+    r = scm(y)
+    targets = make_targets(r)
+    m = mt_constrained_oracle_moments(r, targets, sigma)
+    for _ in range(10):
+        taus = rng.uniform(0, 0.8, size=3)
+        want = mt_constrained_oracle_cost_direct(taus, r, targets, sigma)
+        assert m.objective(taus) == pytest.approx(want, rel=1e-9)
+
+
 def test_mt_constrained_fast_matches_naive():
     rng = np.random.default_rng(57)
     sigma = ar_covariance(6, 0.6)
@@ -319,6 +367,12 @@ def test_mt_constrained_trace_guard():
         mt_constrained_moments(y, [bad])
     with pytest.raises(ValueError):
         mt_constrained_oracle_moments(scm(y), [bad], ar_covariance(4, 0.5))
+    # the tolerance is relative to tr R, so small amplitudes are caught too
+    small = 1e-6 * y
+    targets = [2.0 * scaled_identity_target(scm(small)),
+               diagonal_target(scm(small))]
+    with pytest.raises(ValueError):
+        mt_select("cv_constrained", targets, samples=small)
 
 
 # -------------------------------------------------------------------- facade
@@ -393,3 +447,33 @@ def test_mt_select_rejects_a_non_finite_target():
     for method in ("cv", "cv_constrained", "oracle", "oracle_constrained"):
         with pytest.raises(ValueError, match="non-finite"):
             mt_select(method, targets, samples=y, truth=sigma)
+
+
+SELECTION_METHODS = ("cv", "cv_constrained", "oracle", "oracle_constrained")
+
+
+def all_selections(y, sigma):
+    """Single- and three-target coefficients of every method, in one vector."""
+    r = scm(y)
+    targets = make_targets(r)
+    out = []
+    for method in SELECTION_METHODS:
+        st_sol = select_single_target(method, targets[0], samples=y,
+                                      truth=sigma)
+        mt_sol = mt_select(method, targets, samples=y, truth=sigma)
+        out += [st_sol.rho, st_sol.tau, mt_sol.rho, *mt_sol.taus]
+    return np.array(out)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(log_c=st.floats(-8.0, 8.0), seed=st.integers(0, 2 ** 32 - 1),
+       cplx=st.booleans())
+def test_selection_does_not_depend_on_units(log_c, seed, cplx):
+    # y -> c y scales every moment by c^4 and leaves the minimizers alone
+    c = 10.0 ** log_c
+    sigma = ar_covariance(10, 0.9)
+    y = gaussian_samples(sigma, 12, np.random.default_rng(seed),
+                         complex_field=cplx)
+    want = all_selections(y, sigma)
+    got = all_selections(c * y, c * c * sigma)
+    assert np.max(np.abs(got - want)) <= 1e-9
