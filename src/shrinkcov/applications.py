@@ -42,6 +42,17 @@ def _solve_pd(cov: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(cov, rhs)
 
 
+def _pinv_solve(cov: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve cov @ x = rhs, inverting only eigenvalues above the rank cutoff."""
+    w, v = np.linalg.eigh(hermitize(cov))
+    cutoff = cov.shape[0] * np.finfo(float).eps * max(float(w[-1]), 0.0)
+    keep = w > cutoff
+    if not np.any(keep):
+        raise ValueError("covariance has no positive eigenvalues")
+    coords = v[:, keep].conj().T @ rhs
+    return v[:, keep] @ (coords / w[keep])
+
+
 def mvdr_weights(cov: np.ndarray, steering: np.ndarray) -> np.ndarray:
     """Distortionless minimum-variance weights cov^-1 s / (s^H cov^-1 s).
 
@@ -61,14 +72,7 @@ def mvdr_weights_pseudo(cov: np.ndarray, steering: np.ndarray) -> np.ndarray:
     the steering vector is orthogonal to the retained subspace (the
     distortionless constraint is then unsatisfiable).
     """
-    cov = require_hermitian(cov)
-    w, v = np.linalg.eigh(hermitize(cov))
-    cutoff = cov.shape[0] * np.finfo(float).eps * max(float(w[-1]), 0.0)
-    keep = w > cutoff
-    if not np.any(keep):
-        raise ValueError("covariance has no positive eigenvalues")
-    coords = v[:, keep].conj().T @ steering
-    q = v[:, keep] @ (coords / w[keep])
+    q = _pinv_solve(require_hermitian(cov), steering)
     denom = float(np.vdot(steering, q).real)
     if denom <= 1e-14:
         raise ValueError("steering vector is orthogonal to the covariance "

@@ -1,8 +1,10 @@
 """Monte-Carlo experiment harness for the shrinkage estimators.
 
 Six named experiments compare selection methods over a grid of sample
-counts.  Each replication draws one shared dataset per (experiment, T,
-rep) address and evaluates every requested method on it, so method
+counts.  Each is a scene function, which draws one replication's data
+per (experiment, T, rep) address, and a method table, which maps each
+method to the output its scene judges; the selectors are shared across
+tables.  Every requested method is judged on the same draw, so method
 curves are paired; the per-replication random streams are keyed by
 (seed, T-index, rep) and independent of execution order, which makes
 parallel runs bit-identical to serial ones.
@@ -17,11 +19,13 @@ import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from types import SimpleNamespace as _Scene
 from typing import Callable
 
 import numpy as np
 
 from .applications import (
+    _pinv_solve,
     lmmse_detect,
     ls_to_channel_cov,
     mmse_channel_estimate,
@@ -39,7 +43,7 @@ from .datagen import (
     linear_model_scene,
 )
 from .estimators import ols_covariance, ols_fit, scm
-from .hermitian import frobenius_norm_sq, hermitize
+from .hermitian import frobenius_norm_sq
 from .multi_target import mt_select
 from .single_target import (
     ols_loo_moments,
@@ -137,104 +141,113 @@ def nmse(estimates, truths) -> float:
 
 
 # ---------------------------------------------------------------------------
-# per-experiment replication functions
+# scenes and method tables
 #
-# Each takes (params, t, methods, stream) and returns, per method, either
-# an (error, reference) pair for normalized-error metrics or a plain
-# float for dB metrics.  All draws come from addressed sub-streams so a
-# method subset never changes another method's data.
+# A scene function draws from sub-streams 0-2 and returns a _Scene of
+# ``samples`` (the N x T block the selectors see), ``base`` (the estimate
+# they shrink), ``truth`` (the oracle's covariance), ``targets`` (scaled
+# identity first), ``judge`` and its consumer's inputs.  A table entry
+# maps the scene to the judge's input: a covariance estimate, a channel
+# estimate or beamformer weights.  The judge returns (error, reference)
+# for normalized-error metrics, a float for dB metrics.  A draw only one
+# method needs is made in its entry, so a method subset never changes
+# another method's data.  Entries look package functions up in these
+# module globals at call time, and replicate iterates the ``methods`` it
+# is given, so wrappers installed on either see every call and its method.
 
 
-def _cov_error(est: np.ndarray, sigma: np.ndarray,
-               den: float) -> tuple[float, float]:
-    return frobenius_norm_sq(est - sigma), den
+def _cov_judge(sigma: np.ndarray) -> Callable:
+    """Judge of covariance estimates: (squared Frobenius error, ||sigma||^2)."""
+    den = frobenius_norm_sq(sigma)
+    return lambda est: (frobenius_norm_sq(est - sigma), den)
 
 
-def _replicate_ar1(params, t, methods, stream: RngStream):
+# shared selectors: each returns a covariance estimate of the scene
+def _cv(s: _Scene) -> np.ndarray:
+    t0 = s.targets[0]
+    return shrink(s.base, t0, scm_solution_unconstrained(s.samples, t0))
+
+
+def _oracle(s: _Scene) -> np.ndarray:
+    t0 = s.targets[0]
+    m = oracle_moments(s.base, t0, s.truth)
+    return shrink(s.base, t0, solve_quadratic_2d(m))
+
+
+def _lw(s: _Scene) -> np.ndarray:
+    return shrink(s.base, np.eye(s.base.shape[0]), lw_coefficients(s.samples))
+
+
+def _glc(s: _Scene) -> np.ndarray:
+    t0 = s.targets[0]
+    return shrink(s.base, t0, glc_coefficients(s.samples, t0))
+
+
+def _oas(s: _Scene) -> np.ndarray:
+    return shrink(s.base, s.targets[0], oas_coefficient(s.samples))
+
+
+def _multi(method: str) -> Callable:
+    """Selector combining every target with :func:`mt_select` ``method``."""
+    def select(s: _Scene) -> np.ndarray:
+        sol = mt_select(method, s.targets, samples=s.samples, truth=s.truth)
+        return sum((tau * tk for tau, tk in zip(sol.taus, s.targets)),
+                   sol.rho * s.base)
+    return select
+
+
+def _cv_ols(s: _Scene, target: np.ndarray) -> np.ndarray:
+    """Single-target LOOCV on the least-squares base."""
+    m = ols_loo_moments(s.fit, s.samples, target)
+    return shrink(s.base, target, solve_quadratic_2d(m))
+
+
+def _experiment(metric: str, scene: Callable, table: dict, defaults: dict,
+                sample_counts: tuple) -> ExperimentSpec:
+    """Registry entry judging each method of ``table`` on one scene draw."""
+    def replicate(params, t, methods, stream: RngStream) -> dict:
+        s = scene(params, t, stream)
+        return {method: s.judge(table[method](s)) for method in methods}
+    return ExperimentSpec(metric=metric, methods=tuple(table),
+                          defaults=defaults, sample_counts=sample_counts,
+                          replicate=replicate)
+
+
+def _scm_scene(samples: np.ndarray, truth: np.ndarray, judge: Callable,
+               **inputs) -> _Scene:
+    """Scene shrinking the sample covariance toward the scaled identity."""
+    r = scm(samples)
+    return _Scene(samples=samples, base=r, truth=truth,
+                  targets=[scaled_identity_target(r)], judge=judge, **inputs)
+
+
+def _ar_scene(params, t, stream: RngStream) -> _Scene:
     sigma = ar_covariance(params["n"], params["r"])
     y = gaussian_samples(sigma, t, stream.generator(0))
-    r = scm(y)
-    t0 = scaled_identity_target(r)
-    den = frobenius_norm_sq(sigma)
-    out = {}
-    for method in methods:
-        if method == "scm":
-            est = r
-        elif method == "cv":
-            est = shrink(r, t0, scm_solution_unconstrained(y, t0))
-        elif method == "oracle":
-            est = shrink(r, t0, solve_quadratic_2d(oracle_moments(r, t0, sigma)))
-        elif method == "lw":
-            est = shrink(r, np.eye(r.shape[0]), lw_coefficients(y))
-        elif method == "glc":
-            est = shrink(r, t0, glc_coefficients(y, t0))
-        else:  # oas
-            est = shrink(r, t0, oas_coefficient(y))
-        out[method] = _cov_error(est, sigma, den)
-    return out
+    return _scm_scene(y, sigma, _cov_judge(sigma))
 
 
-def _replicate_linear_model(params, t, methods, stream: RngStream):
-    scene = linear_model_scene(params["n"], params["m"], params["sigma2"],
+def _multi_target_scene(params, t, stream: RngStream) -> _Scene:
+    s = _ar_scene(params, t, stream)
+    s.targets += [diagonal_target(s.base), toeplitz_average_target(s.base)]
+    return s
+
+
+def _linear_model_scene(params, t, stream: RngStream) -> _Scene:
+    model = linear_model_scene(params["n"], params["m"], params["sigma2"],
                                stream.generator(0))
-    x, y = scene.generator(t, stream.generator(1))
-    sigma = scene.true_covariance
-    den = frobenius_norm_sq(sigma)
+    x, y = model.generator(t, stream.generator(1))
+    sigma = model.true_covariance
     fit = ols_fit(x, y)
     r = ols_covariance(fit)
-    t0 = scaled_identity_target(r)
-    out = {}
-    for method in methods:
-        if method == "scm":
-            est = scm(y)
-        elif method == "cv_identity":
-            est = shrink(r, t0, solve_quadratic_2d(ols_loo_moments(fit, y, t0)))
-        elif method == "cv_past":
-            _, past = scene.generator(params["past_t"], stream.generator(2))
-            t0_past = knowledge_aided_target(past)
-            sol = solve_quadratic_2d(ols_loo_moments(fit, y, t0_past))
-            est = shrink(r, t0_past, sol)
-        else:  # oracle_identity
-            est = shrink(r, t0, solve_quadratic_2d(oracle_moments(r, t0, sigma)))
-        out[method] = _cov_error(est, sigma, den)
-    return out
+    return _Scene(
+        samples=y, base=r, truth=sigma, targets=[scaled_identity_target(r)],
+        judge=_cov_judge(sigma), fit=fit,
+        # outputs of an earlier block, drawn only by the method using them
+        past=lambda: model.generator(params["past_t"], stream.generator(2))[1])
 
 
-def _replicate_multi_target(params, t, methods, stream: RngStream):
-    sigma = ar_covariance(params["n"], params["r"])
-    y = gaussian_samples(sigma, t, stream.generator(0))
-    r = scm(y)
-    targets = [scaled_identity_target(r), diagonal_target(r),
-               toeplitz_average_target(r)]
-    den = frobenius_norm_sq(sigma)
-
-    def combine(sol):
-        est = sol.rho * r
-        for k, t0 in enumerate(targets):
-            est = est + sol.taus[k] * t0
-        return est
-
-    out = {}
-    for method in methods:
-        if method == "scm":
-            est = r
-        elif method == "cv_single":
-            est = shrink(r, targets[0], scm_solution_unconstrained(y, targets[0]))
-        elif method == "oracle_single":
-            m = oracle_moments(r, targets[0], sigma)
-            est = shrink(r, targets[0], solve_quadratic_2d(m))
-        elif method == "cv_multi":
-            est = combine(mt_select("cv", targets, samples=y))
-        elif method == "cv_multi_con":
-            est = combine(mt_select("cv_constrained", targets, samples=y))
-        else:  # oracle_multi_con
-            est = combine(mt_select("oracle_constrained", targets,
-                                    samples=y, truth=sigma))
-        out[method] = _cov_error(est, sigma, den)
-    return out
-
-
-def _replicate_mimo(params, t, methods, stream: RngStream):
+def _mimo_scene(params, t, stream: RngStream) -> _Scene:
     sigma_h = kronecker_channel_cov(
         params["nt"], params["nr"],
         params["tx_mag"] * np.exp(1j * np.pi * params["tx_phase_pi"]),
@@ -247,8 +260,6 @@ def _replicate_mimo(params, t, methods, stream: RngStream):
     # past least-squares channel estimates = channel plus white residual
     samples = gaussian_samples(sigma_ls, t, stream.generator(0),
                                complex_field=True)
-    r = scm(samples)
-    t0 = scaled_identity_target(r)
 
     gen = stream.generator(1)
     h_star = gaussian_samples(sigma_h, 1, gen, complex_field=True)[:, 0]
@@ -257,39 +268,15 @@ def _replicate_mimo(params, t, methods, stream: RngStream):
     obs = pilot @ h_star + noise
 
     den = float(np.trace(sigma_h).real)
-    out = {}
-    for method in methods:
-        if method == "ls":
-            h_hat = obs / math.sqrt(p_eff)
-        else:
-            if method == "true":
-                cov_h = sigma_h
-            elif method == "cv":
-                est_ls = shrink(r, t0, scm_solution_unconstrained(samples, t0))
-                cov_h = ls_to_channel_cov(est_ls, p_eff)
-            else:  # oracle, judged against the true LS-estimate covariance
-                m = oracle_moments(r, t0, sigma_ls)
-                est_ls = shrink(r, t0, solve_quadratic_2d(m))
-                cov_h = ls_to_channel_cov(est_ls, p_eff)
-            h_hat = mmse_channel_estimate(cov_h, pilot, obs)
-        out[method] = (float(np.sum(np.abs(h_hat - h_star) ** 2)), den)
-    return out
+    # the selectors estimate the LS estimates' covariance: the oracle's truth
+    return _scm_scene(
+        samples, sigma_ls,
+        lambda h_hat: (float(np.sum(np.abs(h_hat - h_star) ** 2)), den),
+        sigma_h=sigma_h, p_eff=p_eff, obs=obs,
+        mmse=lambda cov_h: mmse_channel_estimate(cov_h, pilot, obs))
 
 
-def _detect(channel: np.ndarray, cov: np.ndarray,
-            obs: np.ndarray) -> np.ndarray:
-    """LMMSE detection with an eigenvalue-pseudoinverse fallback."""
-    try:
-        return lmmse_detect(channel, cov, obs)
-    except ValueError:
-        w, v = np.linalg.eigh(hermitize(cov))
-        cutoff = cov.shape[0] * np.finfo(float).eps * max(float(w[-1]), 0.0)
-        keep = w > cutoff
-        coords = v[:, keep].conj().T @ obs
-        return channel.conj().T @ (v[:, keep] @ (coords / w[keep]))
-
-
-def _replicate_lmmse(params, t, methods, stream: RngStream):
+def _lmmse_scene(params, t, stream: RngStream) -> _Scene:
     n, m = params["n"], params["m"]
     gen0 = stream.generator(0)
     coef = math.sqrt(params["coef_var"] / 2.0) * (
@@ -298,115 +285,93 @@ def _replicate_lmmse(params, t, methods, stream: RngStream):
 
     samples = gaussian_samples(sigma, t, stream.generator(1),
                                complex_field=True)
-    r = scm(samples)
-    t0 = scaled_identity_target(r)
 
     gen2 = stream.generator(2)
     x_star = gaussian_samples(np.eye(m), 1, gen2, complex_field=True)[:, 0]
     noise = gaussian_samples(np.eye(n), 1, gen2, complex_field=True)[:, 0]
     obs = coef @ x_star + math.sqrt(params["sigma2"]) * noise
 
-    out = {}
-    for method in methods:
-        if method == "true":
-            cov = sigma
-        elif method == "cv":
-            cov = shrink(r, t0, scm_solution_unconstrained(samples, t0))
-        elif method == "oracle":
-            cov = shrink(r, t0, solve_quadratic_2d(oracle_moments(r, t0, sigma)))
-        else:  # scm
-            cov = r
-        x_hat = _detect(coef, cov, obs)
-        out[method] = (float(np.sum(np.abs(x_hat - x_star) ** 2)), float(m))
-    return out
+    def judge(cov: np.ndarray) -> tuple[float, float]:
+        try:  # LMMSE detection, through the pseudoinverse if cov is not PD
+            x_hat = lmmse_detect(coef, cov, obs)
+        except ValueError:
+            x_hat = coef.conj().T @ _pinv_solve(cov, obs)
+        return float(np.sum(np.abs(x_hat - x_star) ** 2)), float(m)
+
+    return _scm_scene(samples, sigma, judge)
 
 
-def _replicate_mvdr(params, t, methods, stream: RngStream):
+def _mvdr_scene(params, t, stream: RngStream) -> _Scene:
     scene = interference_scene(np.deg2rad(np.asarray(params["aoas_deg"],
                                                      dtype=float)),
                                params["inr_db"], params["noise_db"],
                                params["n"])
-    sigma = scene.true_covariance
     steering = scene.metadata["steering"]
     sigma_in = scene.metadata["interference_plus_noise"]
     y = scene.generator(t, stream.generator(0))
-    r = scm(y)
-    t0 = scaled_identity_target(r)
 
-    def weights_for(est):
-        try:
+    def weights(est: np.ndarray) -> np.ndarray:
+        try:  # MVDR weights, through the pseudoinverse if est is not PD
             return mvdr_weights(est, steering)
         except ValueError:
             return mvdr_weights_pseudo(est, steering)
 
-    out = {}
-    for method in methods:
-        if method == "optimal":
-            w = mvdr_weights(sigma, steering)
-        elif method == "scm_pinv":
-            w = mvdr_weights_pseudo(r, steering)
-        elif method == "cv":
-            w = weights_for(shrink(r, t0, scm_solution_unconstrained(y, t0)))
-        elif method == "oracle":
-            m = oracle_moments(r, t0, sigma)
-            w = weights_for(shrink(r, t0, solve_quadratic_2d(m)))
-        elif method == "lw":
-            w = weights_for(shrink(r, np.eye(r.shape[0]), lw_coefficients(y)))
-        else:  # oas
-            w = weights_for(shrink(r, t0, oas_coefficient(y)))
-        out[method] = output_sinr(w, steering, 1.0, sigma_in)
-    return out
+    return _scm_scene(y, scene.true_covariance,
+                      lambda w: output_sinr(w, steering, 1.0, sigma_in),
+                      steering=steering, weights=weights)
 
 
 EXPERIMENTS = {
-    "Ar1Identity": ExperimentSpec(
-        metric="nmse_cov",
-        methods=("oracle", "cv", "lw", "glc", "oas", "scm"),
+    "Ar1Identity": _experiment(
+        "nmse_cov", _ar_scene,
+        {"oracle": _oracle, "cv": _cv, "lw": _lw, "glc": _glc, "oas": _oas,
+         "scm": lambda s: s.base},
         defaults={"n": 100, "r": 0.5},
-        sample_counts=(10, 20, 40, 80, 160),
-        replicate=_replicate_ar1,
-    ),
-    "LinearModelPastTarget": ExperimentSpec(
-        metric="nmse_cov",
-        methods=("scm", "cv_identity", "cv_past", "oracle_identity"),
+        sample_counts=(10, 20, 40, 80, 160)),
+    "LinearModelPastTarget": _experiment(
+        "nmse_cov", _linear_model_scene,
+        {"scm": lambda s: scm(s.samples),  # of the raw outputs, not the base
+         "cv_identity": lambda s: _cv_ols(s, s.targets[0]),
+         "cv_past": lambda s: _cv_ols(s, knowledge_aided_target(s.past())),
+         "oracle_identity": _oracle},
         defaults={"n": 50, "m": 50, "sigma2": 0.1, "past_t": 50},
-        sample_counts=(60, 80, 100, 140, 200),
-        replicate=_replicate_linear_model,
-    ),
-    "MultiTargetAr": ExperimentSpec(
-        metric="nmse_cov",
-        methods=("scm", "oracle_single", "cv_single", "cv_multi",
-                 "cv_multi_con", "oracle_multi_con"),
+        sample_counts=(60, 80, 100, 140, 200)),
+    "MultiTargetAr": _experiment(
+        "nmse_cov", _multi_target_scene,
+        {"scm": lambda s: s.base, "oracle_single": _oracle, "cv_single": _cv,
+         "cv_multi": _multi("cv"), "cv_multi_con": _multi("cv_constrained"),
+         "oracle_multi_con": _multi("oracle_constrained")},
         defaults={"n": 50, "r": 0.9},
-        sample_counts=(25, 50, 100, 200),
-        replicate=_replicate_multi_target,
-    ),
-    "MimoChannelMmse": ExperimentSpec(
-        metric="nmse_h",
-        methods=("true", "oracle", "cv", "ls"),
+        sample_counts=(25, 50, 100, 200)),
+    "MimoChannelMmse": _experiment(
+        "nmse_h", _mimo_scene,
+        {"true": lambda s: s.mmse(s.sigma_h),
+         "oracle": lambda s: s.mmse(ls_to_channel_cov(_oracle(s), s.p_eff)),
+         "cv": lambda s: s.mmse(ls_to_channel_cov(_cv(s), s.p_eff)),
+         "ls": lambda s: s.obs / math.sqrt(s.p_eff)},  # bypasses the covariance
         defaults={"nt": 10, "nr": 10, "pilot_len": 10, "pilot_db": 5.0,
                   "tx_mag": 0.7, "tx_phase_pi": -0.9349,
                   "rx_mag": 0.9, "rx_phase_pi": -0.9289},
-        sample_counts=(10, 20, 40, 80),
-        replicate=_replicate_mimo,
-    ),
-    "LmmseDetect": ExperimentSpec(
-        metric="nmse_x",
-        methods=("true", "oracle", "cv", "scm"),
+        sample_counts=(10, 20, 40, 80)),
+    "LmmseDetect": _experiment(
+        "nmse_x", _lmmse_scene,
+        {"true": lambda s: s.truth, "oracle": _oracle, "cv": _cv,
+         "scm": lambda s: s.base},
         defaults={"n": 40, "m": 40, "coef_var": 1.0 / 40.0, "sigma2": 0.1},
-        sample_counts=(40, 80, 160),
-        replicate=_replicate_lmmse,
-    ),
-    "MvdrBeam": ExperimentSpec(
-        metric="sinr_db",
-        methods=("optimal", "oracle", "cv", "oas", "lw", "scm_pinv"),
+        sample_counts=(40, 80, 160)),
+    "MvdrBeam": _experiment(
+        "sinr_db", _mvdr_scene,
+        {"optimal": lambda s: mvdr_weights(s.truth, s.steering),
+         "oracle": lambda s: s.weights(_oracle(s)),
+         "cv": lambda s: s.weights(_cv(s)),
+         "oas": lambda s: s.weights(_oas(s)),
+         "lw": lambda s: s.weights(_lw(s)),
+         "scm_pinv": lambda s: mvdr_weights_pseudo(s.base, s.steering)},
         defaults={"n": 30,
                   "aoas_deg": (8.0, -15.0, 23.0, -21.0, 46.0, -44.0,
                                -85.0, 74.0),
                   "inr_db": 10.0, "noise_db": -10.0},
-        sample_counts=(20, 40, 60, 100),
-        replicate=_replicate_mvdr,
-    ),
+        sample_counts=(20, 40, 60, 100)),
 }
 
 # methods whose selection step cross-validates over held-out samples;

@@ -70,13 +70,12 @@ def outer_product(y: np.ndarray) -> np.ndarray:
 def is_psd(a: np.ndarray, tol: float = 1e-8) -> bool:
     """Check positive semidefiniteness via the smallest eigenvalue.
 
-    The tolerance is relative to the largest eigenvalue (but at least
-    absolute ``tol``), so tiny negative eigenvalues produced by rounding
-    do not fail the check.
+    The tolerance is relative to the largest eigenvalue magnitude, so
+    tiny negative eigenvalues produced by rounding do not fail the check
+    and the decision does not depend on the scale of ``a``.
     """
     w = np.linalg.eigvalsh(hermitize(np.asarray(a)))
-    scale = max(1.0, float(w[-1])) if w.size else 1.0
-    return bool(w[0] >= -tol * scale) if w.size else True
+    return bool(w[0] >= -tol * max(-w[0], w[-1])) if w.size else True
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -137,10 +136,12 @@ def require_hermitian(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 def validate_samples(y: np.ndarray, min_count: int = 1,
                      name: str = "samples") -> np.ndarray:
-    """Validate an N x T sample block: 2-d, finite, at least min_count columns."""
+    """Validate an N x T sample block: 2-d, N >= 1, finite, min_count columns."""
     y = np.asarray(y)
     if y.ndim != 2:
         raise ValueError(f"{name} must be a 2-d (N, T) array, got ndim {y.ndim}")
+    if y.shape[0] == 0:
+        raise ValueError(f"{name} has no rows (shape {y.shape})")
     if y.shape[1] < min_count:
         raise ValueError(f"{name} needs at least {min_count} columns, "
                          f"got {y.shape[1]}")

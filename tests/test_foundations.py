@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from shrinkcov.baselines import glc_coefficients, lw_coefficients, oas_coefficient
+from shrinkcov.estimators import ols_fit, scm
 from shrinkcov.hermitian import (
     _tile_rows,
     frobenius_norm_sq,
@@ -14,6 +16,8 @@ from shrinkcov.hermitian import (
     require_hermitian,
     validate_samples,
 )
+from shrinkcov.multi_target import mt_select
+from shrinkcov.single_target import select_single_target
 from shrinkcov.targets import toeplitz_average_target
 
 from oracles import (
@@ -130,6 +134,18 @@ def test_is_psd():
         assert not is_psd(random_hermitian(5, rng) - 3 * np.eye(5))
 
 
+def test_is_psd_does_not_depend_on_scale():
+    # an absolute floor on the tolerance called 1e-6 * diag(1, -1e-6) PSD
+    assert not is_psd(1e-6 * np.diag([1.0, -1e-6]))
+    rng = np.random.default_rng(75)
+    cases = [np.diag([1.0, -1e-6]), np.diag([1.0, -1e-12]), np.eye(3),
+             -np.eye(2), np.zeros((2, 2)), random_psd(5, rng),
+             random_hermitian(5, rng) - 3 * np.eye(5)]
+    for a in cases:
+        for c in 10.0 ** np.arange(-8, 9):
+            assert is_psd(c * a) == is_psd(a), (a, c)
+
+
 def test_hermitize_and_validation():
     rng = np.random.default_rng(75)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -240,3 +256,42 @@ def test_validate_samples():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         validate_samples(bad)
+
+
+_EMPTY = np.zeros((0, 5))
+_NO_TARGET = np.zeros((0, 0))
+_METHODS = ("cv", "cv_constrained", "oracle", "oracle_constrained")
+
+
+_EMPTY_BLOCK_CALLS = {
+    "validate_samples": lambda: validate_samples(_EMPTY),
+    "scm": lambda: scm(_EMPTY),
+    "lw": lambda: lw_coefficients(_EMPTY),
+    "glc": lambda: glc_coefficients(_EMPTY, _NO_TARGET),
+    "oas": lambda: oas_coefficient(_EMPTY),
+    "ols_fit_inputs": lambda: ols_fit(_EMPTY, np.eye(2, 5)),
+    "ols_fit_outputs": lambda: ols_fit(np.eye(2, 5), _EMPTY),
+    **{f"single_{m}": lambda m=m: select_single_target(
+        m, _NO_TARGET, samples=_EMPTY, truth=_NO_TARGET) for m in _METHODS},
+    **{f"single_ols_{m}": lambda m=m: select_single_target(
+        m, np.eye(2), inputs=np.eye(2, 5), outputs=_EMPTY, truth=np.eye(2))
+       for m in _METHODS},
+    **{f"multi_{m}": lambda m=m: mt_select(
+        m, [_NO_TARGET], samples=_EMPTY, truth=_NO_TARGET) for m in _METHODS},
+}
+
+
+@pytest.mark.parametrize("call", sorted(_EMPTY_BLOCK_CALLS))
+def test_empty_sample_block_raises(call):
+    # N = 0 used to give rho = tau = 0 and an MtSolution without complaint
+    with pytest.raises(ValueError, match=r"no rows \(shape \(0, 5\)\)"):
+        _EMPTY_BLOCK_CALLS[call]()
+
+
+@pytest.mark.parametrize("method", _METHODS)
+def test_rank_deficient_regressors_raise(method):
+    x = np.array([[1.0, 2.0, 3.0, 4.0], [2.0, 4.0, 6.0, 8.0]])
+    y = np.arange(12.0).reshape(3, 4)
+    with pytest.raises(ValueError, match="singular or ill-conditioned"):
+        select_single_target(method, np.eye(3), inputs=x, outputs=y,
+                             truth=np.eye(3))

@@ -1,8 +1,10 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
+from shrinkcov import experiments
 from shrinkcov.cli import classify_error, main
 from shrinkcov.experiments import (
     EXPERIMENTS,
@@ -222,6 +224,127 @@ def test_run_experiment_method_subset():
     cfg = tiny_config("Ar1Identity", methods=("scm", "cv"))
     rows = run_experiment(cfg)
     assert {row.method for row in rows} == {"scm", "cv"}
+
+
+# (method, T, mean, stderr) of every TINY config at reps 2, seed 4
+FROZEN_TINY = {
+    "Ar1Identity": [
+        ("cv", 8, 0.21898249030624528, 0.0421347283449392),
+        ("glc", 8, 0.21084564092603741, 0.024991162568094565),
+        ("lw", 8, 0.21084564092603741, 0.02499116256809454),
+        ("oas", 8, 0.20939716927443808, 0.032545018192676946),
+        ("oracle", 8, 0.1964970775688304, 0.024693043273388195),
+        ("scm", 8, 0.5494773289647282, 0.10188174337365738),
+    ],
+    "LinearModelPastTarget": [
+        ("cv_identity", 7, 0.16467954961255793, 0.04219821052988278),
+        ("cv_past", 7, 0.13284707814393293, 0.014542326016887075),
+        ("oracle_identity", 7, 0.12904334344558166, 0.04070721167432198),
+        ("scm", 7, 0.33895207288465956, 0.08003050106850874),
+    ],
+    "MultiTargetAr": [
+        ("cv_multi", 8, 0.07706081842832073, 0.013740178828346631),
+        ("cv_multi_con", 8, 0.08340864916337754, 0.016421758532591972),
+        ("cv_single", 8, 0.2164245964032919, 0.011495304832216918),
+        ("oracle_multi_con", 8, 0.07210927566998455, 0.014114161644661494),
+        ("oracle_single", 8, 0.08748641936126333, 0.018477300438654736),
+        ("scm", 8, 0.1212682245410241, 0.02354920239559579),
+    ],
+    "MimoChannelMmse": [
+        ("cv", 6, 0.13062741430807717, 0.00883063987171799),
+        ("ls", 6, 0.2367115398615791, 0.03136296956667226),
+        ("oracle", 6, 0.11961388758168393, 0.030546999709285868),
+        ("true", 6, 0.14446311253227123, 0.03255298751879893),
+    ],
+    "LmmseDetect": [
+        ("cv", 8, 2.9714800608305447, 2.500877050129461),
+        ("oracle", 8, 1.3189535637917666, 0.4695781148175652),
+        ("scm", 8, 58.292184294687544, 46.2146095175315),
+        ("true", 8, 0.08556146774168016, 0.03206250275086102),
+    ],
+    "MvdrBeam": [
+        ("cv", 10, -5.065021805662245, 0.7400483438122681),
+        ("lw", 10, -4.794989834380115, 0.8497044856490169),
+        ("oas", 10, -5.11835882939873, 0.7042060176090597),
+        ("optimal", 10, 2.317973991759544, 0.0),
+        ("oracle", 10, -5.427124874818672, 0.1112342921873779),
+        ("scm_pinv", 10, -5.306738009742441, 0.3376029604123727),
+    ],
+}
+
+
+def _rel_close(a, b, tol=1e-10):
+    return a == b or abs(a - b) <= tol * max(abs(a), abs(b))
+
+
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_run_experiment_frozen_output(name):
+    got = [(r.method, r.t, r.mean, r.stderr)
+           for r in run_experiment(tiny_config(name))]
+    assert [g[:2] for g in got] == [w[:2] for w in FROZEN_TINY[name]]
+    for g, w in zip(got, FROZEN_TINY[name]):
+        assert _rel_close(g[2], w[2]) and _rel_close(g[3], w[3]), (g, w)
+
+
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_method_subset_leaves_other_methods_unchanged(name):
+    full = {row.method: row for row in run_experiment(tiny_config(name))}
+    for method in EXPERIMENTS[name].methods:
+        (row,) = run_experiment(tiny_config(name, methods=(method,)))
+        assert row == full[method]
+
+
+# the package functions the harness calls through its module globals; a
+# wrapper installed on those globals (as the benchmark's tracer does)
+# must keep seeing every one of them
+HARNESS_CALLS = {
+    "applications.lmmse_detect",
+    "applications.ls_to_channel_cov",
+    "applications.mmse_channel_estimate",
+    "applications.mvdr_weights",
+    "applications.mvdr_weights_pseudo",
+    "applications.output_sinr",
+    "baselines.glc_coefficients",
+    "baselines.lw_coefficients",
+    "baselines.oas_coefficient",
+    "datagen.ar_covariance",
+    "datagen.gaussian_samples",
+    "datagen.interference_scene",
+    "datagen.kronecker_channel_cov",
+    "datagen.linear_model_scene",
+    "estimators.ols_covariance",
+    "estimators.ols_fit",
+    "estimators.scm",
+    "hermitian.frobenius_norm_sq",
+    "multi_target.mt_select",
+    "single_target.ols_loo_moments",
+    "single_target.oracle_moments",
+    "single_target.scm_solution_unconstrained",
+    "single_target.shrink",
+    "single_target.solve_quadratic_2d",
+    "targets.diagonal_target",
+    "targets.knowledge_aided_target",
+    "targets.scaled_identity_target",
+    "targets.toeplitz_average_target",
+}
+
+
+def test_harness_calls_package_functions_through_globals(monkeypatch):
+    called = set()
+    for attr, fn in list(vars(experiments).items()):
+        module = getattr(fn, "__module__", "")
+        if (inspect.isfunction(fn) and not attr.startswith("_")
+                and module.startswith("shrinkcov.")
+                and module != experiments.__name__):
+            key = f"{module.removeprefix('shrinkcov.')}.{attr}"
+
+            def counted(*args, _fn=fn, _name=key, **kwargs):
+                called.add(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(experiments, attr, counted)
+    for name in TINY:
+        run_experiment(tiny_config(name))
+    assert called == HARNESS_CALLS
 
 
 def test_run_experiment_rejects_bad_config():
