@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .applications import ula_steering
-from .hermitian import hermitize, require_hermitian
+from .hermitian import hermitize, is_psd, require_hermitian
 
 __all__ = [
     "RngStream",
@@ -84,10 +84,9 @@ def _covariance_factor(sigma: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
-        w, v = np.linalg.eigh(hermitize(sigma))
-        scale = max(1.0, float(w[-1])) if w.size else 1.0
-        if w.size and float(w[0]) < -1e-8 * scale:
+        if not is_psd(sigma):
             raise ValueError("covariance must be positive semidefinite") from None
+        w, v = np.linalg.eigh(hermitize(sigma))
         return v * np.sqrt(np.maximum(w, 0.0))
 
 

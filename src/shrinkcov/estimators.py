@@ -11,7 +11,8 @@ Two estimation paths are supported:
 
 The Gram matrix of the regressors is factorized once; the rank-one
 updates of all T samples are computed together as column blocks (sample
-t is column t), so nothing downstream of the full fit loops over samples.
+t is column t), which the least-squares moment accumulator of
+:mod:`shrinkcov.multi_target` reads directly without a loop over samples.
 """
 
 from __future__ import annotations
@@ -26,12 +27,9 @@ __all__ = [
     "scm",
     "scm_leave_one_out",
     "OlsFit",
-    "OlsLooTerm",
     "ols_fit",
     "ols_covariance",
     "ols_loo_blocks",
-    "ols_loo_terms",
-    "ols_loo_covariance",
     "ols_loo_covariances",
 ]
 
@@ -93,22 +91,6 @@ class OlsFit:
     gram_dirs: np.ndarray
 
 
-@dataclass(frozen=True)
-class OlsLooTerm:
-    """Rank-one ingredients of one leave-one-out covariance update.
-
-    With ``e`` the full-fit residual of the held-out sample, the refit
-    covariance is ``R_t = R - noise_shift I - e fitted_dir^H
-    - mixed_dir e^H``.
-    """
-
-    residual: np.ndarray
-    gram_dir: np.ndarray
-    noise_shift: float
-    fitted_dir: np.ndarray
-    mixed_dir: np.ndarray
-
-
 def ols_fit(x: np.ndarray, y: np.ndarray) -> OlsFit:
     """Least-squares fit of an N x T output block on an M x T input block.
 
@@ -142,8 +124,11 @@ def ols_covariance(fit: OlsFit) -> np.ndarray:
 def ols_loo_blocks(fit: OlsFit) -> tuple[np.ndarray, ...]:
     """Blocks ``(E, F, delta, Phi, Psi)`` of all T leave-one-out updates.
 
-    Column t (entry t of ``delta``) is sample t's :class:`OlsLooTerm`.
-    Needs every leverage below one (T > M in general position).
+    Column t (entry t of ``delta``) belongs to the refit without sample
+    t: with ``e_t`` its full-fit residual and ``f_t = (X X^H)^-1 x_t /
+    (1 - h_t)``, the refit covariance is ``R_t = R - delta_t I
+    - e_t phi_t^H - psi_t e_t^H``.  Needs every leverage below one
+    (T > M in general position).
     """
     e = fit.residuals
     n, t = e.shape
@@ -161,23 +146,11 @@ def ols_loo_blocks(fit: OlsFit) -> tuple[np.ndarray, ...]:
     return e, f, delta, phi, psi
 
 
-def ols_loo_terms(x: np.ndarray, y: np.ndarray, fit: OlsFit) -> list[OlsLooTerm]:
-    """Per-sample views of :func:`ols_loo_blocks` for ``fit`` of (x, y)."""
-    e, f, delta, phi, psi = ols_loo_blocks(fit)
-    return [OlsLooTerm(e[:, i], f[:, i], float(delta[i]), phi[:, i], psi[:, i])
-            for i in range(delta.size)]
-
-
-def ols_loo_covariance(r: np.ndarray, term: OlsLooTerm) -> np.ndarray:
-    """Reconstruct one leave-one-out covariance from the full estimate."""
-    e, phi, psi = term.residual, term.fitted_dir, term.mixed_dir
-    n = r.shape[0]
-    return (r - term.noise_shift * np.eye(n)
-            - np.outer(e, phi.conj()) - np.outer(psi, e.conj()))
-
-
 def ols_loo_covariances(x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
     """All T leave-one-out covariance estimates of the least-squares path."""
     fit = ols_fit(x, y)
     r = ols_covariance(fit)
-    return [ols_loo_covariance(r, term) for term in ols_loo_terms(x, y, fit)]
+    e, _, delta, phi, psi = ols_loo_blocks(fit)
+    eye = np.eye(r.shape[0])
+    return [r - delta[t] * eye - np.outer(e[:, t], phi[:, t].conj())
+            - np.outer(psi[:, t], e[:, t].conj()) for t in range(delta.size)]

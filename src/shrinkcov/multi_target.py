@@ -2,10 +2,13 @@
 
 This module is the package's one accumulator of trace-product moments:
 the leave-one-out and oracle selection costs are a K+1 dimensional
-convex quadratic in (rho, tau_1..tau_K), and the single-target moments
-of :mod:`shrinkcov.single_target` are its K = 1 case.  The
-convex-combination design rho = 1 - sum_k tau_k is one substitution
-applied to those moments, which leaves a K dimensional quadratic.
+convex quadratic in (rho, tau_1..tau_K).  Its three accumulators (SCM
+path, least-squares path, oracle) form no leave-one-out estimate; the
+reference :func:`mt_loocv_moments` takes them explicitly.  The
+single-target moments of :mod:`shrinkcov.single_target` are the K = 1
+case.  The convex-combination design rho = 1 - sum_k tau_k is one
+substitution applied to those moments, which leaves a K dimensional
+quadratic.
 
 The dimension stays tiny in practice, so the nonnegativity constraints
 are handled by a primal active-set method after Lawson and Hanson's
@@ -18,11 +21,12 @@ not depend on the units of the data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import scm
+from .estimators import OlsFit, ols_covariance, ols_loo_blocks, scm
 from .hermitian import (
     frobenius_norm_sq,
     is_psd,
@@ -39,6 +43,7 @@ __all__ = [
     "solve_nonneg_qp_simplex",
     "mt_loocv_moments",
     "mt_scm_loocv_moments",
+    "mt_ols_loocv_moments",
     "mt_oracle_moments",
     "mt_constrained_moments",
     "mt_constrained_oracle_moments",
@@ -65,8 +70,9 @@ class MultiMoments:
 class MtSolution:
     """Selected multi-target coefficients.
 
-    ``active_targets`` lists the indices of targets with strictly
-    positive weight.
+    ``active_targets`` lists the indices of targets whose weight exceeds
+    1e-10 times the largest coefficient, so that weights at rounding
+    level, which the cone's active set can leave behind, do not count.
     """
 
     rho: float
@@ -233,6 +239,60 @@ def mt_scm_loocv_moments(samples: np.ndarray, targets) -> MultiMoments:
     return MultiMoments(a=a, b=b, const=quart / count)
 
 
+def _col_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Column-wise inner products a[:, j]^H b[:, j] of equal-shape blocks."""
+    return np.einsum("ij,ij->j", a.conj(), b)
+
+
+def mt_ols_loocv_moments(fit: OlsFit, outputs: np.ndarray,
+                         targets) -> MultiMoments:
+    """Cross-validation quadratic on the least-squares path, from one fit.
+
+    Refit t's estimate is R_t = R - D_t, D_t = delta_t I + e_t phi_t^H
+    + psi_t e_t^H (column t of :func:`ols_loo_blocks`), so each M of
+    (R, T_1..T_K) needs only tr(D_t M) and y_t^H M y_t, column inner
+    products of N x T blocks: no R_t or refit is formed.
+    """
+    y = validate_samples(outputs, name="outputs")
+    if y.shape != fit.residuals.shape:
+        raise ValueError(f"outputs of shape {y.shape} do not match the fit's "
+                         f"residuals {fit.residuals.shape}")
+    targets = [require_hermitian(t0) for t0 in targets]
+    e, _, delta, phi, psi = ols_loo_blocks(fit)
+    mats = [ols_covariance(fit), *targets]
+    n, count = y.shape
+    a = _gram(mats)
+
+    def update_trace(m):  # tr(D_t M) for every t
+        me = m @ e
+        return (delta * float(np.trace(m).real) + _col_inner(phi, me).real
+                + _col_inner(me, psi).real)
+
+    # tr(D_t^2) via scalar products of the update vectors
+    pe = _col_inner(phi, e)     # phi^H e
+    ep = _col_inner(e, psi)     # e^H psi
+    ee = _col_inner(e, e).real
+    pp = _col_inner(phi, psi)   # phi^H psi
+    tr_d2 = (n * delta * delta + 2.0 * delta * (pe + ep).real
+             + (pe * pe + ep * ep + 2.0 * ee * pp).real)
+    tr_dm = [update_trace(m) for m in mats]
+    row = [a[0, 0] - 2.0 * tr_dm[0] + tr_d2]    # tr(R_t^2)
+    row += [a[0, k] - tr_dm[k] for k in range(1, len(mats))]  # tr(R_t T_k)
+
+    ny2 = _col_inner(y, y).real
+    ye = _col_inner(y, e)       # y^H e; e^H y is its conjugate
+    py = _col_inner(phi, y)     # phi^H y
+    ys = _col_inner(y, psi)     # y^H psi
+    quad = [_col_inner(y, m @ y).real for m in mats]   # y_t^H M y_t
+    quad[0] = quad[0] - (delta * ny2 + (ye * py).real + (ys * ye.conj()).real)
+
+    def mean(v):  # correctly rounded, whatever the summation order
+        return math.fsum(v.tolist()) / count
+    a[0] = a[:, 0] = [mean(v) for v in row]
+    return MultiMoments(a=a, b=np.array([mean(v) for v in quad]),
+                        const=mean(ny2 * ny2))
+
+
 def mt_oracle_moments(base: np.ndarray, targets, truth: np.ndarray) -> MultiMoments:
     """Frobenius-error quadratic || rho R + sum tau_k T_k - Sigma ||_F^2."""
     mats = [require_hermitian(base), *map(require_hermitian, targets)]
@@ -264,14 +324,12 @@ def _require_matched_traces(tr_ref: float, targets) -> None:
                              "trace-preserving targets")
 
 
-def mt_constrained_moments(samples: np.ndarray, targets,
-                           loo_covs=None) -> MultiMoments:
+def mt_constrained_moments(samples: np.ndarray, targets) -> MultiMoments:
     """Quadratic in (tau_1..tau_K) for the convex-combination design.
 
     Under rho = 1 - sum tau_k the cross-validation cost becomes
-    (1/T) sum_t || sum_k tau_k (T_k - R_t) + (R_t - y_t y_t^H) ||_F^2.
-    Without ``loo_covs`` the SCM fast path is used (T >= 3); with them
-    the cost is accumulated from the explicit matrices.
+    (1/T) sum_t || sum_k tau_k (T_k - R_t) + (R_t - y_t y_t^H) ||_F^2,
+    accumulated on the SCM path (T >= 3).
 
     The targets are held fixed across folds, so on the SCM path the
     linear term is the same for every target (``b = a_rr - b_r``) and
@@ -288,10 +346,7 @@ def mt_constrained_moments(samples: np.ndarray, targets,
     kept as is.
     """
     targets = list(targets)
-    if loo_covs is None:
-        m = mt_scm_loocv_moments(samples, targets)
-    else:
-        m = mt_loocv_moments(loo_covs, samples, targets)
+    m = mt_scm_loocv_moments(samples, targets)
     # tr R = sum_t ||y_t||^2 / T, read off the samples the call validated;
     # the guard's 1e-8 tolerance does not see BLAS's summation order
     y = np.asarray(samples)
@@ -352,5 +407,6 @@ def mt_select(method: str, targets, samples: np.ndarray | None = None,
         raise ValueError(f"unknown selection method {method!r}; expected one "
                          "of cv, cv_constrained, oracle, oracle_constrained")
 
-    active = tuple(k for k in range(len(taus)) if taus[k] > 0)
+    cutoff = 1e-10 * max([rho, *taus])
+    active = tuple(k for k in range(len(taus)) if taus[k] > cutoff)
     return MtSolution(rho=rho, taus=taus, active_targets=active, objective=obj)

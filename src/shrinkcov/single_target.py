@@ -12,9 +12,9 @@ sample-covariance or the least-squares path.  Oracle selection uses the
 same machinery with the true covariance in place of the held-out
 samples.
 
-On the sample-covariance and oracle paths the moments are the K = 1
-case of :mod:`shrinkcov.multi_target`'s accumulators; only the
-least-squares path (:func:`ols_loo_moments`) accumulates here.  The 2x2
+Every moment here is the K = 1 case of one of
+:mod:`shrinkcov.multi_target`'s accumulators; this module keeps the
+single-target views, the 2x2 solver and the selection facade.  The 2x2
 program is solved in closed form with thresholds relative to the
 moments, so the selection does not depend on the units of the data.
 """
@@ -27,17 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import (
-    OlsFit,
-    ols_covariance,
-    ols_fit,
-    ols_loo_blocks,
-    scm,
-)
-from .hermitian import real_trace_product, require_hermitian, validate_samples
+from .estimators import OlsFit, ols_covariance, ols_fit, scm
 from .multi_target import (
     MultiMoments,
     mt_loocv_moments,
+    mt_ols_loocv_moments,
     mt_oracle_moments,
     mt_scm_loocv_moments,
 )
@@ -184,11 +178,6 @@ def scm_fast_moments(samples: np.ndarray, target: np.ndarray) -> QuadMoments:
     return _quad(mt_scm_loocv_moments(samples, [target]))
 
 
-def _col_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Column-wise inner products a[:, j]^H b[:, j] of equal-shape blocks."""
-    return np.einsum("ij,ij->j", a.conj(), b)
-
-
 def ols_fast_moments(inputs: np.ndarray, outputs: np.ndarray,
                      target: np.ndarray) -> QuadMoments:
     """Least-squares cross-validation moments: one fit, then the block core."""
@@ -199,52 +188,9 @@ def ols_loo_moments(fit: OlsFit, outputs: np.ndarray,
                     target: np.ndarray) -> QuadMoments:
     """Cross-validation moments from a full least-squares fit of ``outputs``.
 
-    Per-sample traces of the rank-one updates (:func:`ols_loo_blocks`)
-    are column inner products of N x T blocks; the only matrix products
-    are R E, T0 E, R Y and T0 Y, and no R_t or refit is formed.
+    :func:`mt_ols_loocv_moments` with one target; no R_t or refit is formed.
     """
-    y = validate_samples(outputs, name="outputs")
-    if y.shape != fit.residuals.shape:
-        raise ValueError(f"outputs of shape {y.shape} do not match the fit's "
-                         f"residuals {fit.residuals.shape}")
-    t0 = require_hermitian(target)
-    e, _, delta, phi, psi = ols_loo_blocks(fit)
-    r = ols_covariance(fit)
-    n, count = y.shape
-    tr_r2 = real_trace_product(r, r)
-    rt_cross = real_trace_product(r, t0)
-    tr_r, tr_t0 = float(np.trace(r).real), float(np.trace(t0).real)
-
-    # linear-in-update traces
-    re_ = r @ e
-    tr_rd = (delta * tr_r + _col_inner(phi, re_).real
-             + _col_inner(re_, psi).real)
-    # quadratic-in-update traces via scalar products of the vectors
-    pe = _col_inner(phi, e)     # phi^H e
-    ep = _col_inner(e, psi)     # e^H psi
-    ee = _col_inner(e, e).real
-    pp = _col_inner(phi, psi)   # phi^H psi
-    tr_d2 = (n * delta * delta + 2.0 * delta * (pe + ep).real
-             + (pe * pe + ep * ep + 2.0 * ee * pp).real)
-    a_rr = tr_r2 - 2.0 * tr_rd + tr_d2
-
-    t0e = t0 @ e
-    a_rt = rt_cross - (delta * tr_t0 + _col_inner(phi, t0e).real
-                       + _col_inner(t0e, psi).real)
-
-    ny2 = _col_inner(y, y).real
-    ye = _col_inner(y, e)       # y^H e; e^H y is its conjugate
-    py = _col_inner(phi, y)     # phi^H y
-    ys = _col_inner(y, psi)     # y^H psi
-    quad_full = _col_inner(y, r @ y).real
-    b_r = quad_full - (delta * ny2 + (ye * py).real + (ys * ye.conj()).real)
-    b_t = _col_inner(y, t0 @ y).real
-
-    def mean(v):  # correctly rounded, whatever the summation order
-        return math.fsum(v.tolist()) / count
-    return QuadMoments(a_rr=mean(a_rr), a_rt=mean(a_rt),
-                       a_tt=real_trace_product(t0, t0), b_r=mean(b_r),
-                       b_t=mean(b_t), const=mean(ny2 * ny2))
+    return _quad(mt_ols_loocv_moments(fit, outputs, [target]))
 
 
 def oracle_moments(base: np.ndarray, target: np.ndarray,

@@ -12,6 +12,12 @@ import scipy.linalg
 
 from .estimators import scm, scm_leave_one_out
 from .hermitian import require_hermitian
+from .single_target import (
+    loocv_moments_general,
+    scm_fast_moments,
+    shrink,
+    solve_quadratic_2d,
+)
 
 __all__ = [
     "scaled_identity_target",
@@ -31,13 +37,13 @@ def scaled_identity_target(r: np.ndarray) -> np.ndarray:
 def diagonal_target(r: np.ndarray) -> np.ndarray:
     """Diagonal of ``r`` as a real PSD matrix.
 
-    Rounding dust on the diagonal is clipped to zero; genuinely
-    negative diagonal entries are rejected.
+    Rounding dust on the diagonal (below 1e-12 of its largest magnitude)
+    is clipped to zero; genuinely negative diagonal entries are rejected
+    at any scale.
     """
     r = require_hermitian(r)
     d = np.diag(r).real.copy()
-    scale = max(1.0, float(np.max(np.abs(d)))) if d.size else 1.0
-    if np.any(d < -1e-12 * scale):
+    if np.any(d < -1e-12 * np.max(np.abs(d), initial=0.0)):
         raise ValueError("diagonal target requires nonnegative diagonal entries")
     d[d < 0.0] = 0.0
     return np.diag(d)
@@ -71,13 +77,6 @@ def knowledge_aided_target(past_samples: np.ndarray) -> np.ndarray:
     constraint keeps the trace of R_past, so the target remains a
     calibrated power reference even when the past block is short.
     """
-    from .single_target import (
-        loocv_moments_general,
-        scm_fast_moments,
-        shrink,
-        solve_quadratic_2d,
-    )
-
     r = scm(past_samples)
     t0 = scaled_identity_target(r)
     count = past_samples.shape[1]

@@ -4,9 +4,8 @@ import pytest
 from shrinkcov.estimators import (
     ols_covariance,
     ols_fit,
-    ols_loo_covariance,
+    ols_loo_blocks,
     ols_loo_covariances,
-    ols_loo_terms,
     scm,
     scm_leave_one_out,
 )
@@ -139,7 +138,7 @@ def test_ols_leverage_guard_is_in_loo_not_fit():
     y = np.diag([1.0, 2.0])
     fit = ols_fit(x, y)  # allowed: Gram matrix is fine
     with pytest.raises(ValueError):
-        ols_loo_terms(x, y, fit)  # every leverage is exactly 1
+        ols_loo_blocks(fit)  # every leverage is exactly 1
 
 
 def test_ols_loo_scalar_frozen():
@@ -152,14 +151,13 @@ def test_ols_loo_scalar_frozen():
     assert fit.noise_var == pytest.approx(2.0, rel=1e-14)
     r = ols_covariance(fit)
     assert np.allclose(r, [[6.0]], atol=1e-13)
-    terms = ols_loo_terms(x, y, fit)
-    t0 = terms[0]
-    assert t0.residual == pytest.approx(-2.0)
-    assert t0.gram_dir == pytest.approx(0.5)
-    assert t0.noise_shift == pytest.approx(2.0)
-    assert t0.fitted_dir == pytest.approx(1.0)
-    assert t0.mixed_dir == pytest.approx(1.5)
-    assert np.allclose(ols_loo_covariance(r, t0), [[9.0]], atol=1e-12)
+    e, f, delta, phi, psi = ols_loo_blocks(fit)  # column 0 drops t=0
+    assert e[0, 0] == pytest.approx(-2.0)
+    assert f[0, 0] == pytest.approx(0.5)
+    assert delta[0] == pytest.approx(2.0)
+    assert phi[0, 0] == pytest.approx(1.0)
+    assert psi[0, 0] == pytest.approx(1.5)
+    assert np.allclose(ols_loo_covariances(x, y)[0], [[9.0]], atol=1e-12)
     assert np.allclose(ols_loo_cov_refit(x, y, 0), [[9.0]], atol=1e-12)
 
 

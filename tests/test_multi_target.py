@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shrinkcov.datagen import ar_covariance, gaussian_samples
-from shrinkcov.estimators import scm, scm_leave_one_out
+from shrinkcov.estimators import ols_fit, scm, scm_leave_one_out
 from shrinkcov.hermitian import frobenius_norm_sq
 from shrinkcov.multi_target import (
     MultiMoments,
@@ -12,6 +12,7 @@ from shrinkcov.multi_target import (
     mt_constrained_moments,
     mt_constrained_oracle_moments,
     mt_loocv_moments,
+    mt_ols_loocv_moments,
     mt_oracle_moments,
     mt_scm_loocv_moments,
     mt_select,
@@ -36,8 +37,10 @@ from oracles import (
     mt_constrained_cost_direct,
     mt_constrained_oracle_cost_direct,
     mt_cv_cost_direct,
+    ols_loo_cov_refit,
     projected_gradient_nonneg,
     random_psd,
+    random_samples,
 )
 
 
@@ -263,6 +266,46 @@ def test_mt_loocv_fast_matches_naive():
         assert fast.const == pytest.approx(slow.const, rel=1e-12)
 
 
+def assert_moments_close(fast, slow, rel):
+    scale = float(np.max(np.abs(slow.a)))
+    assert np.allclose(fast.a, slow.a, rtol=rel, atol=rel * scale)
+    assert np.allclose(fast.b, slow.b, rtol=rel, atol=rel * scale)
+    assert fast.const == pytest.approx(slow.const, rel=rel, abs=rel * scale)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(n=st.integers(1, 6), t=st.integers(3, 12), k=st.integers(1, 3),
+       cplx=st.booleans(), zero_row=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_mt_scm_moments_property_match_explicit_folds(n, t, k, cplx,
+                                                      zero_row, seed):
+    rng = np.random.default_rng(seed)
+    y = random_samples(n, t, rng, cplx)
+    if zero_row:
+        y[int(rng.integers(n))] = 0.0
+    targets = [random_psd(n, rng, cplx) for _ in range(k)]
+    assert_moments_close(mt_scm_loocv_moments(y, targets),
+                         mt_loocv_moments(scm_loo_covs(y), y, targets), 1e-10)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(n=st.integers(1, 6), m_in=st.integers(1, 4), extra=st.integers(2, 12),
+       k=st.integers(1, 3), cplx=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_mt_ols_moments_property_match_explicit_refits(n, m_in, extra, k,
+                                                       cplx, seed):
+    # at T = M + 2 the leverages average M / (M + 2), the regime where
+    # the 1/(1 - h_t) updates are largest
+    rng = np.random.default_rng(seed)
+    t = m_in + extra
+    x = random_samples(m_in, t, rng, cplx)
+    y = random_samples(n, t, rng, cplx)
+    targets = [random_psd(n, rng, cplx) for _ in range(k)]
+    refits = [ols_loo_cov_refit(x, y, i) for i in range(t)]
+    assert_moments_close(mt_ols_loocv_moments(ols_fit(x, y), y, targets),
+                         mt_loocv_moments(refits, y, targets), 1e-8)
+
+
 def test_mt_loocv_objective_equals_direct_cost():
     rng = np.random.default_rng(54)
     sigma = ar_covariance(5, 0.6)
@@ -341,10 +384,29 @@ def test_mt_constrained_fast_matches_naive():
     y = gaussian_samples(sigma, 11, rng, complex_field=True)
     targets = make_targets(scm(y))
     fast = mt_constrained_moments(y, targets)
-    slow = mt_constrained_moments(y, targets, loo_covs=scm_loo_covs(y))
+    slow = _convex_design(mt_loocv_moments(scm_loo_covs(y), y, targets))
     assert np.allclose(fast.a, slow.a, rtol=1e-9, atol=1e-9)
     assert np.allclose(fast.b, slow.b, rtol=1e-9, atol=1e-9)
     assert fast.const == pytest.approx(slow.const, rel=1e-10)
+
+
+def test_active_targets_skip_rounding_level_weights():
+    # the cone oracle on AR(0.9) draws can leave a weight of 1e-15 to
+    # 3e-13 on a target; such a weight is not an active target, and no
+    # weight on these draws sits near the 1e-10 relative cutoff
+    sigma = ar_covariance(25, 0.9)
+    for seed in range(1, 11):
+        for t in (15, 25, 50):
+            y = gaussian_samples(sigma, t, np.random.default_rng(seed))
+            sol = mt_select("oracle", make_targets(scm(y)), samples=y,
+                            truth=sigma)
+            scale = max(sol.rho, *sol.taus)
+            for k, tau in enumerate(sol.taus):
+                assert (k in sol.active_targets) == (tau > 1e-10 * scale)
+                assert tau == 0.0 or tau > 1e-10 * scale or tau < 1e-12
+            if (seed, t) == (2, 25):
+                assert 0.0 < sol.taus[1] < 1e-12
+                assert sol.active_targets == (0, 2)
 
 
 def test_mt_constrained_k1_reduces_to_single_target():

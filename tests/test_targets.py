@@ -52,6 +52,21 @@ def test_diagonal_target_negative_guard():
     assert d[1, 1] == 0.0
 
 
+@pytest.mark.parametrize("c", [1e-8, 1e-6, 1.0, 1e6])
+def test_psd_and_sign_checks_are_scale_free(c):
+    # the decision for c * A is the decision for A: a negative eigenvalue
+    # or diagonal entry of 1e-6 relative is rejected at every scale, and
+    # rounding dust of 1e-13 relative is accepted
+    bad, dust = c * np.diag([1.0, -1e-6]), c * np.diag([1.0, -1e-13])
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        gaussian_samples(bad, 3, np.random.default_rng(1))
+    with pytest.raises(ValueError, match="nonnegative diagonal"):
+        diagonal_target(bad)
+    y = gaussian_samples(dust, 3, np.random.default_rng(1))
+    assert np.all(y[1] == 0.0)
+    assert np.array_equal(diagonal_target(dust), np.diag([c, 0.0]))
+
+
 def test_toeplitz_average_frozen_real():
     r = np.array([[1.0, 0.4], [0.4, 3.0]])
     assert np.allclose(toeplitz_average_target(r),
