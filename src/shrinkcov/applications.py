@@ -5,9 +5,19 @@ estimation, and linear detection all take a covariance (or channel
 covariance) estimate as input; better-conditioned estimates translate
 directly into output SINR or estimation error.  These helpers are the
 fixed downstream stages used by the experiment harness.
+
+Channel estimation has a dense form, :func:`ls_to_channel_cov` followed
+by :func:`mmse_channel_estimate`, and an eigenbasis form,
+:func:`spectral_channel_estimate`, for the pilot sqrt(p) I.  A shrunk
+sample covariance rho R + tau mu I has R's eigenvectors, from a thin SVD
+of the samples, and the eigenvalue tau mu on R's null space; removing the
+noise floor and filtering are then scalar maps of those eigenvalues, and
+no N x N matrix is formed.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -20,6 +30,7 @@ __all__ = [
     "output_sinr",
     "mmse_channel_estimate",
     "ls_to_channel_cov",
+    "spectral_channel_estimate",
     "lmmse_detect",
 ]
 
@@ -95,15 +106,32 @@ def output_sinr(weights: np.ndarray, steering: np.ndarray, signal_power: float,
     return float(10.0 * np.log10(num / denom))
 
 
+def _require_finite(a, name: str) -> np.ndarray:
+    a = np.asarray(a)
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return a
+
+
+def _require_pilot_power(pilot_power: float) -> float:
+    p = float(pilot_power)
+    if not (math.isfinite(p) and p > 0.0):
+        raise ValueError(f"pilot power must be finite and positive, got {p!r}")
+    return p
+
+
 def mmse_channel_estimate(channel_cov: np.ndarray, pilot: np.ndarray,
                           observation: np.ndarray) -> np.ndarray:
     """Bayesian linear estimate of a channel from one pilot observation.
 
     Model: observation = pilot @ h + noise with unit-variance white
     noise and prior covariance ``channel_cov`` on ``h``; the estimate is
-    Sigma P^H (P Sigma P^H + I)^-1 y.
+    Sigma P^H (P Sigma P^H + I)^-1 y.  A non-finite pilot or observation
+    is rejected.
     """
     channel_cov = require_hermitian(channel_cov)
+    pilot = _require_finite(pilot, "pilot")
+    observation = _require_finite(observation, "observation")
     gram = pilot @ channel_cov @ pilot.conj().T + np.eye(pilot.shape[0])
     return channel_cov @ pilot.conj().T @ np.linalg.solve(gram, observation)
 
@@ -114,13 +142,48 @@ def ls_to_channel_cov(ls_cov: np.ndarray, pilot_power: float) -> np.ndarray:
     The LS channel estimate equals the channel plus white noise of
     variance 1/pilot_power, so the channel covariance is the LS
     covariance minus that noise floor, with negative eigenvalues (pure
-    noise dimensions) clipped to zero to keep the result PSD.
+    noise dimensions) clipped to zero to keep the result PSD.  The pilot
+    power must be finite and positive.
     """
     ls_cov = require_hermitian(ls_cov)
+    pilot_power = _require_pilot_power(pilot_power)
     n = ls_cov.shape[0]
     w, v = np.linalg.eigh(hermitize(ls_cov - np.eye(n) / pilot_power))
     w = np.maximum(w, 0.0)
     return (v * w) @ v.conj().T
+
+
+def spectral_channel_estimate(basis: np.ndarray, ls_eigs: np.ndarray,
+                              null_eig: float, pilot_power: float,
+                              observation: np.ndarray) -> np.ndarray:
+    """MMSE channel estimate for the pilot sqrt(p) I, in an eigenbasis.
+
+    The LS-estimate covariance is C = U diag(e) U^H + e0 (I - U U^H) for
+    ``basis`` U with orthonormal columns (not checked), ``ls_eigs`` e and
+    ``null_eig`` e0.  The result equals
+    ``mmse_channel_estimate(ls_to_channel_cov(C, p), sqrt(p) I, y)``:
+    with c = max(e - 1/p, 0) and c0 = max(e0 - 1/p, 0) the channel
+    eigenvalues and g(c) = sqrt(p) c / (p c + 1) the filter gain,
+
+        h = U (g(c) * U^H y) + g(c0) (y - U U^H y).
+
+    The pilot power must be finite and positive, and every input finite.
+    """
+    p = _require_pilot_power(pilot_power)
+    basis = _require_finite(basis, "basis")
+    e = _require_finite(ls_eigs, "LS eigenvalues")
+    e0 = float(_require_finite(null_eig, "null-space eigenvalue"))
+    y = _require_finite(observation, "observation")
+    if basis.ndim != 2 or e.shape != basis.shape[1:] \
+            or y.shape != basis.shape[:1]:
+        raise ValueError(f"basis {basis.shape}, eigenvalues {e.shape} and "
+                         f"observation {y.shape} do not match")
+    root = math.sqrt(p)
+    c = np.maximum(e - 1.0 / p, 0.0)
+    c0 = max(e0 - 1.0 / p, 0.0)
+    coords = basis.conj().T @ y
+    return basis @ (root * c / (p * c + 1.0) * coords) \
+        + root * c0 / (p * c0 + 1.0) * (y - basis @ coords)
 
 
 def lmmse_detect(channel: np.ndarray, cov: np.ndarray,

@@ -27,11 +27,10 @@ import numpy as np
 from .applications import (
     _pinv_solve,
     lmmse_detect,
-    ls_to_channel_cov,
-    mmse_channel_estimate,
     mvdr_weights,
     mvdr_weights_pseudo,
     output_sinr,
+    spectral_channel_estimate,
 )
 from .baselines import glc_coefficients, lw_coefficients, oas_coefficient
 from .datagen import (
@@ -46,6 +45,7 @@ from .estimators import ols_covariance, ols_fit, scm
 from .hermitian import frobenius_norm_sq
 from .multi_target import mt_select
 from .single_target import (
+    ShrinkageSolution,
     ols_loo_moments,
     oracle_moments,
     scm_solution_unconstrained,
@@ -162,16 +162,22 @@ def _cov_judge(sigma: np.ndarray) -> Callable:
     return lambda est: (frobenius_norm_sq(est - sigma), den)
 
 
+# single-target coefficients of the scene's base toward its first target
+def _cv_solution(s: _Scene) -> ShrinkageSolution:
+    return scm_solution_unconstrained(s.samples, s.targets[0])
+
+
+def _oracle_solution(s: _Scene) -> ShrinkageSolution:
+    return solve_quadratic_2d(oracle_moments(s.base, s.targets[0], s.truth))
+
+
 # shared selectors: each returns a covariance estimate of the scene
 def _cv(s: _Scene) -> np.ndarray:
-    t0 = s.targets[0]
-    return shrink(s.base, t0, scm_solution_unconstrained(s.samples, t0))
+    return shrink(s.base, s.targets[0], _cv_solution(s))
 
 
 def _oracle(s: _Scene) -> np.ndarray:
-    t0 = s.targets[0]
-    m = oracle_moments(s.base, t0, s.truth)
-    return shrink(s.base, t0, solve_quadratic_2d(m))
+    return shrink(s.base, s.targets[0], _oracle_solution(s))
 
 
 def _lw(s: _Scene) -> np.ndarray:
@@ -221,6 +227,15 @@ def _scm_scene(samples: np.ndarray, truth: np.ndarray, judge: Callable,
                   targets=[scaled_identity_target(r)], judge=judge, **inputs)
 
 
+def _spectral_scene(samples: np.ndarray, truth: np.ndarray, judge: Callable,
+                    **inputs) -> _Scene:
+    """SCM scene plus R's eigenpairs on its range: R = basis diag(eigs) basis^H."""
+    s = _scm_scene(samples, truth, judge, **inputs)
+    s.basis, sv, _ = np.linalg.svd(samples, full_matrices=False)
+    s.eigs = sv * sv / samples.shape[1]
+    return s
+
+
 def _ar_scene(params, t, stream: RngStream) -> _Scene:
     sigma = ar_covariance(params["n"], params["r"])
     y = gaussian_samples(sigma, t, stream.generator(0))
@@ -264,16 +279,34 @@ def _mimo_scene(params, t, stream: RngStream) -> _Scene:
     gen = stream.generator(1)
     h_star = gaussian_samples(sigma_h, 1, gen, complex_field=True)[:, 0]
     noise = gaussian_samples(np.eye(p), 1, gen, complex_field=True)[:, 0]
-    pilot = math.sqrt(p_eff) * np.eye(p)
-    obs = pilot @ h_star + noise
+    obs = math.sqrt(p_eff) * h_star + noise  # pilot sqrt(p_eff) I
 
     den = float(np.trace(sigma_h).real)
     # the selectors estimate the LS estimates' covariance: the oracle's truth
-    return _scm_scene(
+    return _spectral_scene(
         samples, sigma_ls,
         lambda h_hat: (float(np.sum(np.abs(h_hat - h_star) ** 2)), den),
-        sigma_h=sigma_h, p_eff=p_eff, obs=obs,
-        mmse=lambda cov_h: mmse_channel_estimate(cov_h, pilot, obs))
+        sigma_h=sigma_h, p_eff=p_eff, obs=obs)
+
+
+def _mmse_shrunk(s: _Scene, sol: ShrinkageSolution) -> np.ndarray:
+    """MMSE channel estimate under the LS covariance rho R + tau mu I.
+
+    That estimate has eigenvalues rho lambda + tau mu on R's range and
+    tau mu on its null space, so it is never formed; nonnegative
+    coefficients are required, as :func:`shrink` requires them.
+    """
+    if sol.rho < 0.0 or sol.tau < 0.0:
+        raise ValueError("shrinkage coefficients must be nonnegative")
+    floor = sol.tau * float(s.targets[0][0, 0].real)
+    return spectral_channel_estimate(s.basis, sol.rho * s.eigs + floor, floor,
+                                     s.p_eff, s.obs)
+
+
+def _mmse_true(s: _Scene) -> np.ndarray:
+    """MMSE channel estimate sqrt(p) Sigma_h (p Sigma_h + I)^-1 y."""
+    gram = s.p_eff * s.sigma_h + np.eye(s.sigma_h.shape[0])
+    return math.sqrt(s.p_eff) * (s.sigma_h @ np.linalg.solve(gram, s.obs))
 
 
 def _lmmse_scene(params, t, stream: RngStream) -> _Scene:
@@ -345,9 +378,9 @@ EXPERIMENTS = {
         sample_counts=(25, 50, 100, 200)),
     "MimoChannelMmse": _experiment(
         "nmse_h", _mimo_scene,
-        {"true": lambda s: s.mmse(s.sigma_h),
-         "oracle": lambda s: s.mmse(ls_to_channel_cov(_oracle(s), s.p_eff)),
-         "cv": lambda s: s.mmse(ls_to_channel_cov(_cv(s), s.p_eff)),
+        {"true": _mmse_true,
+         "oracle": lambda s: _mmse_shrunk(s, _oracle_solution(s)),
+         "cv": lambda s: _mmse_shrunk(s, _cv_solution(s)),
          "ls": lambda s: s.obs / math.sqrt(s.p_eff)},  # bypasses the covariance
         defaults={"nt": 10, "nr": 10, "pilot_len": 10, "pilot_db": 5.0,
                   "tx_mag": 0.7, "tx_phase_pi": -0.9349,

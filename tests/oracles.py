@@ -2,13 +2,15 @@
 
 Everything here is deliberately naive: dense products, explicit refits,
 grid scans, projected gradient, face enumeration. Apart from the paired
-MultiTargetAr reference at the end, nothing imports from shrinkcov, so the
-package and these oracles can only agree by computing the same mathematics.
+MultiTargetAr reference and the dense MMSE channel composition at the end,
+nothing imports from shrinkcov, so the package and these oracles can only
+agree by computing the same mathematics.
 """
 import math
 
 import numpy as np
 
+from shrinkcov.applications import ls_to_channel_cov, mmse_channel_estimate
 from shrinkcov.datagen import RngStream, ar_covariance, gaussian_samples
 from shrinkcov.estimators import scm
 from shrinkcov.multi_target import (
@@ -412,3 +414,21 @@ def best_fixed_constrained(sigma, draws):
                         const=float(np.mean([m.const for m in moments])))
     _, objective = solve_nonneg_qp_simplex(mean)
     return objective / float(np.vdot(sigma, sigma).real)
+
+
+# ---------------------------------------------------------------------------
+# dense MMSE channel estimate of a shrunk LS covariance
+
+
+def dense_channel_estimate(ls_cov, pilot_power, observation):
+    """MMSE channel estimate for the pilot sqrt(p) I, through dense matrices.
+
+    The composition mmse_channel_estimate(ls_to_channel_cov(C, p),
+    sqrt(p) I, y): one N x N eigendecomposition, the dense pilot products
+    and a solve.  With C = rho R + tau mu I it is the estimate the
+    MimoChannelMmse scene computes in the eigenbasis of its samples.
+    """
+    n = ls_cov.shape[0]
+    channel_cov = ls_to_channel_cov(ls_cov, pilot_power)
+    return mmse_channel_estimate(channel_cov, math.sqrt(pilot_power) * np.eye(n),
+                                 observation)

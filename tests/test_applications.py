@@ -8,11 +8,14 @@ from shrinkcov.applications import (
     mvdr_weights,
     mvdr_weights_pseudo,
     output_sinr,
+    spectral_channel_estimate,
     ula_steering,
 )
 from shrinkcov.hermitian import is_psd
 
-from oracles import random_psd, random_samples
+from oracles import dense_channel_estimate, random_psd, random_samples
+
+BAD_PILOT_POWERS = (-1.0, 0.0, np.nan, np.inf, -np.inf)
 
 
 def test_ula_steering_frozen():
@@ -142,6 +145,84 @@ def test_ls_to_channel_cov_psd():
         cov = random_psd(5, rng)
         out = ls_to_channel_cov(cov, 3.0)
         assert is_psd(out)
+
+
+@pytest.mark.parametrize("power", BAD_PILOT_POWERS)
+def test_ls_to_channel_cov_rejects_bad_pilot_power(power):
+    # a negative power used to add the noise floor instead of removing it
+    with pytest.raises(ValueError, match="pilot power"):
+        ls_to_channel_cov(2.0 * np.eye(3), power)
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+def test_mmse_channel_estimate_rejects_non_finite_inputs(bad):
+    y = np.array([1.0 + 1j, 2.0, -1.0])
+    with pytest.raises(ValueError, match="observation"):
+        mmse_channel_estimate(np.eye(3), np.eye(3), np.where(y == 2.0, bad, y))
+    pilot = np.eye(3)
+    pilot[1, 2] = bad
+    with pytest.raises(ValueError, match="pilot"):
+        mmse_channel_estimate(np.eye(3), pilot, y)
+
+
+def _orthonormal_basis(n, k, rng, complex_field=True):
+    q, _ = np.linalg.qr(random_samples(n, k, rng, complex_field))
+    return q
+
+
+def test_spectral_channel_estimate_frozen():
+    # C = diag(2, 0.3, 1.5) with U = e_1 and e0 = 1.5, pilot power 1:
+    # channel eigenvalues (1, 0, 0.5), gains c / (c + 1) = (1/2, 0, 1/3)
+    u = np.array([[1.0], [0.0], [0.0]])
+    y = np.array([2.0, 3.0, -1.5j])
+    got = spectral_channel_estimate(u, np.array([2.0]), 1.5, 1.0, y)
+    assert np.allclose(got, [1.0, 1.0, -0.5j], atol=1e-15)
+    # the null-space eigenvalue 0.3 of a second basis vector is clipped
+    u2 = np.eye(3)[:, :2]
+    got = spectral_channel_estimate(u2, np.array([2.0, 0.3]), 1.5, 1.0, y)
+    assert np.allclose(got, [1.0, 0.0, -0.5j], atol=1e-15)
+
+
+@pytest.mark.parametrize("complex_field", (False, True))
+def test_spectral_channel_estimate_matches_dense(complex_field):
+    rng = np.random.default_rng(97)
+    n, power = 7, 4.0
+    for k in (1, 3, 7):
+        u = _orthonormal_basis(n, k, rng, complex_field)
+        y = random_samples(n, 1, rng, complex_field)[:, 0]
+        # the floor 1/p = 0.25 falls inside the eigenvalues, which keep one
+        # channel dimension so the estimate is not zero
+        eigs = np.append(rng.uniform(0.0, 1.0, k - 1), 0.9)
+        # null-space eigenvalue below, exactly at and above the floor
+        for null_eig in (0.1, 0.25, 0.4):
+            got = spectral_channel_estimate(u, eigs, null_eig, power, y)
+            # C = U diag(e) U^H + e0 (I - U U^H)
+            ls_cov = (u * eigs) @ u.conj().T \
+                + null_eig * (np.eye(n) - u @ u.conj().T)
+            want = dense_channel_estimate(ls_cov, power, y)
+            assert np.linalg.norm(got - want) \
+                <= 1e-10 * np.linalg.norm(want), (k, null_eig)
+
+
+@pytest.mark.parametrize("power", BAD_PILOT_POWERS)
+def test_spectral_channel_estimate_rejects_bad_pilot_power(power):
+    with pytest.raises(ValueError, match="pilot power"):
+        spectral_channel_estimate(np.eye(3), np.ones(3), 1.0, power, np.ones(3))
+
+
+def test_spectral_channel_estimate_rejects_bad_inputs():
+    u, e, y = np.eye(3)[:, :2], np.ones(2), np.ones(3)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="observation"):
+            spectral_channel_estimate(u, e, 1.0, 2.0, np.array([1.0, bad, 0.0]))
+        with pytest.raises(ValueError, match="eigenvalue"):
+            spectral_channel_estimate(u, np.array([1.0, bad]), 1.0, 2.0, y)
+        with pytest.raises(ValueError, match="eigenvalue"):
+            spectral_channel_estimate(u, e, bad, 2.0, y)
+    with pytest.raises(ValueError, match="do not match"):
+        spectral_channel_estimate(u, np.ones(3), 1.0, 2.0, y)
+    with pytest.raises(ValueError, match="do not match"):
+        spectral_channel_estimate(u, e, 1.0, 2.0, np.ones(4))
 
 
 def test_lmmse_detect_frozen():

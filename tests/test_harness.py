@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from shrinkcov import experiments
+from shrinkcov.applications import mmse_channel_estimate
 from shrinkcov.cli import classify_error, main
+from shrinkcov.datagen import RngStream
 from shrinkcov.experiments import (
     EXPERIMENTS,
     ConfigError,
@@ -18,6 +20,9 @@ from shrinkcov.experiments import (
     read_csv,
     run_experiment,
 )
+from shrinkcov.single_target import ShrinkageSolution
+
+from oracles import dense_channel_estimate, random_psd, random_samples
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +304,10 @@ def test_method_subset_leaves_other_methods_unchanged(name):
 # must keep seeing every one of them
 HARNESS_CALLS = {
     "applications.lmmse_detect",
-    "applications.ls_to_channel_cov",
-    "applications.mmse_channel_estimate",
     "applications.mvdr_weights",
     "applications.mvdr_weights_pseudo",
     "applications.output_sinr",
+    "applications.spectral_channel_estimate",
     "baselines.glc_coefficients",
     "baselines.lw_coefficients",
     "baselines.oas_coefficient",
@@ -345,6 +349,69 @@ def test_harness_calls_package_functions_through_globals(monkeypatch):
     for name in TINY:
         run_experiment(tiny_config(name))
     assert called == HARNESS_CALLS
+
+
+# ---------------------------------------------------------------------------
+# MIMO channel estimates in the eigenbasis of the samples
+
+
+def _rel_err(got, want):
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("complex_field", (False, True))
+@pytest.mark.parametrize("t", (4, 9, 20))  # T < N, T = N and T > N
+def test_mimo_spectral_path_matches_dense(complex_field, t):
+    rng = np.random.default_rng(300 + t)
+    n, power = 9, 2.0
+    y = random_samples(n, t, rng, complex_field)
+    obs = random_samples(n, 1, rng, complex_field)[:, 0]
+    s = experiments._spectral_scene(y, np.eye(n), None, p_eff=power, obs=obs)
+    mu = float(s.targets[0][0, 0].real)
+    at_floor = 1.0 / (power * mu)  # tau mu = 1/p: the null-space switch
+    coefficients = [(0.5, f * at_floor) for f in (0.9, 1.0, 1.1)]
+    coefficients += [(0.0, 1.5 * at_floor), (1.0, 0.0), (0.0, 0.0)]
+    for rho, tau in coefficients:
+        got = experiments._mmse_shrunk(s, ShrinkageSolution(rho, tau))
+        want = dense_channel_estimate(rho * s.base + tau * s.targets[0],
+                                      power, obs)
+        if rho == tau == 0.0:  # zero channel covariance, zero estimate
+            assert np.array_equal(got, np.zeros(n)) and not np.any(want)
+        else:
+            assert _rel_err(got, want) <= 1e-10, (rho, tau)
+
+
+@pytest.mark.parametrize("t", (10, 40, 80))
+def test_mimo_scene_estimates_match_dense(t):
+    params = {**EXPERIMENTS["MimoChannelMmse"].defaults, "nt": 3, "nr": 4}
+    s = experiments._mimo_scene(params, t, RngStream(5, t))
+    for select in (experiments._cv_solution, experiments._oracle_solution):
+        sol = select(s)
+        want = dense_channel_estimate(sol.rho * s.base
+                                      + sol.tau * s.targets[0], s.p_eff, s.obs)
+        assert _rel_err(experiments._mmse_shrunk(s, sol), want) <= 1e-10
+
+
+def test_mimo_shrunk_estimate_rejects_negative_coefficients():
+    rng = np.random.default_rng(310)
+    y = random_samples(5, 3, rng)
+    s = experiments._spectral_scene(y, np.eye(5), None, p_eff=2.0,
+                                    obs=random_samples(5, 1, rng)[:, 0])
+    for rho, tau in ((-0.1, 0.5), (0.5, -0.1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            experiments._mmse_shrunk(s, ShrinkageSolution(rho, tau))
+
+
+def test_mimo_true_estimate_matches_dense():
+    rng = np.random.default_rng(311)
+    n = 6
+    for power in (0.5, 3.16):
+        sigma_h = random_psd(n, rng, rank=4)
+        obs = random_samples(n, 1, rng)[:, 0]
+        got = experiments._mmse_true(experiments._Scene(
+            sigma_h=sigma_h, p_eff=power, obs=obs))
+        want = mmse_channel_estimate(sigma_h, np.sqrt(power) * np.eye(n), obs)
+        assert _rel_err(got, want) <= 1e-10
 
 
 def test_run_experiment_rejects_bad_config():
