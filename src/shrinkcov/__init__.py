@@ -15,6 +15,7 @@ from .datagen import (
     ExperimentScene,
     RngStream,
     ar_covariance,
+    gaussian_sampler,
     gaussian_samples,
     interference_scene,
     kronecker_channel_cov,
@@ -98,6 +99,7 @@ __all__ = [
     "RngStream",
     "ExperimentScene",
     "ar_covariance",
+    "gaussian_sampler",
     "gaussian_samples",
     "linear_model_scene",
     "kronecker_channel_cov",

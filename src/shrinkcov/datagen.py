@@ -5,6 +5,11 @@ numpy's seed-sequence spawning: every (seed, stream, index) triple maps
 to one independent PCG64 generator, so parallel experiment replications
 can draw from non-overlapping streams in any order and still reproduce
 bit-identically.
+
+Experiments draw many blocks from one fixed covariance, so
+:func:`gaussian_sampler` validates and factors a covariance once and
+returns a sampler that only draws; :func:`gaussian_samples` is its
+one-shot case, and a sampler's draw equals it bit for bit.
 """
 
 from __future__ import annotations
@@ -17,12 +22,13 @@ import numpy as np
 import scipy.linalg
 
 from .applications import ula_steering
-from .hermitian import hermitize, is_psd, require_hermitian
+from .hermitian import _psd_spectrum, hermitize, require_hermitian
 
 __all__ = [
     "RngStream",
     "ExperimentScene",
     "ar_covariance",
+    "gaussian_sampler",
     "gaussian_samples",
     "linear_model_scene",
     "kronecker_channel_cov",
@@ -84,30 +90,44 @@ def _covariance_factor(sigma: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
-        if not is_psd(sigma):
-            raise ValueError("covariance must be positive semidefinite") from None
         w, v = np.linalg.eigh(hermitize(sigma))
+        if not _psd_spectrum(w):
+            raise ValueError("covariance must be positive semidefinite") from None
         return v * np.sqrt(np.maximum(w, 0.0))
 
 
-def gaussian_samples(sigma: np.ndarray, t: int, rng,
-                     complex_field: bool = False) -> np.ndarray:
-    """Draw an N x T block of zero-mean Gaussian samples with covariance sigma.
+def gaussian_sampler(sigma: np.ndarray,
+                     complex_field: bool = False) -> Callable:
+    """Sampler ``draw(t, rng)`` of N x T zero-mean Gaussian blocks, cov sigma.
 
+    ``sigma`` is validated and factored here, once; each draw only
+    generates normals and multiplies them by the read-only factor, so
+    one sampler may be shared by threads that pass their own ``rng``.
     ``rng`` is a numpy Generator or an :class:`RngStream` (materialized
     at its root address).  Complex samples are circularly symmetric with
     E[y y^H] = sigma.
     """
-    if isinstance(rng, RngStream):
-        rng = rng.generator()
     factor = _covariance_factor(sigma)
+    factor.flags.writeable = False
     n = factor.shape[0]
-    if complex_field:
-        z = (rng.standard_normal((n, t))
-             + 1j * rng.standard_normal((n, t))) / math.sqrt(2.0)
-    else:
-        z = rng.standard_normal((n, t))
-    return factor @ z
+
+    def draw(t: int, rng) -> np.ndarray:
+        if isinstance(rng, RngStream):
+            rng = rng.generator()
+        if complex_field:
+            z = (rng.standard_normal((n, t))
+                 + 1j * rng.standard_normal((n, t))) / math.sqrt(2.0)
+        else:
+            z = rng.standard_normal((n, t))
+        return factor @ z
+
+    return draw
+
+
+def gaussian_samples(sigma: np.ndarray, t: int, rng,
+                     complex_field: bool = False) -> np.ndarray:
+    """Draw one N x T block: the one-shot case of :func:`gaussian_sampler`."""
+    return gaussian_sampler(sigma, complex_field)(t, rng)
 
 
 def linear_model_scene(n: int, m: int, sigma2: float,
@@ -151,7 +171,8 @@ def interference_scene(aoas, inr_db: float, noise_db: float,
     ``aoas`` lists interferer arrival angles in radians, each received
     at ``inr_db`` relative power; ``noise_db`` sets the white noise
     floor.  The scene metadata carries the signal steering vector and
-    the interference-plus-noise covariance needed for SINR scoring.
+    the interference-plus-noise covariance needed for SINR scoring; the
+    generator is a :func:`gaussian_sampler` of the truth, factored here.
     """
     steering = ula_steering(0.0, n)
     inr = 10.0 ** (inr_db / 10.0)
@@ -161,10 +182,7 @@ def interference_scene(aoas, inr_db: float, noise_db: float,
         v = ula_steering(float(theta), n)
         sigma_in = sigma_in + inr * np.outer(v, v.conj())
     truth = sigma_in + np.outer(steering, steering.conj())
-
-    def draw(t: int, gen: np.random.Generator) -> np.ndarray:
-        return gaussian_samples(truth, t, gen, complex_field=True)
-
+    draw = gaussian_sampler(truth, complex_field=True)
     return ExperimentScene(true_covariance=truth, generator=draw,
                            metadata={"steering": steering,
                                      "interference_plus_noise": sigma_in})

@@ -1,13 +1,19 @@
 """Monte-Carlo experiment harness for the shrinkage estimators.
 
 Six named experiments compare selection methods over a grid of sample
-counts.  Each is a scene function, which draws one replication's data
-per (experiment, T, rep) address, and a method table, which maps each
-method to the output its scene judges; the selectors are shared across
-tables.  Every requested method is judged on the same draw, so method
-curves are paired; the per-replication random streams are keyed by
-(seed, T-index, rep) and independent of execution order, which makes
-parallel runs bit-identical to serial ones.
+counts.  Each is a setting function, which builds what every
+replication of one config shares (truth covariances and their samplers,
+judges, constants) from the config's params; a scene function, which
+draws one replication's data from the setting per (experiment, T, rep)
+address; and a method table, which maps each method to the output its
+scene judges.  The selectors are shared across tables.
+:func:`run_experiment` builds a config's setting once, before any
+replication runs, and every replication and worker thread reads it: its
+arrays are read-only, and nothing outlives the call.  Every requested
+method is judged on the same draw, so method curves are paired; the
+per-replication random streams are keyed by (seed, T-index, rep) and
+independent of execution order, which makes parallel runs
+bit-identical to serial ones.
 
 Results are rows of (experiment, method, T, metric, mean, stderr, reps)
 emitted as deterministic CSV.
@@ -36,6 +42,7 @@ from .baselines import glc_coefficients, lw_coefficients, oas_coefficient
 from .datagen import (
     RngStream,
     ar_covariance,
+    gaussian_sampler,
     gaussian_samples,
     interference_scene,
     kronecker_channel_cov,
@@ -119,12 +126,18 @@ class RunPlan:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Registry entry: metric, available methods, published defaults."""
+    """Registry entry: metric, available methods, published defaults.
+
+    ``setting(params)`` builds a config's shared setting once;
+    ``replicate(setting, t, methods, stream)`` draws one replication from
+    it and returns each method's judged result.
+    """
 
     metric: str
     methods: tuple
     defaults: dict
     sample_counts: tuple
+    setting: Callable
     replicate: Callable
 
 
@@ -141,9 +154,11 @@ def nmse(estimates, truths) -> float:
 
 
 # ---------------------------------------------------------------------------
-# scenes and method tables
+# settings, scenes and method tables
 #
-# A scene function draws from sub-streams 0-2 and returns a _Scene of
+# A setting function maps a config's params to what its replications
+# share, a _frozen namespace; it draws nothing.  A scene function draws
+# from the setting on sub-streams 0-2 and returns a _Scene of
 # ``samples`` (the N x T block the selectors see), ``base`` (the estimate
 # they shrink), ``truth`` (the oracle's covariance), ``targets`` (scaled
 # identity first), ``judge`` and its consumer's inputs.  A table entry
@@ -208,15 +223,24 @@ def _cv_ols(s: _Scene, target: np.ndarray) -> np.ndarray:
     return shrink(s.base, target, solve_quadratic_2d(m))
 
 
-def _experiment(metric: str, scene: Callable, table: dict, defaults: dict,
+def _experiment(metric: str, make_setting: Callable, scene: Callable,
+                table: dict, defaults: dict,
                 sample_counts: tuple) -> ExperimentSpec:
     """Registry entry judging each method of ``table`` on one scene draw."""
-    def replicate(params, t, methods, stream: RngStream) -> dict:
-        s = scene(params, t, stream)
+    def replicate(setting, t, methods, stream: RngStream) -> dict:
+        s = scene(setting, t, stream)
         return {method: s.judge(table[method](s)) for method in methods}
     return ExperimentSpec(metric=metric, methods=tuple(table),
                           defaults=defaults, sample_counts=sample_counts,
-                          replicate=replicate)
+                          setting=make_setting, replicate=replicate)
+
+
+def _frozen(**fields) -> _Scene:
+    """A config's setting, its arrays made read-only: all threads share it."""
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return _Scene(**fields)
 
 
 def _scm_scene(samples: np.ndarray, truth: np.ndarray, judge: Callable,
@@ -236,20 +260,30 @@ def _spectral_scene(samples: np.ndarray, truth: np.ndarray, judge: Callable,
     return s
 
 
-def _ar_scene(params, t, stream: RngStream) -> _Scene:
+def _ar_setting(params) -> _Scene:
     sigma = ar_covariance(params["n"], params["r"])
-    y = gaussian_samples(sigma, t, stream.generator(0))
-    return _scm_scene(y, sigma, _cov_judge(sigma))
+    return _frozen(truth=sigma, sampler=gaussian_sampler(sigma),
+                   judge=_cov_judge(sigma))
 
 
-def _multi_target_scene(params, t, stream: RngStream) -> _Scene:
-    s = _ar_scene(params, t, stream)
+def _ar_scene(setting: _Scene, t, stream: RngStream) -> _Scene:
+    y = setting.sampler(t, stream.generator(0))
+    return _scm_scene(y, setting.truth, setting.judge)
+
+
+def _multi_target_scene(setting: _Scene, t, stream: RngStream) -> _Scene:
+    s = _ar_scene(setting, t, stream)
     s.targets += [diagonal_target(s.base), toeplitz_average_target(s.base)]
     return s
 
 
-def _linear_model_scene(params, t, stream: RngStream) -> _Scene:
-    model = linear_model_scene(params["n"], params["m"], params["sigma2"],
+def _linear_model_setting(params) -> _Scene:
+    # the model itself is random, so only the params are fixed
+    return _frozen(**params)
+
+
+def _linear_model_scene(setting: _Scene, t, stream: RngStream) -> _Scene:
+    model = linear_model_scene(setting.n, setting.m, setting.sigma2,
                                stream.generator(0))
     x, y = model.generator(t, stream.generator(1))
     sigma = model.true_covariance
@@ -259,10 +293,10 @@ def _linear_model_scene(params, t, stream: RngStream) -> _Scene:
         samples=y, base=r, truth=sigma, targets=[scaled_identity_target(r)],
         judge=_cov_judge(sigma), fit=fit,
         # outputs of an earlier block, drawn only by the method using them
-        past=lambda: model.generator(params["past_t"], stream.generator(2))[1])
+        past=lambda: model.generator(setting.past_t, stream.generator(2))[1])
 
 
-def _mimo_scene(params, t, stream: RngStream) -> _Scene:
+def _mimo_setting(params) -> _Scene:
     sigma_h = kronecker_channel_cov(
         params["nt"], params["nr"],
         params["tx_mag"] * np.exp(1j * np.pi * params["tx_phase_pi"]),
@@ -271,22 +305,29 @@ def _mimo_scene(params, t, stream: RngStream) -> _Scene:
     # effective pilot SNR after least-squares combining
     p_eff = 10.0 ** (params["pilot_db"] / 10.0) * params["pilot_len"] / params["nt"]
     sigma_ls = sigma_h + np.eye(p) / p_eff
+    return _frozen(
+        sigma_h=sigma_h, sigma_ls=sigma_ls, p_eff=p_eff,
+        ls_sampler=gaussian_sampler(sigma_ls, complex_field=True),
+        h_sampler=gaussian_sampler(sigma_h, complex_field=True),
+        noise_sampler=gaussian_sampler(np.eye(p), complex_field=True),
+        den=float(np.trace(sigma_h).real))
 
+
+def _mimo_scene(setting: _Scene, t, stream: RngStream) -> _Scene:
     # past least-squares channel estimates = channel plus white residual
-    samples = gaussian_samples(sigma_ls, t, stream.generator(0),
-                               complex_field=True)
+    samples = setting.ls_sampler(t, stream.generator(0))
 
     gen = stream.generator(1)
-    h_star = gaussian_samples(sigma_h, 1, gen, complex_field=True)[:, 0]
-    noise = gaussian_samples(np.eye(p), 1, gen, complex_field=True)[:, 0]
-    obs = math.sqrt(p_eff) * h_star + noise  # pilot sqrt(p_eff) I
+    h_star = setting.h_sampler(1, gen)[:, 0]
+    noise = setting.noise_sampler(1, gen)[:, 0]
+    obs = math.sqrt(setting.p_eff) * h_star + noise  # pilot sqrt(p_eff) I
 
-    den = float(np.trace(sigma_h).real)
     # the selectors estimate the LS estimates' covariance: the oracle's truth
     return _spectral_scene(
-        samples, sigma_ls,
-        lambda h_hat: (float(np.sum(np.abs(h_hat - h_star) ** 2)), den),
-        sigma_h=sigma_h, p_eff=p_eff, obs=obs)
+        samples, setting.sigma_ls,
+        lambda h_hat: (float(np.sum(np.abs(h_hat - h_star) ** 2)),
+                       setting.den),
+        sigma_h=setting.sigma_h, p_eff=setting.p_eff, obs=obs)
 
 
 def _mmse_shrunk(s: _Scene, sol: ShrinkageSolution) -> np.ndarray:
@@ -309,20 +350,32 @@ def _mmse_true(s: _Scene) -> np.ndarray:
     return math.sqrt(s.p_eff) * (s.sigma_h @ np.linalg.solve(gram, s.obs))
 
 
-def _lmmse_scene(params, t, stream: RngStream) -> _Scene:
+def _lmmse_setting(params) -> _Scene:
     n, m = params["n"], params["m"]
+    # the channel coefficients, and so the covariance, are drawn per
+    # replication; only the white symbol and noise draws have a fixed law
+    return _frozen(
+        n=n, m=m, coef_scale=math.sqrt(params["coef_var"] / 2.0),
+        noise_cov=params["sigma2"] * np.eye(n),
+        noise_scale=math.sqrt(params["sigma2"]),
+        x_sampler=gaussian_sampler(np.eye(m), complex_field=True),
+        noise_sampler=gaussian_sampler(np.eye(n), complex_field=True))
+
+
+def _lmmse_scene(setting: _Scene, t, stream: RngStream) -> _Scene:
+    n, m = setting.n, setting.m
     gen0 = stream.generator(0)
-    coef = math.sqrt(params["coef_var"] / 2.0) * (
+    coef = setting.coef_scale * (
         gen0.standard_normal((n, m)) + 1j * gen0.standard_normal((n, m)))
-    sigma = coef @ coef.conj().T + params["sigma2"] * np.eye(n)
+    sigma = coef @ coef.conj().T + setting.noise_cov
 
     samples = gaussian_samples(sigma, t, stream.generator(1),
                                complex_field=True)
 
     gen2 = stream.generator(2)
-    x_star = gaussian_samples(np.eye(m), 1, gen2, complex_field=True)[:, 0]
-    noise = gaussian_samples(np.eye(n), 1, gen2, complex_field=True)[:, 0]
-    obs = coef @ x_star + math.sqrt(params["sigma2"]) * noise
+    x_star = setting.x_sampler(1, gen2)[:, 0]
+    noise = setting.noise_sampler(1, gen2)[:, 0]
+    obs = coef @ x_star + setting.noise_scale * noise
 
     def judge(cov: np.ndarray) -> tuple[float, float]:
         try:  # LMMSE detection, through the pseudoinverse if cov is not PD
@@ -334,14 +387,13 @@ def _lmmse_scene(params, t, stream: RngStream) -> _Scene:
     return _scm_scene(samples, sigma, judge)
 
 
-def _mvdr_scene(params, t, stream: RngStream) -> _Scene:
+def _mvdr_setting(params) -> _Scene:
     scene = interference_scene(np.deg2rad(np.asarray(params["aoas_deg"],
                                                      dtype=float)),
                                params["inr_db"], params["noise_db"],
                                params["n"])
     steering = scene.metadata["steering"]
     sigma_in = scene.metadata["interference_plus_noise"]
-    y = scene.generator(t, stream.generator(0))
 
     def weights(est: np.ndarray) -> np.ndarray:
         try:  # MVDR weights, through the pseudoinverse if est is not PD
@@ -349,20 +401,26 @@ def _mvdr_scene(params, t, stream: RngStream) -> _Scene:
         except ValueError:
             return mvdr_weights_pseudo(est, steering)
 
-    return _scm_scene(y, scene.true_covariance,
-                      lambda w: output_sinr(w, steering, 1.0, sigma_in),
-                      steering=steering, weights=weights)
+    return _frozen(truth=scene.true_covariance, sampler=scene.generator,
+                   steering=steering, sigma_in=sigma_in, weights=weights,
+                   judge=lambda w: output_sinr(w, steering, 1.0, sigma_in))
+
+
+def _mvdr_scene(setting: _Scene, t, stream: RngStream) -> _Scene:
+    y = setting.sampler(t, stream.generator(0))
+    return _scm_scene(y, setting.truth, setting.judge,
+                      steering=setting.steering, weights=setting.weights)
 
 
 EXPERIMENTS = {
     "Ar1Identity": _experiment(
-        "nmse_cov", _ar_scene,
+        "nmse_cov", _ar_setting, _ar_scene,
         {"oracle": _oracle, "cv": _cv, "lw": _lw, "glc": _glc, "oas": _oas,
          "scm": lambda s: s.base},
         defaults={"n": 100, "r": 0.5},
         sample_counts=(10, 20, 40, 80, 160)),
     "LinearModelPastTarget": _experiment(
-        "nmse_cov", _linear_model_scene,
+        "nmse_cov", _linear_model_setting, _linear_model_scene,
         {"scm": lambda s: scm(s.samples),  # of the raw outputs, not the base
          "cv_identity": lambda s: _cv_ols(s, s.targets[0]),
          "cv_past": lambda s: _cv_ols(s, knowledge_aided_target(s.past())),
@@ -370,14 +428,14 @@ EXPERIMENTS = {
         defaults={"n": 50, "m": 50, "sigma2": 0.1, "past_t": 50},
         sample_counts=(60, 80, 100, 140, 200)),
     "MultiTargetAr": _experiment(
-        "nmse_cov", _multi_target_scene,
+        "nmse_cov", _ar_setting, _multi_target_scene,
         {"scm": lambda s: s.base, "oracle_single": _oracle, "cv_single": _cv,
          "cv_multi": _multi("cv"), "cv_multi_con": _multi("cv_constrained"),
          "oracle_multi_con": _multi("oracle_constrained")},
         defaults={"n": 50, "r": 0.9},
         sample_counts=(25, 50, 100, 200)),
     "MimoChannelMmse": _experiment(
-        "nmse_h", _mimo_scene,
+        "nmse_h", _mimo_setting, _mimo_scene,
         {"true": _mmse_true,
          "oracle": lambda s: _mmse_shrunk(s, _oracle_solution(s)),
          "cv": lambda s: _mmse_shrunk(s, _cv_solution(s)),
@@ -387,13 +445,13 @@ EXPERIMENTS = {
                   "rx_mag": 0.9, "rx_phase_pi": -0.9289},
         sample_counts=(10, 20, 40, 80)),
     "LmmseDetect": _experiment(
-        "nmse_x", _lmmse_scene,
+        "nmse_x", _lmmse_setting, _lmmse_scene,
         {"true": lambda s: s.truth, "oracle": _oracle, "cv": _cv,
          "scm": lambda s: s.base},
         defaults={"n": 40, "m": 40, "coef_var": 1.0 / 40.0, "sigma2": 0.1},
         sample_counts=(40, 80, 160)),
     "MvdrBeam": _experiment(
-        "sinr_db", _mvdr_scene,
+        "sinr_db", _mvdr_setting, _mvdr_scene,
         {"optimal": lambda s: mvdr_weights(s.truth, s.steering),
          "oracle": lambda s: s.weights(_oracle(s)),
          "cv": lambda s: s.weights(_cv(s)),
@@ -529,10 +587,12 @@ def _aggregate(metric: str, per_rep: list) -> tuple[float, float]:
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
     """Run one experiment config; returns sorted :class:`ResultRow` lists.
 
-    Replications are independent random streams, so ``workers > 1``
-    produces bit-identical results to a serial run.
+    The config's setting is built once, before the replications, which
+    all read it.  Replications are independent random streams, so
+    ``workers > 1`` produces bit-identical results to a serial run.
     """
     spec, methods, params = _validated(cfg)
+    setting = spec.setting(params)
     rows = []
     for t_index, t in enumerate(cfg.sample_counts):
         def one_rep(rep: int, _t=t, _ti=t_index):
@@ -540,7 +600,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
             # stream offsets and sub-draws never collide across reps
             base = (_ti * cfg.reps + rep) * _STREAMS_PER_REP
             stream = RngStream(cfg.seed, base)
-            return spec.replicate(params, _t, methods, stream)
+            return spec.replicate(setting, _t, methods, stream)
 
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -74,7 +74,11 @@ def is_psd(a: np.ndarray, tol: float = 1e-8) -> bool:
     tiny negative eigenvalues produced by rounding do not fail the check
     and the decision does not depend on the scale of ``a``.
     """
-    w = np.linalg.eigvalsh(hermitize(np.asarray(a)))
+    return _psd_spectrum(np.linalg.eigvalsh(hermitize(np.asarray(a))), tol)
+
+
+def _psd_spectrum(w: np.ndarray, tol: float = 1e-8) -> bool:
+    """The PSD rule of :func:`is_psd` on ascending Hermitian eigenvalues."""
     return bool(w[0] >= -tol * max(-w[0], w[-1])) if w.size else True
 
 

@@ -131,14 +131,22 @@ def _check_csv_determinism() -> CheckResult:
 
 
 def _check_parallel_serial() -> CheckResult:
-    cfg = ExperimentConfig("Ar1Identity", sample_counts=(6,), reps=4,
-                           seed=3, params={"n": 5},
-                           methods=("scm", "cv", "oas"))
-    serial = run_experiment(cfg, workers=1)
-    parallel = run_experiment(cfg, workers=3)
-    same = serial == parallel
-    return CheckResult("parallel_serial", same,
-                       "" if same else "parallel run diverged from serial")
+    # the array scenes share samplers and steering across worker threads
+    configs = [
+        ExperimentConfig("Ar1Identity", sample_counts=(6,), reps=4,
+                         seed=3, params={"n": 5},
+                         methods=("scm", "cv", "oas")),
+        ExperimentConfig("MimoChannelMmse", sample_counts=(6,), reps=4,
+                         seed=3, params={"nt": 2, "nr": 3}),
+        ExperimentConfig("MvdrBeam", sample_counts=(10,), reps=4,
+                         seed=3, params={"n": 6}),
+    ]
+    diverged = [cfg.experiment for cfg in configs
+                if run_experiment(cfg, workers=1)
+                != run_experiment(cfg, workers=3)]
+    return CheckResult("parallel_serial", not diverged,
+                       "parallel run diverged from serial: "
+                       + ", ".join(diverged) if diverged else "")
 
 
 def run_all() -> list:

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
+from shrinkcov import datagen
 from shrinkcov.datagen import (
     RngStream,
     ar_covariance,
+    gaussian_sampler,
     gaussian_samples,
     interference_scene,
     kronecker_channel_cov,
@@ -72,6 +76,81 @@ def test_gaussian_samples_reproducible_from_stream():
     # an RngStream value itself is accepted and re-materializes its generator
     d = gaussian_samples(cov, 5, RngStream(3, 2), complex_field=True)
     assert np.array_equal(a, d)
+
+
+def _reference_draw(sigma, t, gen, complex_field):
+    """The draw law written out: Cholesky factor, else the clipped eigh one."""
+    try:
+        factor = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        w, v = np.linalg.eigh(0.5 * (sigma + sigma.conj().T))
+        factor = v * np.sqrt(np.maximum(w, 0.0))
+    n = factor.shape[0]
+    if complex_field:
+        z = (gen.standard_normal((n, t))
+             + 1j * gen.standard_normal((n, t))) / math.sqrt(2.0)
+    else:
+        z = gen.standard_normal((n, t))
+    return factor @ z
+
+
+_v = np.array([1.0, 2.0, -1.0, 0.5])
+SAMPLER_COVS = {
+    "real": ar_covariance(5, 0.6),
+    "complex": ar_covariance(5, 0.7 * np.exp(-1j * 0.9 * np.pi)),
+    "singular": np.outer(_v, _v),      # rank one: the eigh fallback
+    "zero": np.zeros((3, 3)),
+}
+
+
+@pytest.mark.parametrize("complex_field", (False, True))
+@pytest.mark.parametrize("name", sorted(SAMPLER_COVS))
+def test_gaussian_sampler_equals_one_shot_draws(name, complex_field):
+    sigma = SAMPLER_COVS[name]
+    if name in ("singular", "zero"):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(sigma)
+    draw = gaussian_sampler(sigma, complex_field)
+    gen_a, gen_b, gen_c = (RngStream(9).generator(4) for _ in range(3))
+    # successive draws from one generator, as replications of one stream
+    for t in (1, 3, 7):
+        got = draw(t, gen_a)
+        assert np.array_equal(got, gaussian_samples(sigma, t, gen_b,
+                                                    complex_field))
+        assert np.array_equal(got, _reference_draw(sigma, t, gen_c,
+                                                   complex_field))
+        assert np.iscomplexobj(got) == (complex_field or name == "complex")
+    # an RngStream is materialized at its root address, as one-shot draws do
+    assert np.array_equal(draw(4, RngStream(9, 4)),
+                          gaussian_samples(sigma, 4, RngStream(9, 4),
+                                           complex_field))
+
+
+def test_gaussian_sampler_factors_once_and_shares_a_read_only_factor(
+        monkeypatch):
+    calls = []
+    factor = datagen._covariance_factor
+
+    def counted(sigma):
+        calls.append(1)
+        return factor(sigma)
+    monkeypatch.setattr(datagen, "_covariance_factor", counted)
+    draw = gaussian_sampler(ar_covariance(4, 0.5), complex_field=True)
+    gen = RngStream(2).generator()
+    for t in range(1, 6):
+        assert draw(t, gen).shape == (4, t)
+    assert len(calls) == 1
+    (held,) = [c.cell_contents for c in draw.__closure__
+               if isinstance(c.cell_contents, np.ndarray)]
+    assert not held.flags.writeable
+
+    calls.clear()
+    scene = interference_scene(np.deg2rad([20.0, -40.0]), 10.0, -10.0, 6)
+    for _ in range(5):
+        scene.generator(3, gen)
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        gaussian_sampler(np.diag([1.0, -1e-6]))
 
 
 def test_gaussian_samples_zero_cov_and_guard():
@@ -161,6 +240,15 @@ def test_interference_scene_composition():
     assert is_psd(scene.metadata["interference_plus_noise"], tol=1e-8)
     y = scene.generator(6, RngStream(5).generator())
     assert y.shape == (n, 6) and np.iscomplexobj(y)
+
+
+def test_interference_scene_draws_equal_one_shot_draws():
+    scene = interference_scene(np.deg2rad([8.0, -15.0, 46.0]), 10.0, -10.0, 7)
+    gen_a, gen_b = RngStream(6).generator(1), RngStream(6).generator(1)
+    for t in (1, 4, 9):
+        assert np.array_equal(
+            scene.generator(t, gen_a),
+            gaussian_samples(scene.true_covariance, t, gen_b, True))
 
 
 def test_interference_scene_no_interferers():

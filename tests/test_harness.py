@@ -1,5 +1,8 @@
+import dataclasses
 import inspect
 import json
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from shrinkcov.experiments import (
     NumericError,
     ResultRow,
     emit_csv,
+    format_csv,
     nmse,
     parse_config,
     read_csv,
@@ -312,6 +316,7 @@ HARNESS_CALLS = {
     "baselines.lw_coefficients",
     "baselines.oas_coefficient",
     "datagen.ar_covariance",
+    "datagen.gaussian_sampler",
     "datagen.gaussian_samples",
     "datagen.interference_scene",
     "datagen.kronecker_channel_cov",
@@ -383,8 +388,9 @@ def test_mimo_spectral_path_matches_dense(complex_field, t):
 
 @pytest.mark.parametrize("t", (10, 40, 80))
 def test_mimo_scene_estimates_match_dense(t):
-    params = {**EXPERIMENTS["MimoChannelMmse"].defaults, "nt": 3, "nr": 4}
-    s = experiments._mimo_scene(params, t, RngStream(5, t))
+    spec = EXPERIMENTS["MimoChannelMmse"]
+    setting = spec.setting({**spec.defaults, "nt": 3, "nr": 4})
+    s = experiments._mimo_scene(setting, t, RngStream(5, t))
     for select in (experiments._cv_solution, experiments._oracle_solution):
         sol = select(s)
         want = dense_channel_estimate(sol.rho * s.base
@@ -412,6 +418,90 @@ def test_mimo_true_estimate_matches_dense():
             sigma_h=sigma_h, p_eff=power, obs=obs))
         want = mmse_channel_estimate(sigma_h, np.sqrt(power) * np.eye(n), obs)
         assert _rel_err(got, want) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# per-config settings
+
+
+# two configs of one experiment that differ only in a param of its setting
+SETTING_PAIRS = {
+    "Ar1Identity": ({"r": 0.5}, {"r": 0.7}),
+    "MvdrBeam": ({"aoas_deg": [20.0, -40.0]}, {"aoas_deg": [-30.0, 55.0]}),
+    "MimoChannelMmse": ({"pilot_db": 5.0}, {"pilot_db": 0.0}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SETTING_PAIRS))
+def test_configs_differing_in_params_run_together_as_alone(name, tmp_path):
+    a, b = (tiny_config(name, reps=3, params={**TINY[name]["params"], **p})
+            for p in SETTING_PAIRS[name])
+    alone_b = run_experiment(b)
+    alone_a = run_experiment(a)
+    assert alone_a != alone_b  # the param reaches the draws
+    assert [run_experiment(c) for c in (b, a, b)] == [alone_b, alone_a,
+                                                       alone_b]
+    # one plan with both entries, on worker threads
+    doc = {"workers": 2, "seed": a.seed, "reps": a.reps,
+           "experiments": [{"experiment": name, "params": c.params,
+                            "sample_counts": list(c.sample_counts)}
+                           for c in (a, b)]}
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    out = tmp_path / "out.csv"
+    assert main(["run", "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(out)]) == 0
+    assert out.read_text() == format_csv(alone_a + alone_b)
+
+
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_setting_arrays_are_read_only(name):
+    spec = EXPERIMENTS[name]
+    setting = spec.setting({**spec.defaults, **TINY[name]["params"]})
+    arrays = {k: v for k, v in vars(setting).items()
+              if isinstance(v, np.ndarray)}
+    # the least-squares scene draws its whole model per replication
+    assert bool(arrays) == (name != "LinearModelPastTarget")
+    for key, value in arrays.items():
+        assert not value.flags.writeable, key
+        with pytest.raises(ValueError, match="read-only"):
+            value[0] = 0.0
+
+
+@pytest.mark.parametrize("workers", (1, 3))
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_setting_built_once_per_run(name, workers, monkeypatch):
+    spec = EXPERIMENTS[name]
+    built = []
+
+    def counted(params):
+        built.append(params)
+        return spec.setting(params)
+    monkeypatch.setitem(EXPERIMENTS, name,
+                        dataclasses.replace(spec, setting=counted))
+    t = TINY[name]["sample_counts"][0]
+    cfg = tiny_config(name, reps=3, sample_counts=(t, t + 1))
+    rows = run_experiment(cfg, workers=workers)
+    assert len(built) == 1
+    assert built[0] == {**spec.defaults, **cfg.params}
+    monkeypatch.setitem(EXPERIMENTS, name, spec)
+    assert rows == run_experiment(cfg, workers=workers)
+
+
+@pytest.mark.parametrize("name", ("MimoChannelMmse", "MvdrBeam"))
+def test_shared_setting_under_thread_switch_stress(name):
+    # more workers than cores, switching threads every microsecond: a
+    # replication that wrote into the shared setting would change another's
+    cfg = tiny_config(name, reps=16)
+    serial = run_experiment(cfg)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = time.perf_counter()
+        parallel = run_experiment(cfg, workers=8)
+        assert time.perf_counter() - start < 60.0
+    finally:
+        sys.setswitchinterval(interval)
+    assert parallel == serial
 
 
 def test_run_experiment_rejects_bad_config():
