@@ -130,7 +130,8 @@ class ExperimentSpec:
 
     ``setting(params)`` builds a config's shared setting once;
     ``replicate(setting, t, methods, stream)`` draws one replication from
-    it and returns each method's judged result.
+    it and returns each method's judged result; ``min_samples(params, m)``
+    is the least T method m runs with, or raises ConfigError.
     """
 
     metric: str
@@ -139,6 +140,7 @@ class ExperimentSpec:
     sample_counts: tuple
     setting: Callable
     replicate: Callable
+    min_samples: Callable
 
 
 def nmse(estimates, truths) -> float:
@@ -223,16 +225,22 @@ def _cv_ols(s: _Scene, target: np.ndarray) -> np.ndarray:
     return shrink(s.base, target, solve_quadratic_2d(m))
 
 
+def _loo_min_samples(*loo_methods) -> Callable:
+    """Sample minimum of an SCM experiment: leave-one-out needs T >= 3."""
+    return lambda params, method: 3 if method in loo_methods else 1
+
+
 def _experiment(metric: str, make_setting: Callable, scene: Callable,
-                table: dict, defaults: dict,
-                sample_counts: tuple) -> ExperimentSpec:
+                table: dict, defaults: dict, sample_counts: tuple,
+                min_samples=_loo_min_samples("cv")) -> ExperimentSpec:
     """Registry entry judging each method of ``table`` on one scene draw."""
     def replicate(setting, t, methods, stream: RngStream) -> dict:
         s = scene(setting, t, stream)
         return {method: s.judge(table[method](s)) for method in methods}
     return ExperimentSpec(metric=metric, methods=tuple(table),
                           defaults=defaults, sample_counts=sample_counts,
-                          setting=make_setting, replicate=replicate)
+                          setting=make_setting, replicate=replicate,
+                          min_samples=min_samples)
 
 
 def _frozen(**fields) -> _Scene:
@@ -280,6 +288,15 @@ def _multi_target_scene(setting: _Scene, t, stream: RngStream) -> _Scene:
 def _linear_model_setting(params) -> _Scene:
     # the model itself is random, so only the params are fixed
     return _frozen(**params)
+
+
+def _linear_model_min_samples(params, method) -> int:
+    """Each draw fits m inputs: T >= m, and T > m for the fitted methods;
+    cross-validation needs T >= 3, and ``cv_past`` past_t >= 2."""
+    if method == "cv_past" and params["past_t"] < 2:
+        raise ConfigError(f"cv_past needs past_t >= 2, got {params['past_t']}")
+    m = params["m"]
+    return {"scm": m, "oracle_identity": m + 1}.get(method, max(m + 1, 3))
 
 
 def _linear_model_scene(setting: _Scene, t, stream: RngStream) -> _Scene:
@@ -333,15 +350,13 @@ def _mimo_scene(setting: _Scene, t, stream: RngStream) -> _Scene:
 def _mmse_shrunk(s: _Scene, sol: ShrinkageSolution) -> np.ndarray:
     """MMSE channel estimate under the LS covariance rho R + tau mu I.
 
-    That estimate has eigenvalues rho lambda + tau mu on R's range and
-    tau mu on its null space, so it is never formed; nonnegative
-    coefficients are required, as :func:`shrink` requires them.
+    That covariance has eigenvalues rho lambda + tau mu on R's range, which
+    :func:`shrink` forms from R's, and tau mu on its null space, so it is
+    never formed itself.
     """
-    if sol.rho < 0.0 or sol.tau < 0.0:
-        raise ValueError("shrinkage coefficients must be nonnegative")
-    floor = sol.tau * float(s.targets[0][0, 0].real)
-    return spectral_channel_estimate(s.basis, sol.rho * s.eigs + floor, floor,
-                                     s.p_eff, s.obs)
+    mu = float(s.targets[0][0, 0].real)
+    return spectral_channel_estimate(s.basis, shrink(s.eigs, mu, sol),
+                                     sol.tau * mu, s.p_eff, s.obs)
 
 
 def _mmse_true(s: _Scene) -> np.ndarray:
@@ -426,14 +441,16 @@ EXPERIMENTS = {
          "cv_past": lambda s: _cv_ols(s, knowledge_aided_target(s.past())),
          "oracle_identity": _oracle},
         defaults={"n": 50, "m": 50, "sigma2": 0.1, "past_t": 50},
-        sample_counts=(60, 80, 100, 140, 200)),
+        sample_counts=(60, 80, 100, 140, 200),
+        min_samples=_linear_model_min_samples),
     "MultiTargetAr": _experiment(
         "nmse_cov", _ar_setting, _multi_target_scene,
         {"scm": lambda s: s.base, "oracle_single": _oracle, "cv_single": _cv,
          "cv_multi": _multi("cv"), "cv_multi_con": _multi("cv_constrained"),
          "oracle_multi_con": _multi("oracle_constrained")},
         defaults={"n": 50, "r": 0.9},
-        sample_counts=(25, 50, 100, 200)),
+        sample_counts=(25, 50, 100, 200),
+        min_samples=_loo_min_samples("cv_single", "cv_multi", "cv_multi_con")),
     "MimoChannelMmse": _experiment(
         "nmse_h", _mimo_setting, _mimo_scene,
         {"true": _mmse_true,
@@ -465,10 +482,6 @@ EXPERIMENTS = {
         sample_counts=(20, 40, 60, 100)),
 }
 
-# methods whose selection step cross-validates over held-out samples;
-# they need at least three samples on the covariance path
-_CV_PREFIX = "cv"
-
 # stream offsets reserved per replication (replicators use at most 3)
 _STREAMS_PER_REP = 8
 
@@ -484,11 +497,6 @@ def _validated(cfg: ExperimentConfig) -> tuple[ExperimentSpec, tuple, dict]:
                           f"{', '.join(sorted(EXPERIMENTS))}")
     spec = EXPERIMENTS[cfg.experiment]
     methods = tuple(cfg.methods) or spec.methods
-    for method in methods:
-        if method not in spec.methods:
-            raise ConfigError(
-                f"unknown method {method!r} for {cfg.experiment}; available: "
-                f"{', '.join(spec.methods)}")
     counts = tuple(cfg.sample_counts)
     if not counts:
         raise ConfigError("sample_counts must be a nonempty list")
@@ -505,16 +513,15 @@ def _validated(cfg: ExperimentConfig) -> tuple[ExperimentSpec, tuple, dict]:
                           f"{', '.join(sorted(unknown))}; available: "
                           f"{', '.join(sorted(spec.defaults))}")
     params = {**spec.defaults, **cfg.params}
-    uses_cv = any(method.startswith(_CV_PREFIX) for method in methods)
-    if uses_cv and min(counts) < 3:
-        raise ConfigError("cross-validated methods need at least 3 samples; "
-                          f"got sample count {min(counts)}")
-    if cfg.experiment == "LinearModelPastTarget":
-        fitted = [m for m in methods if m != "scm"]
-        if fitted and min(counts) <= params["m"]:
+    for method in methods:
+        if method not in spec.methods:
             raise ConfigError(
-                "least-squares methods need more samples than inputs "
-                f"(T > {params['m']}); got sample count {min(counts)}")
+                f"unknown method {method!r} for {cfg.experiment}; available: "
+                f"{', '.join(spec.methods)}")
+        least = spec.min_samples(params, method)
+        if min(counts) < least:
+            raise ConfigError(f"{cfg.experiment} method {method} needs "
+                              f"T >= {least}; got sample count {min(counts)}")
     return spec, methods, params
 
 

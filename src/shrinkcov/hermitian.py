@@ -77,9 +77,9 @@ def is_psd(a: np.ndarray, tol: float = 1e-8) -> bool:
     return _psd_spectrum(np.linalg.eigvalsh(hermitize(np.asarray(a))), tol)
 
 
-def _psd_spectrum(w: np.ndarray, tol: float = 1e-8) -> bool:
+def _psd_spectrum(w, tol: float = 1e-8) -> bool:
     """The PSD rule of :func:`is_psd` on ascending Hermitian eigenvalues."""
-    return bool(w[0] >= -tol * max(-w[0], w[-1])) if w.size else True
+    return bool(w[0] >= -tol * max(-w[0], w[-1])) if len(w) else True
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import OlsFit, ols_covariance, ols_loo_blocks, scm
+from .estimators import OlsFit, ols_covariance, ols_fit, ols_loo_blocks, scm
 from .hermitian import (
     frobenius_norm_sq,
     is_psd,
@@ -302,26 +302,23 @@ def mt_oracle_moments(base: np.ndarray, targets, truth: np.ndarray) -> MultiMome
     return MultiMoments(a=a, b=b, const=frobenius_norm_sq(sigma))
 
 
-def _convex_design(m: MultiMoments) -> MultiMoments:
+def _convex_design(m: MultiMoments, tr_r=0.0, targets=()) -> MultiMoments:
     """Substitute rho = 1 - sum_k tau_k into a (rho, tau) quadratic.
 
     Returns the quadratic in tau alone, exactly:
     a'_kl = a_kl - a_0k - a_0l + a_00, b'_k = b_k - a_0k + a_00 - b_0 and
-    c' = a_00 - 2 b_0 + c.
+    c' = a_00 - 2 b_0 + c.  The design needs trace-preserving targets:
+    each of ``targets`` must match tr R = ``tr_r`` to 1e-8 relative.
     """
+    for j, t0 in enumerate(targets):
+        if abs(float(np.trace(t0).real) - tr_r) > 1e-8 * abs(tr_r):
+            raise ValueError(f"target {j} does not match the base estimate "
+                             "trace; the convex-combination design requires "
+                             "trace-preserving targets")
     a, b = m.a, m.b
     return MultiMoments(a=a[1:, 1:] - a[1:, :1] - a[:1, 1:] + a[0, 0],
                         b=b[1:] - a[0, 1:] + a[0, 0] - b[0],
                         const=float(a[0, 0] - 2.0 * b[0] + m.const))
-
-
-def _require_matched_traces(tr_ref: float, targets) -> None:
-    tol = 1e-8 * abs(tr_ref)
-    for j, t0 in enumerate(targets):
-        if abs(float(np.trace(t0).real) - tr_ref) > tol:
-            raise ValueError(f"target {j} does not match the base estimate "
-                             "trace; the convex-combination design requires "
-                             "trace-preserving targets")
 
 
 def mt_constrained_moments(samples: np.ndarray, targets) -> MultiMoments:
@@ -346,25 +343,52 @@ def mt_constrained_moments(samples: np.ndarray, targets) -> MultiMoments:
     kept as is.
     """
     targets = list(targets)
-    m = mt_scm_loocv_moments(samples, targets)
-    # tr R = sum_t ||y_t||^2 / T, read off the samples the call validated;
-    # the guard's 1e-8 tolerance does not see BLAS's summation order
-    y = np.asarray(samples)
-    _require_matched_traces(float(np.vdot(y, y).real) / y.shape[1], targets)
-    return _convex_design(m)
+    return _convex_design(*_selection_moments("cv_constrained", targets,
+                                              samples), targets)
 
 
 def mt_constrained_oracle_moments(base: np.ndarray, targets,
                                   truth: np.ndarray) -> MultiMoments:
     """Oracle quadratic || sum tau_k (T_k - R) + (R - Sigma) ||_F^2."""
     targets = list(targets)
-    m = mt_oracle_moments(base, targets, truth)
-    _require_matched_traces(float(np.trace(base).real), targets)
-    return _convex_design(m)
+    return _convex_design(mt_oracle_moments(base, targets, truth),
+                          float(np.trace(base).real), targets)
 
 
 # ---------------------------------------------------------------------------
-# selection facade
+# selection
+
+
+def _selection_moments(method: str, targets, samples=None, truth=None,
+                       inputs=None, outputs=None):
+    """The (rho, tau_1..tau_K) quadratic of ``method`` and tr R of its base.
+
+    The one dispatch on method names, behind both selection facades.
+    ``inputs`` and ``outputs`` select the least-squares base.  tr R is
+    None for the cone methods, which need no trace guard.
+    """
+    if method not in ("cv", "cv_constrained", "oracle", "oracle_constrained"):
+        raise ValueError(f"unknown selection method {method!r}; expected one "
+                         "of cv, cv_constrained, oracle, oracle_constrained")
+    ols = inputs is not None and outputs is not None
+    if not ols and samples is None:
+        raise ValueError("selection requires samples, or inputs and outputs")
+    if method.startswith("oracle"):
+        if truth is None:
+            raise ValueError("oracle selection requires the true covariance")
+        base = ols_covariance(ols_fit(inputs, outputs)) if ols else scm(samples)
+        m, tr_r = mt_oracle_moments(base, targets, truth), float(np.trace(base).real)
+    elif ols:
+        fit = ols_fit(inputs, outputs)
+        m = mt_ols_loocv_moments(fit, outputs, targets)
+        tr_r = frobenius_norm_sq(fit.coef) + fit.coef.shape[0] * fit.noise_var
+    else:
+        m = mt_scm_loocv_moments(samples, targets)
+        # tr R = sum_t ||y_t||^2 / T, read off the samples the call validated;
+        # the guard's 1e-8 tolerance does not see BLAS's summation order
+        y = np.asarray(samples)
+        tr_r = float(np.vdot(y, y).real) / y.shape[1]
+    return m, tr_r if method.endswith("constrained") else None
 
 
 def mt_select(method: str, targets, samples: np.ndarray | None = None,
@@ -384,28 +408,14 @@ def mt_select(method: str, targets, samples: np.ndarray | None = None,
     truth : ndarray, optional
         True covariance, required by the oracle methods.
     """
-    if samples is None:
-        raise ValueError("multi-target selection requires samples")
-    if method in ("oracle", "oracle_constrained") and truth is None:
-        raise ValueError("oracle selection requires the true covariance")
-
-    if method == "cv":
-        x, obj = solve_nonneg_qp(mt_scm_loocv_moments(samples, targets))
-        rho, taus = float(x[0]), x[1:]
-    elif method == "oracle":
-        m = mt_oracle_moments(scm(samples), targets, truth)
+    targets = list(targets)
+    m, tr_r = _selection_moments(method, targets, samples, truth)
+    if tr_r is None:
         x, obj = solve_nonneg_qp(m)
         rho, taus = float(x[0]), x[1:]
-    elif method == "cv_constrained":
-        taus, obj = solve_nonneg_qp_simplex(mt_constrained_moments(samples, targets))
-        rho = max(0.0, 1.0 - float(np.sum(taus)))
-    elif method == "oracle_constrained":
-        m = mt_constrained_oracle_moments(scm(samples), targets, truth)
-        taus, obj = solve_nonneg_qp_simplex(m)
-        rho = max(0.0, 1.0 - float(np.sum(taus)))
     else:
-        raise ValueError(f"unknown selection method {method!r}; expected one "
-                         "of cv, cv_constrained, oracle, oracle_constrained")
+        taus, obj = solve_nonneg_qp_simplex(_convex_design(m, tr_r, targets))
+        rho = max(0.0, 1.0 - float(np.sum(taus)))
 
     cutoff = 1e-10 * max([rho, *taus])
     active = tuple(k for k in range(len(taus)) if taus[k] > cutoff)

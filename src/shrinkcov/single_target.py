@@ -12,11 +12,11 @@ sample-covariance or the least-squares path.  Oracle selection uses the
 same machinery with the true covariance in place of the held-out
 samples.
 
-Every moment here is the K = 1 case of one of
-:mod:`shrinkcov.multi_target`'s accumulators; this module keeps the
-single-target views, the 2x2 solver and the selection facade.  The 2x2
-program is solved in closed form with thresholds relative to the
-moments, so the selection does not depend on the units of the data.
+Every moment and selection here is the K = 1 case of
+:mod:`shrinkcov.multi_target`; this module keeps the single-target views
+and the 2x2 solver with its ``Clip`` flags, which works in closed form:
+its thresholds and its PSD check (:func:`shrinkcov.hermitian.is_psd`'s
+rule) are relative, so the selection does not depend on data units.
 """
 
 from __future__ import annotations
@@ -27,9 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import OlsFit, ols_covariance, ols_fit, scm
+from .estimators import OlsFit, ols_fit
+from .hermitian import _psd_spectrum
 from .multi_target import (
     MultiMoments,
+    _selection_moments,
     mt_loocv_moments,
     mt_ols_loocv_moments,
     mt_oracle_moments,
@@ -93,15 +95,6 @@ class ShrinkageSolution:
     objective: float = math.nan
 
 
-def _require_psd_moments(m: QuadMoments) -> None:
-    scale = max(m.a_rr, m.a_tt)
-    det = m.a_rr * m.a_tt - m.a_rt * m.a_rt
-    if m.a_rr < -1e-12 * scale or m.a_tt < -1e-12 * scale \
-            or det < -1e-10 * scale * scale:
-        raise ValueError("moment matrix is not positive semidefinite; "
-                         "the selection objective is not convex")
-
-
 def solve_quadratic_2d(m: QuadMoments, constrained: bool = False) -> ShrinkageSolution:
     """Minimize the selection objective in closed form.
 
@@ -110,7 +103,11 @@ def solve_quadratic_2d(m: QuadMoments, constrained: bool = False) -> ShrinkageSo
     rho + tau = 1, rho in [0, 1].  Ties between the two quadrant edges
     deterministically prefer tau = 0 (pure base estimate).
     """
-    _require_psd_moments(m)
+    # the eigenvalues of [[a_rr, a_rt], [a_rt, a_tt]] are mean -/+ radius
+    mean, radius = 0.5 * (m.a_rr + m.a_tt), math.hypot(0.5 * (m.a_rr - m.a_tt), m.a_rt)
+    if not _psd_spectrum((mean - radius, mean + radius)):
+        raise ValueError("moment matrix is not positive semidefinite; "
+                         "the selection objective is not convex")
     if constrained:
         return _solve_convex_segment(m)
 
@@ -225,7 +222,7 @@ def select_single_target(method: str, target: np.ndarray,
                          truth: np.ndarray | None = None,
                          inputs: np.ndarray | None = None,
                          outputs: np.ndarray | None = None) -> ShrinkageSolution:
-    """Dispatch facade over the single-target selectors.
+    """The K = 1 case of ``mt_select``, solved in closed form.
 
     Parameters
     ----------
@@ -241,23 +238,8 @@ def select_single_target(method: str, target: np.ndarray,
     inputs, outputs : ndarray, optional
         Regression data (least-squares path); overrides ``samples``.
     """
-    ols_data = inputs is not None and outputs is not None
-    if not ols_data and samples is None:
-        raise ValueError("provide either samples or inputs+outputs")
-
-    if method in ("oracle", "oracle_constrained"):
-        if truth is None:
-            raise ValueError("oracle selection requires the true covariance")
-        base = ols_covariance(ols_fit(inputs, outputs)) if ols_data \
-            else scm(samples)
-        m = oracle_moments(base, target, truth)
-        return solve_quadratic_2d(m, constrained=method.endswith("constrained"))
-    if method in ("cv", "cv_constrained"):
-        m = ols_fast_moments(inputs, outputs, target) if ols_data \
-            else scm_fast_moments(samples, target)
-        return solve_quadratic_2d(m, constrained=method.endswith("constrained"))
-    raise ValueError(f"unknown selection method {method!r}; expected one of "
-                     "cv, cv_constrained, oracle, oracle_constrained")
+    m, tr_r = _selection_moments(method, [target], samples, truth, inputs, outputs)
+    return solve_quadratic_2d(_quad(m), constrained=tr_r is not None)
 
 
 def shrink(base: np.ndarray, target: np.ndarray,

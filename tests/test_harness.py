@@ -162,6 +162,20 @@ def test_parse_config_minimal():
     {"experiments": [{"experiment": "Ar1Identity", "typo_key": 1}]},
     {"experiments": "not a list"},
     {"workers": 0, "experiments": [{"experiment": "Ar1Identity"}]},
+    # every least-squares draw fits m inputs, whatever the method
+    {"experiments": [{"experiment": "LinearModelPastTarget",
+                      "sample_counts": [30], "methods": ["scm"]}]},
+    {"experiments": [{"experiment": "LinearModelPastTarget",
+                      "sample_counts": [3], "methods": ["scm"],
+                      "params": {"n": 5, "m": 4}}]},
+    {"experiments": [{"experiment": "LinearModelPastTarget",
+                      "sample_counts": [4], "methods": ["oracle_identity"],
+                      "params": {"n": 5, "m": 4}}]},
+    {"experiments": [{"experiment": "LinearModelPastTarget",
+                      "sample_counts": [2], "methods": ["cv_identity"],
+                      "params": {"n": 5, "m": 1}}]},
+    {"experiments": [{"experiment": "LinearModelPastTarget",
+                      "methods": ["cv_past"], "params": {"past_t": 1}}]},
 ])
 def test_parse_config_rejects(doc):
     with pytest.raises(ConfigError):
@@ -504,6 +518,32 @@ def test_shared_setting_under_thread_switch_stress(name):
     assert parallel == serial
 
 
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_declared_min_samples_match_the_draws(name):
+    spec = EXPERIMENTS[name]
+    params = TINY[name]["params"]
+    for method in spec.methods:
+        least = spec.min_samples({**spec.defaults, **params}, method)
+        (row,) = run_experiment(tiny_config(name, methods=(method,),
+                                            sample_counts=(least,)))
+        assert row.t == least and np.isfinite(row.mean), method
+        entry = {"experiment": name, "methods": [method], "params": params,
+                 "sample_counts": [least - 1]}
+        with pytest.raises(ConfigError):
+            parse_config({"experiments": [entry]})
+
+
+def test_past_target_runs_on_two_past_samples():
+    # knowledge_aided_target's explicit leave-one-out covers T_past = 2
+    params = {**TINY["LinearModelPastTarget"]["params"], "past_t": 2}
+    parse_config({"experiments": [{"experiment": "LinearModelPastTarget",
+                                   "methods": ["cv_past"], "params": params,
+                                   "sample_counts": [7]}]})
+    (row,) = run_experiment(tiny_config("LinearModelPastTarget", params=params,
+                                        methods=("cv_past",)))
+    assert np.isfinite(row.mean)
+
+
 def test_run_experiment_rejects_bad_config():
     with pytest.raises(ConfigError):
         run_experiment(tiny_config("Ar1Identity", methods=("bogus",)))
@@ -560,6 +600,18 @@ def test_cli_overrides(tmp_path):
 def test_cli_config_error_exit_code(tmp_path):
     cfg = cli_config(tmp_path, {"experiments": [{"experiment": "Nope"}]})
     assert main(["run", "--config", cfg, "--out",
+                 str(tmp_path / "x.csv")]) == 1
+
+
+@pytest.mark.parametrize("entry", [
+    {"sample_counts": [30], "methods": ["scm"]},  # T < m = 50
+    {"methods": ["cv_past"], "params": {"past_t": 1}},
+])
+def test_cli_least_squares_config_error_exit_code(tmp_path, entry):
+    # both used to pass validation and fail mid-run as numeric errors
+    doc = {"reps": 2, "experiments": [
+        {"experiment": "LinearModelPastTarget", **entry}]}
+    assert main(["run", "--config", cli_config(tmp_path, doc), "--out",
                  str(tmp_path / "x.csv")]) == 1
 
 

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shrinkcov.datagen import ar_covariance, gaussian_samples
-from shrinkcov.estimators import ols_fit, scm, scm_leave_one_out
+from shrinkcov.estimators import ols_covariance, ols_fit, scm, scm_leave_one_out
 from shrinkcov.hermitian import frobenius_norm_sq, is_psd
+from shrinkcov.multi_target import MultiMoments, solve_nonneg_qp
 from shrinkcov.single_target import (
     Clip,
     QuadMoments,
@@ -181,6 +182,42 @@ def test_solve2d_zero_target_block():
 def test_solve2d_nonpsd_raises():
     with pytest.raises(ValueError):
         solve_quadratic_2d(QuadMoments(1.0, 2.0, 1.0, 0.0, 0.0, 0.0))
+
+
+def _raises(solve, m) -> bool:
+    try:
+        solve(m)
+    except ValueError as exc:
+        assert "not positive semidefinite" in str(exc)
+        return True
+    return False
+
+
+@pytest.mark.parametrize("scale", [10.0 ** k for k in range(-8, 9, 2)])
+def test_solve2d_psd_rule_is_the_cone_solver_rule(scale):
+    # (a_rr, a_rt, a_tt, rejected); lambda_min >= -1e-8 lambda_max passes
+    cases = [
+        (1.0, 1.0, 1.0 - 2e-9, False),  # det -2e-9, lambda_min ~ -1e-9
+        (1.0, 0.0, -1e-10, False),
+        (4.0, 2.0, 1.0, False),         # singular PSD
+        (2.0, 0.5, 1.0, False),
+        (0.0, 0.0, 0.0, False),
+        (1.0, 0.0, 0.0, False),
+        (1.0, 2.0, 1.0, True),
+        (1.0, 1.0 + 1e-6, 1.0, True),   # lambda_min = -1e-6
+        (1.0, 0.0, -1e-3, True),
+        (-1.0, 0.0, 1.0, True),
+        (-1.0, 0.0, -1.0, True),
+        (0.0, 1.0, 0.0, True),
+    ]
+    for a_rr, a_rt, a_tt, rejected in cases:
+        a = scale * np.array([[a_rr, a_rt], [a_rt, a_tt]])
+        quad = QuadMoments(*a.ravel()[[0, 1, 3]].tolist(), 1.0, 1.0, 0.0)
+        multi = MultiMoments(a=a, b=np.ones(2), const=0.0)
+        assert _raises(solve_nonneg_qp, multi) == rejected, (a_rr, a_rt, a_tt)
+        for constrained in (False, True):
+            assert _raises(lambda m: solve_quadratic_2d(m, constrained), quad) \
+                == rejected, (a_rr, a_rt, a_tt, constrained)
 
 
 def test_solve2d_random_kkt_and_grid():
@@ -436,12 +473,19 @@ def test_select_dispatch_matches_components():
     refo = solve_quadratic_2d(oracle_moments(scm(y), t0, sigma))
     assert (orc.rho, orc.tau) == (refo.rho, refo.tau)
 
+    # the least-squares base, every method against its components
     x = random_samples(2, 12, rng, False)
     yo = random_samples(4, 12, rng, False)
     d0 = np.eye(4)
-    cvo = select_single_target("cv", d0, inputs=x, outputs=yo)
-    refm = solve_quadratic_2d(ols_fast_moments(x, yo, d0))
-    assert (cvo.rho, cvo.tau) == (refm.rho, refm.tau)
+    sigma_o = ar_covariance(4, 0.3)
+    cv_m = ols_fast_moments(x, yo, d0)
+    oracle_m = oracle_moments(ols_covariance(ols_fit(x, yo)), d0, sigma_o)
+    for method, m in (("cv", cv_m), ("cv_constrained", cv_m),
+                      ("oracle", oracle_m), ("oracle_constrained", oracle_m)):
+        got = select_single_target(method, d0, inputs=x, outputs=yo,
+                                   truth=sigma_o)
+        want = solve_quadratic_2d(m, constrained=method.endswith("constrained"))
+        assert got == want, method
 
 
 def test_select_argument_guards():
