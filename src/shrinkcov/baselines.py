@@ -11,14 +11,15 @@ Conventions: the Ledoit-Wolf and general-target coefficients scale the
 *unscaled* target (tau absorbs the power calibration), while the
 oracle-approximating tau multiplies the trace-calibrated identity
 tr(R)/n I and satisfies rho + tau = 1.
+Each takes the samples as an array or a sample block.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .estimators import scm
-from .hermitian import frobenius_norm_sq, real_trace_product, validate_samples
+from .estimators import sample_block
+from .hermitian import frobenius_norm_sq, real_trace_product
 from .single_target import Clip, ShrinkageSolution
 
 __all__ = [
@@ -47,8 +48,8 @@ def lw_coefficients(y: np.ndarray) -> ShrinkageSolution:
     tau absorbs the mean-eigenvalue calibration, so the target passed to
     :func:`shrink` should be the unscaled identity.
     """
-    y = validate_samples(y)
-    r = scm(y)
+    block = sample_block(y)
+    y, r = block.y, block.r
     n = r.shape[0]
     mu = float(np.trace(r).real) / n
     delta2 = frobenius_norm_sq(r - mu * np.eye(n))
@@ -65,11 +66,11 @@ def glc_coefficients(y: np.ndarray, target: np.ndarray) -> ShrinkageSolution:
 
     The target is first power-calibrated by its projection coefficient
     nu = <T0, R> / ||T0||^2; with the identity target this reduces
-    exactly to :func:`lw_coefficients`.
+    exactly to :func:`lw_coefficients`.  A target the block did not
+    build must be finite and Hermitian.
     """
-    y = validate_samples(y)
-    r = scm(y)
-    t0 = np.asarray(target)
+    block = sample_block(y)
+    y, r, t0 = block.y, block.r, block.checked(target)
     norm_t0 = frobenius_norm_sq(t0)
     if norm_t0 <= 0.0:
         raise ValueError("target must be nonzero")
@@ -89,10 +90,10 @@ def oas_coefficient(y: np.ndarray) -> ShrinkageSolution:
     Returns rho = 1 - tau with tau multiplying the trace-calibrated
     identity tr(R)/n I; tau always lands in [0, 1].
     """
-    y = validate_samples(y)
-    r = scm(y)
+    block = sample_block(y)
+    r = block.r
     n = r.shape[0]
-    t = y.shape[1]
+    t = block.y.shape[1]
     tr = float(np.trace(r).real)
     tr2 = frobenius_norm_sq(r)
     num = (1.0 - 2.0 / n) * tr2 + tr**2

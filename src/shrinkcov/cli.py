@@ -70,17 +70,11 @@ def _cmd_run(args) -> int:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"configuration is not valid JSON: {exc}") from None
     plan = parse_config(doc)
-    configs = plan.configs
-    if args.reps is not None or args.seed is not None:
-        overrides = {}
-        if args.reps is not None:
-            overrides["reps"] = args.reps
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        configs = tuple(dataclasses.replace(cfg, **overrides)
-                        for cfg in configs)
+    overrides = {"reps": args.reps, "seed": args.seed}
+    overrides = {key: v for key, v in overrides.items() if v is not None}
     rows = []
-    for cfg in configs:
+    for cfg in plan.configs:
+        cfg = dataclasses.replace(cfg, **overrides)
         rows.extend(run_experiment(cfg, workers=plan.workers))
     if args.out is None:
         sys.stdout.write(format_csv(rows))

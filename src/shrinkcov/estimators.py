@@ -17,13 +17,16 @@ t is column t), which the least-squares moment accumulator of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .hermitian import validate_samples
+from .hermitian import require_hermitian, validate_samples
 
 __all__ = [
+    "SampleBlock",
+    "sample_block",
     "scm",
     "scm_leave_one_out",
     "OlsFit",
@@ -39,6 +42,49 @@ def scm(y: np.ndarray) -> np.ndarray:
     y = validate_samples(y)
     t = y.shape[1]
     return y @ y.conj().T / t
+
+
+@dataclass(frozen=True, eq=False)
+class SampleBlock:
+    """An N x T sample block ``y`` validated by :func:`sample_block`, and R.
+
+    ``y`` is a read-only view; ``r``, formed on first use, and the targets
+    built from the block are read-only and held by it (:meth:`own`).  A
+    function given the block skips :func:`require_hermitian` for exactly
+    those objects, matched by identity, and checks every other matrix.
+    """
+
+    y: np.ndarray
+    _owned: dict = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        return self.own(scm(self.y))
+
+    def own(self, m: np.ndarray) -> np.ndarray:
+        m.flags.writeable = False
+        return self._owned.setdefault(id(m), m)
+
+    def checked(self, m) -> np.ndarray:
+        return m if self._owned.get(id(m)) is m else require_hermitian(m)
+
+
+def sample_block(samples, min_count: int = 1,
+                 name: str = "samples") -> SampleBlock:
+    """Raw samples validated (see :func:`validate_samples`) and wrapped."""
+    if isinstance(samples, SampleBlock) and samples.y.shape[1] >= min_count:
+        return samples
+    # a block short of min_count gets the raw array's error here
+    y = validate_samples(getattr(samples, "y", samples), min_count, name).view()
+    y.flags.writeable = False
+    return SampleBlock(y)
+
+
+def _base(base) -> tuple:
+    """(R, own, check) of a block; a raw R is checked and trusts nothing."""
+    if isinstance(base, SampleBlock):
+        return base.r, base.own, base.checked
+    return require_hermitian(base), (lambda m: m), require_hermitian
 
 
 def scm_leave_one_out(r: np.ndarray, y: np.ndarray, t: int) -> np.ndarray:
@@ -90,16 +136,25 @@ class OlsFit:
     residuals: np.ndarray
     gram_dirs: np.ndarray
 
+    @cached_property
+    def covariance(self) -> np.ndarray:
+        """Read-only ``coef coef^H + noise_var I``, formed on first use."""
+        n = self.coef.shape[0]
+        r = self.coef @ self.coef.conj().T + self.noise_var * np.eye(n)
+        r.flags.writeable = False
+        return r
+
 
 def ols_fit(x: np.ndarray, y: np.ndarray) -> OlsFit:
     """Least-squares fit of an N x T output block on an M x T input block.
 
     Requires a well-conditioned Gram matrix ``X X^H`` (rank-deficient or
     nearly singular inputs are rejected); T == M is allowed here, the
-    leave-one-out machinery adds its own stricter requirement.
+    leave-one-out machinery adds its own stricter requirement.  ``y``
+    may be a :class:`SampleBlock`.
     """
     x = validate_samples(x, name="inputs")
-    y = validate_samples(y, name="outputs")
+    y = sample_block(y, name="outputs").y
     if x.shape[1] != y.shape[1]:
         raise ValueError("inputs and outputs must have the same sample count")
     t = x.shape[1]
@@ -117,8 +172,7 @@ def ols_fit(x: np.ndarray, y: np.ndarray) -> OlsFit:
 
 def ols_covariance(fit: OlsFit) -> np.ndarray:
     """Covariance estimate coef coef^H + noise_var I from a full fit."""
-    n = fit.coef.shape[0]
-    return fit.coef @ fit.coef.conj().T + fit.noise_var * np.eye(n)
+    return fit.covariance.copy()
 
 
 def ols_loo_blocks(fit: OlsFit) -> tuple[np.ndarray, ...]:

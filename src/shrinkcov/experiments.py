@@ -48,7 +48,7 @@ from .datagen import (
     kronecker_channel_cov,
     linear_model_scene,
 )
-from .estimators import ols_covariance, ols_fit, scm
+from .estimators import ols_covariance, ols_fit, sample_block, scm
 from .hermitian import frobenius_norm_sq
 from .multi_target import mt_select
 from .single_target import (
@@ -160,17 +160,19 @@ def nmse(estimates, truths) -> float:
 #
 # A setting function maps a config's params to what its replications
 # share, a _frozen namespace; it draws nothing.  A scene function draws
-# from the setting on sub-streams 0-2 and returns a _Scene of
-# ``samples`` (the N x T block the selectors see), ``base`` (the estimate
-# they shrink), ``truth`` (the oracle's covariance), ``targets`` (scaled
-# identity first), ``judge`` and its consumer's inputs.  A table entry
-# maps the scene to the judge's input: a covariance estimate, a channel
-# estimate or beamformer weights.  The judge returns (error, reference)
-# for normalized-error metrics, a float for dB metrics.  A draw only one
-# method needs is made in its entry, so a method subset never changes
-# another method's data.  Entries look package functions up in these
-# module globals at call time, and replicate iterates the ``methods`` it
-# is given, so wrappers installed on either see every call and its method.
+# from the setting on sub-streams 0-2 and returns a _Scene of ``samples``
+# (the SampleBlock the selectors see), ``base`` (the estimate they
+# shrink), ``source`` (the SCM scenes' block, or base: what base, the
+# targets and the oracle read), ``truth`` (the oracle's covariance),
+# ``targets`` (scaled identity first), ``judge`` and its consumer's
+# inputs.  A table entry maps the scene to the judge's input: a covariance
+# estimate, a channel estimate or beamformer weights.  The judge returns
+# (error, reference) for normalized-error metrics, a float for dB
+# metrics.  A draw only one method needs is made in its entry, so a method
+# subset never changes another method's data.  Entries look package
+# functions up in these module globals at call time, and replicate
+# iterates the ``methods`` it is given, so wrappers installed on either
+# see every call and its method.
 
 
 def _cov_judge(sigma: np.ndarray) -> Callable:
@@ -185,7 +187,7 @@ def _cv_solution(s: _Scene) -> ShrinkageSolution:
 
 
 def _oracle_solution(s: _Scene) -> ShrinkageSolution:
-    return solve_quadratic_2d(oracle_moments(s.base, s.targets[0], s.truth))
+    return solve_quadratic_2d(oracle_moments(s.source, s.targets[0], s.truth))
 
 
 # shared selectors: each returns a covariance estimate of the scene
@@ -254,9 +256,9 @@ def _frozen(**fields) -> _Scene:
 def _scm_scene(samples: np.ndarray, truth: np.ndarray, judge: Callable,
                **inputs) -> _Scene:
     """Scene shrinking the sample covariance toward the scaled identity."""
-    r = scm(samples)
-    return _Scene(samples=samples, base=r, truth=truth,
-                  targets=[scaled_identity_target(r)], judge=judge, **inputs)
+    blk = sample_block(samples)
+    return _Scene(samples=blk, base=blk.r, source=blk, truth=truth,
+                  targets=[scaled_identity_target(blk)], judge=judge, **inputs)
 
 
 def _spectral_scene(samples: np.ndarray, truth: np.ndarray, judge: Callable,
@@ -281,7 +283,7 @@ def _ar_scene(setting: _Scene, t, stream: RngStream) -> _Scene:
 
 def _multi_target_scene(setting: _Scene, t, stream: RngStream) -> _Scene:
     s = _ar_scene(setting, t, stream)
-    s.targets += [diagonal_target(s.base), toeplitz_average_target(s.base)]
+    s.targets += [diagonal_target(s.source), toeplitz_average_target(s.source)]
     return s
 
 
@@ -304,11 +306,12 @@ def _linear_model_scene(setting: _Scene, t, stream: RngStream) -> _Scene:
                                stream.generator(0))
     x, y = model.generator(t, stream.generator(1))
     sigma = model.true_covariance
-    fit = ols_fit(x, y)
+    outputs = sample_block(y, name="outputs")
+    fit = ols_fit(x, outputs)
     r = ols_covariance(fit)
     return _Scene(
-        samples=y, base=r, truth=sigma, targets=[scaled_identity_target(r)],
-        judge=_cov_judge(sigma), fit=fit,
+        samples=outputs, base=r, source=r, truth=sigma,
+        targets=[scaled_identity_target(r)], judge=_cov_judge(sigma), fit=fit,
         # outputs of an earlier block, drawn only by the method using them
         past=lambda: model.generator(setting.past_t, stream.generator(2))[1])
 
@@ -436,7 +439,7 @@ EXPERIMENTS = {
         sample_counts=(10, 20, 40, 80, 160)),
     "LinearModelPastTarget": _experiment(
         "nmse_cov", _linear_model_setting, _linear_model_scene,
-        {"scm": lambda s: scm(s.samples),  # of the raw outputs, not the base
+        {"scm": lambda s: scm(s.samples.y),  # of the outputs, not the base
          "cv_identity": lambda s: _cv_ols(s, s.targets[0]),
          "cv_past": lambda s: _cv_ols(s, knowledge_aided_target(s.past())),
          "oracle_identity": _oracle},
@@ -577,10 +580,8 @@ def _aggregate(metric: str, per_rep: list) -> tuple[float, float]:
     """Reduce per-replication method results to (mean, stderr)."""
     reps = len(per_rep)
     if metric.startswith("nmse"):
-        errs = np.array([v[0] for v in per_rep])
-        refs = np.array([v[1] for v in per_rep])
-        ref_mean = float(np.mean(refs))
-        values = errs / ref_mean
+        values = (np.array([v[0] for v in per_rep])
+                  / float(np.mean(np.array([v[1] for v in per_rep]))))
     else:
         values = np.array(per_rep, dtype=float)
     mean = float(np.mean(values))

@@ -26,14 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import OlsFit, ols_covariance, ols_fit, ols_loo_blocks, scm
+from .estimators import OlsFit, _base, ols_fit, ols_loo_blocks, sample_block
 from .hermitian import (
     frobenius_norm_sq,
     is_psd,
     outer_product,
     real_trace_product,
     require_hermitian,
-    validate_samples,
 )
 
 __all__ = [
@@ -205,7 +204,7 @@ def mt_loocv_moments(loo_covs, samples: np.ndarray, targets) -> MultiMoments:
     :func:`mt_scm_loocv_moments` must agree with it on the
     sample-covariance path.
     """
-    y = validate_samples(samples)
+    y = sample_block(samples).y
     targets = list(targets)
     if len(loo_covs) != y.shape[1]:
         raise ValueError("need one leave-one-out estimate per sample")
@@ -224,12 +223,11 @@ def mt_scm_loocv_moments(samples: np.ndarray, targets) -> MultiMoments:
     b_0 = mean_t y_t^H R_t y_t through tr(R^2) and the fourth-moment sum
     sum_t ||y_t||^4 alone, so no R_t is ever formed.  The mean R_t is R,
     so a_0k = b_k = tr(R T_k); a_jk = tr(T_j T_k).  Requires T >= 3 so
-    the T-2 factor stays positive.
+    the T-2 factor stays positive.  ``samples`` may be a sample block.
     """
-    y = validate_samples(samples, min_count=3)
-    targets = [require_hermitian(t0) for t0 in targets]
-    count = y.shape[1]
-    a = _gram([scm(y), *targets])
+    block = sample_block(samples, min_count=3)
+    y, count = block.y, block.y.shape[1]
+    a = _gram([block.r, *map(block.checked, targets)])
     b = a[0].copy()
     tr_r2 = float(a[0, 0])
     quart = float(np.sum(np.sum(np.abs(y) ** 2, axis=0) ** 2))
@@ -251,15 +249,16 @@ def mt_ols_loocv_moments(fit: OlsFit, outputs: np.ndarray,
     Refit t's estimate is R_t = R - D_t, D_t = delta_t I + e_t phi_t^H
     + psi_t e_t^H (column t of :func:`ols_loo_blocks`), so each M of
     (R, T_1..T_K) needs only tr(D_t M) and y_t^H M y_t, column inner
-    products of N x T blocks: no R_t or refit is formed.
+    products of N x T blocks: no R_t or refit is formed.  ``outputs``
+    may be a sample block.
     """
-    y = validate_samples(outputs, name="outputs")
+    y = sample_block(outputs, name="outputs").y
     if y.shape != fit.residuals.shape:
         raise ValueError(f"outputs of shape {y.shape} do not match the fit's "
                          f"residuals {fit.residuals.shape}")
     targets = [require_hermitian(t0) for t0 in targets]
     e, _, delta, phi, psi = ols_loo_blocks(fit)
-    mats = [ols_covariance(fit), *targets]
+    mats = [fit.covariance, *targets]
     n, count = y.shape
     a = _gram(mats)
 
@@ -294,8 +293,12 @@ def mt_ols_loocv_moments(fit: OlsFit, outputs: np.ndarray,
 
 
 def mt_oracle_moments(base: np.ndarray, targets, truth: np.ndarray) -> MultiMoments:
-    """Frobenius-error quadratic || rho R + sum tau_k T_k - Sigma ||_F^2."""
-    mats = [require_hermitian(base), *map(require_hermitian, targets)]
+    """Frobenius-error quadratic || rho R + sum tau_k T_k - Sigma ||_F^2.
+
+    ``base`` may be a sample block; R is then its sample covariance.
+    """
+    r, _, check = _base(base)
+    mats = [r, *map(check, targets)]
     sigma = require_hermitian(truth)
     a = _gram(mats)
     b = np.array([real_trace_product(m, sigma) for m in mats])
@@ -373,22 +376,20 @@ def _selection_moments(method: str, targets, samples=None, truth=None,
     ols = inputs is not None and outputs is not None
     if not ols and samples is None:
         raise ValueError("selection requires samples, or inputs and outputs")
-    if method.startswith("oracle"):
-        if truth is None:
-            raise ValueError("oracle selection requires the true covariance")
-        base = ols_covariance(ols_fit(inputs, outputs)) if ols else scm(samples)
-        m, tr_r = mt_oracle_moments(base, targets, truth), float(np.trace(base).real)
-    elif ols:
+    oracle = method.startswith("oracle")
+    if oracle and truth is None:
+        raise ValueError("oracle selection requires the true covariance")
+    if ols:
         fit = ols_fit(inputs, outputs)
-        m = mt_ols_loocv_moments(fit, outputs, targets)
-        tr_r = frobenius_norm_sq(fit.coef) + fit.coef.shape[0] * fit.noise_var
+        r = fit.covariance
+        m = (mt_oracle_moments(r, targets, truth) if oracle
+             else mt_ols_loocv_moments(fit, outputs, targets))
     else:
-        m = mt_scm_loocv_moments(samples, targets)
-        # tr R = sum_t ||y_t||^2 / T, read off the samples the call validated;
-        # the guard's 1e-8 tolerance does not see BLAS's summation order
-        y = np.asarray(samples)
-        tr_r = float(np.vdot(y, y).real) / y.shape[1]
-    return m, tr_r if method.endswith("constrained") else None
+        block = sample_block(samples)
+        r = block.r
+        m = (mt_oracle_moments(block, targets, truth) if oracle
+             else mt_scm_loocv_moments(block, targets))
+    return m, float(np.trace(r).real) if method.endswith("constrained") else None
 
 
 def mt_select(method: str, targets, samples: np.ndarray | None = None,

@@ -69,10 +69,8 @@ def _check_psd_shrink() -> CheckResult:
         ]
         targets = [t0, diagonal_target(r), toeplitz_average_target(r)]
         sol = mt_select("cv", targets, samples=y)
-        est = sol.rho * r
-        for k, tk in enumerate(targets):
-            est = est + sol.taus[k] * tk
-        ests.append(est)
+        ests.append(sum((tau * tk for tau, tk in zip(sol.taus, targets)),
+                        sol.rho * r))
         for est in ests:
             w = np.linalg.eigvalsh(0.5 * (est + est.conj().T))
             worst = min(worst, float(w[0] / max(w[-1], 1e-300)))

@@ -2,7 +2,8 @@
 
 Every target here preserves the trace of its input, so convex
 combinations of base estimate and target keep the total power; all of
-them are Hermitian PSD whenever the input is.
+them are Hermitian PSD whenever the input is.  Given a sample block in
+place of R, a target reads its R unchecked and is registered on it.
 """
 
 from __future__ import annotations
@@ -10,8 +11,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .estimators import scm, scm_leave_one_out
-from .hermitian import require_hermitian
+from .estimators import _base, sample_block, scm_leave_one_out
 from .single_target import (
     loocv_moments_general,
     scm_fast_moments,
@@ -29,9 +29,9 @@ __all__ = [
 
 def scaled_identity_target(r: np.ndarray) -> np.ndarray:
     """Identity scaled to match the trace of ``r``: (tr r / n) I."""
-    r = require_hermitian(r)
+    r, own, _ = _base(r)
     n = r.shape[0]
-    return (float(np.trace(r).real) / n) * np.eye(n)
+    return own((float(np.trace(r).real) / n) * np.eye(n))
 
 
 def diagonal_target(r: np.ndarray) -> np.ndarray:
@@ -41,12 +41,12 @@ def diagonal_target(r: np.ndarray) -> np.ndarray:
     is clipped to zero; genuinely negative diagonal entries are rejected
     at any scale.
     """
-    r = require_hermitian(r)
+    r, own, _ = _base(r)
     d = np.diag(r).real.copy()
     if np.any(d < -1e-12 * np.max(np.abs(d), initial=0.0)):
         raise ValueError("diagonal target requires nonnegative diagonal entries")
     d[d < 0.0] = 0.0
-    return np.diag(d)
+    return own(np.diag(d))
 
 
 def toeplitz_average_target(r: np.ndarray) -> np.ndarray:
@@ -59,13 +59,13 @@ def toeplitz_average_target(r: np.ndarray) -> np.ndarray:
     a contiguous ``r``); its sum over the band length is what
     ``np.mean`` of the diagonal computes, bit for bit.
     """
-    r = require_hermitian(r)
+    r, own, _ = _base(r)
     n = r.shape[0]
     flat = r.ravel()
     first_row = np.empty(n)
     for i in range(n):
         first_row[i] = flat[i:(n - i) * (n + 1):n + 1].real.sum() / (n - i)
-    return scipy.linalg.toeplitz(first_row)
+    return own(scipy.linalg.toeplitz(first_row))
 
 
 def knowledge_aided_target(past_samples: np.ndarray) -> np.ndarray:
@@ -76,16 +76,17 @@ def knowledge_aided_target(past_samples: np.ndarray) -> np.ndarray:
     its sample covariance and mu I its scaled identity.  The convex
     constraint keeps the trace of R_past, so the target remains a
     calibrated power reference even when the past block is short.
+    ``past_samples`` may be a sample block.
     """
-    r = scm(past_samples)
-    t0 = scaled_identity_target(r)
-    count = past_samples.shape[1]
+    past = sample_block(past_samples)
+    t0 = scaled_identity_target(past)
+    count = past.y.shape[1]
     if count >= 3:
-        moments = scm_fast_moments(past_samples, t0)
+        moments = scm_fast_moments(past, t0)
     else:
         # the closed-form accumulator needs T >= 3; fall back to the
         # explicit leave-one-out covariances for tiny past blocks
-        loo = [scm_leave_one_out(r, past_samples, i) for i in range(count)]
-        moments = loocv_moments_general(loo, past_samples, t0)
+        loo = [scm_leave_one_out(past.r, past.y, i) for i in range(count)]
+        moments = loocv_moments_general(loo, past.y, t0)
     sol = solve_quadratic_2d(moments, constrained=True)
-    return shrink(r, t0, sol)
+    return shrink(past.r, t0, sol)

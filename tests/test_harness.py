@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from shrinkcov import experiments
+from shrinkcov import estimators, experiments, hermitian
 from shrinkcov.applications import mmse_channel_estimate
 from shrinkcov.cli import classify_error, main
 from shrinkcov.datagen import RngStream
@@ -337,6 +337,7 @@ HARNESS_CALLS = {
     "datagen.linear_model_scene",
     "estimators.ols_covariance",
     "estimators.ols_fit",
+    "estimators.sample_block",
     "estimators.scm",
     "hermitian.frobenius_norm_sq",
     "multi_target.mt_select",
@@ -368,6 +369,55 @@ def test_harness_calls_package_functions_through_globals(monkeypatch):
     for name in TINY:
         run_experiment(tiny_config(name))
     assert called == HARNESS_CALLS
+
+
+# experiments whose scene shrinks the sample covariance of its samples
+SCM_EXPERIMENTS = ("Ar1Identity", "LmmseDetect", "MimoChannelMmse",
+                   "MultiTargetAr", "MvdrBeam")
+# the layers that take a sample block; the consumers in ``applications``
+# (and ``datagen``) are handed plain matrices and check each one
+BLOCK_LAYERS = ("baselines", "estimators", "multi_target", "single_target",
+                "targets")
+
+
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_one_scm_per_replication_and_block_matrices_not_rechecked(
+        name, monkeypatch):
+    real = {"scm": estimators.scm, "sample_block": estimators.sample_block,
+            "require_hermitian": hermitian.require_hermitian,
+            "validate_samples": hermitian.validate_samples}
+    calls = {key: [] for key in real}   # the arguments or results, kept alive
+
+    def wrap(key, fn):
+        def counted(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            calls[key].append(out if key == "sample_block" else args[0])
+            return out
+        return counted
+    for module in list(sys.modules.values()):
+        layer = getattr(module, "__name__", "").removeprefix("shrinkcov.")
+        if module is sys.modules.get(f"shrinkcov.{layer}"):
+            for attr, fn in real.items():
+                if getattr(module, attr, None) is fn and (
+                        attr != "require_hermitian" or layer in BLOCK_LAYERS):
+                    monkeypatch.setattr(module, attr, wrap(attr, fn))
+    cfg = tiny_config(name)
+    run_experiment(cfg)
+    replications = cfg.reps * len(cfg.sample_counts)
+    if name in SCM_EXPERIMENTS:
+        # the block's R; scm validates the samples the block validated
+        assert len(calls["scm"]) == replications
+        assert len(calls["validate_samples"]) == 2 * replications
+    else:
+        # the scm method's R of the outputs and the past block's R; the
+        # outputs, the inputs and the past block validated once, plus
+        # scm's own validation of the two blocks it reduces
+        assert len(calls["scm"]) == 2 * replications
+        assert len(calls["validate_samples"]) == 5 * replications
+    owned = {id(m) for block in calls["sample_block"]
+             for m in block._owned.values()}
+    assert owned and not any(id(a) in owned
+                             for a in calls["require_hermitian"])
 
 
 # ---------------------------------------------------------------------------
