@@ -91,9 +91,8 @@ def oas_coefficient(y: np.ndarray) -> ShrinkageSolution:
     identity tr(R)/n I; tau always lands in [0, 1].
     """
     block = sample_block(y)
-    r = block.r
+    r, t = block.r, block.y.shape[1]
     n = r.shape[0]
-    t = block.y.shape[1]
     tr = float(np.trace(r).real)
     tr2 = frobenius_norm_sq(r)
     num = (1.0 - 2.0 / n) * tr2 + tr**2

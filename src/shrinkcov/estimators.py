@@ -72,10 +72,11 @@ class SampleBlock:
 def sample_block(samples, min_count: int = 1,
                  name: str = "samples") -> SampleBlock:
     """Raw samples validated (see :func:`validate_samples`) and wrapped."""
-    if isinstance(samples, SampleBlock) and samples.y.shape[1] >= min_count:
-        return samples
-    # a block short of min_count gets the raw array's error here
-    y = validate_samples(getattr(samples, "y", samples), min_count, name).view()
+    if isinstance(samples, SampleBlock):
+        if samples.y.shape[1] >= min_count:
+            return samples
+        samples = samples.y  # too short: the raw array's error, below
+    y = validate_samples(samples, min_count, name).view()
     y.flags.writeable = False
     return SampleBlock(y)
 
