@@ -11,13 +11,10 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from . import selfcheck as selfcheck_mod
 from .experiments import (
     EXPERIMENTS,
     ConfigError,
-    NumericError,
     emit_csv,
     format_csv,
     parse_config,
@@ -28,12 +25,10 @@ __all__ = ["main", "classify_error"]
 
 
 def classify_error(exc: BaseException) -> int:
-    """Map an exception to the CLI exit code of its failure class."""
+    """Map an exception to the CLI exit code of its failure class; numeric
+    failures (``NumericError``, ``LinAlgError``) and all others give 2."""
     if isinstance(exc, ConfigError):
         return 1
-    if isinstance(exc, (NumericError, np.linalg.LinAlgError,
-                        FloatingPointError)):
-        return 2
     if isinstance(exc, OSError):
         return 3
     return 2

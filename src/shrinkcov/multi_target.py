@@ -14,9 +14,11 @@ The dimension stays tiny in practice, so the nonnegativity constraints
 are handled by a primal active-set method after Lawson and Hanson's
 NNLS: each step solves one face of the feasible set in closed form,
 visiting about one face per coordinate instead of all 2^(K+1).  That
-keeps the selection exactly reproducible.  The solvers divide the
-moments by their largest diagonal entry first, so the selection does
-not depend on the units of the data.
+keeps the selection exactly reproducible.  It runs on Python floats, as
+numpy's per-call cost outweighs arithmetic this small: a Cholesky factor
+solves each face, and ``lstsq`` (minimum norm) only a face that is not
+numerically positive definite.  Dividing the moments by their largest
+diagonal entry first makes the selection free of the data's units.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ __all__ = [
 ]
 
 _MAX_DIM = 16
+_NONFINITE = "moments are not finite: NaN or infinite data, or an overflow"
 
 
 @dataclass(frozen=True)
@@ -81,9 +84,9 @@ class MtSolution:
 
 
 def _validate_qp(m: MultiMoments) -> tuple[np.ndarray, np.ndarray]:
-    """Checked (a, b) divided by the largest diagonal moment, so that the
-    PSD check, the stopping rule and ``lstsq``'s cutoff on the simplex
-    border do not depend on the units of the data (moments scale as c^4).
+    """Checked finite (a, b) divided by the largest diagonal moment, so
+    that the PSD check, the stopping rule and the face solves' cutoffs do
+    not depend on the units of the data (moments scale as c^4).
     """
     a = np.asarray(m.a, dtype=float)
     b = np.asarray(m.b, dtype=float)
@@ -92,6 +95,8 @@ def _validate_qp(m: MultiMoments) -> tuple[np.ndarray, np.ndarray]:
     if a.shape[0] > _MAX_DIM:
         raise ValueError(f"quadratic dimension {a.shape[0]} exceeds the "
                          f"supported limit {_MAX_DIM}")
+    if not (np.isfinite(a).all() and np.isfinite(np.append(b, m.const)).all()):
+        raise ValueError(_NONFINITE)
     scale = float(a.diagonal().max(initial=0.0))
     if scale > 0.0:
         a, b = a / scale, b / scale
@@ -101,59 +106,95 @@ def _validate_qp(m: MultiMoments) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _dot(u, v) -> float:
+    """Sum of u_i v_i, added in order (``sum`` compensates since 3.12)."""
+    total = 0.0
+    for p, q in zip(u, v):
+        total += p * q
+    return total
+
+
+def _solve_face(a, b, free, simplex=False):
+    """Minimizer z of z^T a z - 2 b . z on the coordinates ``free`` of lists
+    a, b (zero elsewhere; sum z = 1 for ``simplex``) and the multiplier lam
+    of that border, (a z)_i + lam = b_i on ``free``, by Cholesky from
+    u = A^-1 b, v = A^-1 1: lam = (sum u - 1) / sum v, z = u - lam v."""
+    k, low, top = len(free), [], max([a[i][i] for i in free], default=0.0)
+    for i in free:
+        li = []
+        for j, lj in zip(free, low):
+            li.append((a[i][j] - _dot(li, lj)) / lj[-1])
+        pivot = a[i][i] - _dot(li, li)
+        if pivot <= 1e-12 * top:
+            break
+        low.append(li + [math.sqrt(pivot)])
+
+    def solve(r):
+        y = []
+        for i, li in enumerate(low):
+            y.append((r[i] - _dot(li, y)) / li[i])
+        for i in reversed(range(k)):  # back substitution by columns
+            y[i] /= low[i][i]
+            for j in range(i):
+                y[j] -= low[i][j] * y[i]
+        return y
+    rhs, ones, lam = [b[i] for i in free], [1.0] * k, 0.0
+    if not k or len(low) < k:
+        kkt = np.pad([[a[i][j] for j in free] for i in free], (0, simplex),
+                     constant_values=1.0).reshape(k + simplex, k + simplex)
+        kkt[k:, k:] = 0.0
+        z = np.linalg.lstsq(kkt, rhs + [1.0] * simplex, rcond=None)[0].tolist()
+        lam = z.pop() if simplex else 0.0
+    elif simplex:
+        u, v = solve(rhs), solve(ones)
+        lam = (_dot(u, ones) - 1.0) / _dot(v, ones)
+        z = [p - lam * q for p, q in zip(u, v)]
+    else:
+        z = solve(rhs)
+    z = dict(zip(free, z))
+    return [z.get(i, 0.0) for i in range(len(b))], lam
+
+
 def _active_set(a: np.ndarray, b: np.ndarray, simplex=False) -> np.ndarray:
     """Minimize x^T a x - 2 b . x over x >= 0 (and sum x = 1 for ``simplex``).
 
     Lawson-Hanson style primal active set: start at x = 0, or at the best
     vertex of the simplex, and free the coordinate with the largest
-    multiplier w = b - a x - lam.  Each free block is a minimum-norm least
-    squares solve, bordered by the sum-to-one row for the simplex; when
-    it leaves the orthant, x steps back to the boundary.  As in NNLS, a
-    freed coordinate whose own value comes out nonpositive is rejected
-    until x moves.  Coordinates off the final free set are exact zeros.
+    multiplier w = b - a x - lam.  A scalar Cholesky factor solves each
+    free block, or face; ``lstsq`` (minimum norm) solves only a face with
+    a pivot at most 1e-12 of its largest diagonal entry.  When the solution
+    leaves the orthant, x steps back to the boundary.  As in NNLS, a freed
+    coordinate whose own value comes out nonpositive is rejected until x
+    moves.  Coordinates off the final free set are exact zeros.
     """
-    dim = b.size
-    x = np.zeros(dim)
-    free = np.zeros(dim, dtype=bool)
-    rejected = np.zeros(dim, dtype=bool)
-    lam = 0.0
+    a, b, dim = a.tolist(), b.tolist(), b.size
+    x, free, rejected, lam = [0.0] * dim, [], [], 0.0
     if simplex:
-        i = int(np.argmin(np.diag(a) - 2.0 * b))
-        x[i], free[i], lam = 1.0, True, b[i] - a[i, i]
-    tol = 1e-12 * max([1.0, *np.diag(a), *np.abs(b)])  # PSD: max|a| on diag
-
-    def face(free):
-        idx = np.flatnonzero(free)
-        k = idx.size
-        kkt = np.ones((k + simplex, k + simplex))
-        kkt[:k, :k] = a[idx[:, None], idx]
-        kkt[k:, k:] = 0.0
-        sol = np.linalg.lstsq(kkt, np.append(b[idx], [1.0] * simplex),
-                              rcond=None)[0]
-        z = np.zeros(dim)
-        z[idx] = sol[:k]
-        return z, float(sol[k]) if simplex else 0.0
+        i = min(range(dim), key=lambda i: a[i][i] - 2.0 * b[i])
+        x[i], free, lam = 1.0, [i], b[i] - a[i][i]
+    tol = 1e-12 * max([1.0, *(a[i][i] for i in range(dim)), *map(abs, b)])
 
     # in exact arithmetic each freeing lowers the objective: no face repeats
     for _ in range(4 * dim * dim + 4):
-        w = np.where(free | rejected, -np.inf, b - a @ x - lam)
-        if not dim or w.max() <= tol:
-            return x
-        j = int(np.argmax(w))
-        free[j] = True
-        z, z_lam = face(free)
+        w = {i: b[i] - _dot(a[i], x) - lam for i in range(dim)
+             if i not in free and i not in rejected}
+        j = max(w, key=w.get, default=None)  # the first largest
+        if j is None or w[j] <= tol:
+            return np.array(x)
+        grown = sorted(free + [j])
+        z, z_lam = _solve_face(a, b, grown, simplex)
         if z[j] <= 0.0:
-            free[j], rejected[j] = False, True
+            rejected.append(j)
             continue
-        rejected[:] = False
-        while np.min(z[free], initial=np.inf) <= 0.0:
-            out = free & (z <= 0.0)
-            ratio = x[out] / (x[out] - z[out])
-            x = x + float(np.min(ratio)) * (z - x)
-            x[np.flatnonzero(out)[np.argmin(ratio)]] = 0.0
-            free &= x > 0.0
-            x[~free] = 0.0
-            z, z_lam = face(free)
+        free, rejected = grown, []
+        while out := [i for i in free if z[i] <= 0.0]:
+            ratio = [x[i] / (x[i] - z[i]) for i in out]
+            step = min(ratio)
+            x = [p + step * (q - p) for p, q in zip(x, z)]
+            x[out[ratio.index(step)]] = 0.0
+            free = [i for i in free if x[i] > 0.0]
+            x = [x[i] if i in free else 0.0 for i in range(dim)]
+            z, z_lam = _solve_face(a, b, free, simplex)
         x, lam = z, z_lam
     raise RuntimeError("active-set solve did not converge")
 

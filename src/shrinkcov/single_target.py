@@ -30,6 +30,7 @@ import numpy as np
 from .estimators import OlsFit, ols_fit
 from .hermitian import _psd_spectrum
 from .multi_target import (
+    _NONFINITE,
     MultiMoments,
     _selection_moments,
     mt_loocv_moments,
@@ -103,6 +104,8 @@ def solve_quadratic_2d(m: QuadMoments, constrained: bool = False) -> ShrinkageSo
     rho + tau = 1, rho in [0, 1].  Ties between the two quadrant edges
     deterministically prefer tau = 0 (pure base estimate).
     """
+    if not all(map(math.isfinite, vars(m).values())):
+        raise ValueError(_NONFINITE)
     # the eigenvalues of [[a_rr, a_rt], [a_rt, a_tt]] are mean -/+ radius
     mean, radius = 0.5 * (m.a_rr + m.a_tt), math.hypot(0.5 * (m.a_rr - m.a_tt), m.a_rt)
     if not _psd_spectrum((mean - radius, mean + radius)):

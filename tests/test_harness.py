@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from shrinkcov import estimators, experiments, hermitian
+from shrinkcov import estimators, experiments, hermitian, multi_target
 from shrinkcov.applications import mmse_channel_estimate
 from shrinkcov.cli import classify_error, main
 from shrinkcov.datagen import RngStream
@@ -418,6 +418,20 @@ def test_one_scm_per_replication_and_block_matrices_not_rechecked(
              for m in block._owned.values()}
     assert owned and not any(id(a) in owned
                              for a in calls["require_hermitian"])
+
+
+def test_multi_target_run_solves_every_face_without_lstsq(monkeypatch):
+    # the moment matrices of real draws are positive definite on every face
+    # the solvers visit, so none falls back to the minimum-norm lstsq solve
+    faces, lstsq = [], []
+    real_face, real_lstsq = multi_target._solve_face, np.linalg.lstsq
+    monkeypatch.setattr(multi_target, "_solve_face",
+                        lambda *a: faces.append(a[2]) or real_face(*a))
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda *a, **k: lstsq.append(a) or real_lstsq(*a, **k))
+    run_experiment(tiny_config("MultiTargetAr", reps=6))
+    assert len(faces) >= 6 * 3  # three multi-target solves per draw
+    assert not lstsq
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from shrinkcov.hermitian import frobenius_norm_sq
 from shrinkcov.multi_target import (
     MultiMoments,
     _convex_design,
+    _solve_face,
     mt_constrained_moments,
     mt_constrained_oracle_moments,
     mt_loocv_moments,
@@ -236,6 +237,103 @@ def test_qp_simplex_feasible_at_large_moments():
         x, _ = solve_nonneg_qp_simplex(MultiMoments(a=a, b=b, const=0.0))
         assert np.all(x >= 0.0)
         assert np.sum(x) <= 1.0 + 1e-12
+
+
+def counted(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that counts its calls."""
+    calls, real = [], getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def bordered_lstsq(a, b, simplex, scale):
+    """Face solve by minimum-norm lstsq on the bordered KKT system
+    [[a, s 1], [s 1^T, 0]] [z, lam / s] = [b, s]: the face's system with
+    its border scaled like a, so that lstsq's relative cutoff keeps it.
+    """
+    k = len(b)
+    kkt = np.full((k + simplex, k + simplex), scale)
+    kkt[:k, :k] = a
+    kkt[k:, k:] = 0.0
+    sol = np.linalg.lstsq(kkt, np.append(b, [scale] * simplex), rcond=None)[0]
+    return sol[:k], scale * sol[k] if simplex else 0.0
+
+
+@pytest.mark.parametrize("simplex", [False, True])
+def test_face_solves_match_bordered_lstsq(simplex, monkeypatch):
+    rng = np.random.default_rng(69)
+    for dim in range(1, 7):
+        for scale in 10.0 ** np.arange(-8, 9, 2):
+            l = rng.standard_normal((dim, dim))
+            a = scale * (l @ l.T / dim + 0.1 * np.eye(dim))
+            b = scale * (rng.standard_normal(dim) + rng.uniform(0.0, 2.0))
+            want_z, want_lam = bordered_lstsq(a, b, simplex, scale)
+            calls = counted(monkeypatch, np.linalg, "lstsq")
+            z, lam = _solve_face(a.tolist(), b.tolist(), list(range(dim)),
+                                 simplex)
+            monkeypatch.undo()
+            assert not calls  # the Cholesky path, not the fallback
+            got = np.append(z, lam / scale)
+            want = np.append(want_z, want_lam / scale)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# (G, d) with a = G^T G, b = G^T d: column 2 of G is twice column 0, so
+# target 2 duplicates target 0 at twice its scale
+SINGULAR_FACES = {
+    # exact moments: the last pivot of the singular face is exactly 0
+    "exact": ([[-2.0, -1.0, -4.0], [1.0, -1.0, 2.0], [0.0, 0.0, 0.0]],
+              [-3.0, 0.0, -1.0]),
+    # inexact moments: that pivot is a rounding residue of about 1e-16
+    "rounded": ([[-0.3, -1.7, -0.6], [-0.3, 0.7, -0.6], [0.7, -1.1, 1.4]],
+                [-1.3, -0.4, 0.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SINGULAR_FACES))
+def test_singular_face_falls_back_to_lstsq(case, monkeypatch):
+    # An exact duplicate is never freed: its multiplier equals its free
+    # twin's, zero.  On the simplex this one costs half the budget: with
+    # target 0 free its multiplier is 2 lam - lam = lam > 0, and the solver
+    # frees it into the singular face {0, 1, 2}
+    g, d = np.array(SINGULAR_FACES[case][0]), np.array(SINGULAR_FACES[case][1])
+    m = MultiMoments(a=g.T @ g, b=g.T @ d, const=float(d @ d))
+    ref_x, ref_obj = enumerate_nonneg_qp_simplex(m)
+    calls = counted(monkeypatch, np.linalg, "lstsq")
+    x, obj = solve_nonneg_qp_simplex(m)
+    assert len(calls) == 1
+    assert x[0] == 0.0 and abs(float(np.sum(x)) - 1.0) <= 1e-12
+    assert np.max(np.abs(x - ref_x)) <= 1e-12
+    assert obj == pytest.approx(ref_obj, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("solve", [solve_nonneg_qp, solve_nonneg_qp_simplex])
+def test_qp_rejects_nonfinite_moments(solve):
+    nan, inf = float("nan"), float("inf")
+    cases = [(np.eye(3), [nan, 1.0, 1.0], 0.0),
+             (np.eye(3), [inf, 1.0, 1.0], 0.0),
+             (np.diag([inf, 1.0, 1.0]), [1.0, 1.0, 1.0], 0.0),
+             (np.eye(3), [1.0, 1.0, 1.0], nan)]
+    for a, b, const in cases:
+        with pytest.raises(ValueError, match="not finite"):
+            solve(MultiMoments(a=a, b=np.array(b), const=const))
+
+
+def test_selection_rejects_overflowing_moments():
+    # finite samples whose trace products overflow: 1e120^4 > 1.8e308
+    y = 1e120 * gaussian_samples(ar_covariance(6, 0.5), 12,
+                                 np.random.default_rng(70))
+    targets = make_targets(scm(y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for method in ("cv", "cv_constrained"):
+            with pytest.raises(ValueError, match="not finite"):
+                mt_select(method, targets, samples=y)
+        with pytest.raises(ValueError, match="not finite"):
+            select_single_target("cv", targets[0], samples=y)
 
 
 # ------------------------------------------------------------------- moments

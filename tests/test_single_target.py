@@ -184,6 +184,16 @@ def test_solve2d_nonpsd_raises():
         solve_quadratic_2d(QuadMoments(1.0, 2.0, 1.0, 0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("field", MOMENT_FIELDS)
+def test_solve2d_rejects_nonfinite_moments(field):
+    good = dict(zip(MOMENT_FIELDS, (2.0, 0.5, 1.0, 1.0, 0.5, 3.0)))
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        m = QuadMoments(**{**good, field: bad})
+        for constrained in (False, True):
+            with pytest.raises(ValueError, match="not finite"):
+                solve_quadratic_2d(m, constrained)
+
+
 def _raises(solve, m) -> bool:
     try:
         solve(m)
