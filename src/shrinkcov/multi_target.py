@@ -140,8 +140,8 @@ def _solve_face(a, b, free, simplex=False):
         return y
     rhs, ones, lam = [b[i] for i in free], [1.0] * k, 0.0
     if not k or len(low) < k:
-        kkt = np.pad([[a[i][j] for j in free] for i in free], (0, simplex),
-                     constant_values=1.0).reshape(k + simplex, k + simplex)
+        kkt = np.ones((k + simplex, k + simplex))
+        kkt[:k, :k] = [[a[i][j] for j in free] for i in free]
         kkt[k:, k:] = 0.0
         z = np.linalg.lstsq(kkt, rhs + [1.0] * simplex, rcond=None)[0].tolist()
         lam = z.pop() if simplex else 0.0
