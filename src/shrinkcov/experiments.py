@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from types import SimpleNamespace as _Scene
 from typing import Callable
 
@@ -106,10 +107,10 @@ class ResultRow:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment request: grid of sample counts times methods."""
+    """One experiment request; None counts or () methods mean the spec's."""
 
     experiment: str
-    sample_counts: tuple
+    sample_counts: tuple | None = None
     reps: int = 200
     seed: int = 0
     methods: tuple = ()
@@ -489,52 +490,70 @@ EXPERIMENTS = {
 _STREAMS_PER_REP = 8
 
 _TOP_KEYS = {"experiments", "seed", "reps", "workers"}
-_ENTRY_KEYS = {"experiment", "sample_counts", "methods", "params",
-               "reps", "seed"}
+_ENTRY_KEYS = {f.name for f in fields(ExperimentConfig)}
+# a param takes the kind of its default (bools are none of them)
+_KINDS = {int: (numbers.Integral, "an integer"),
+          float: (numbers.Real, "a real number"),
+          tuple: ((list, tuple), "a list")}
 
 
-def _validated(cfg: ExperimentConfig) -> tuple[ExperimentSpec, tuple, dict]:
-    """Check one config against the registry; return (spec, methods, params)."""
-    if cfg.experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {cfg.experiment!r}; available: "
+def _count(value, what: str, least: int) -> int:
+    """``value``, checked to be an int (not a bool) >= ``least``."""
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or value < least):
+        raise ConfigError(f"{what} must be an integer >= {least}, "
+                          f"got {value!r}")
+    return value
+
+
+def _validated(cfg: ExperimentConfig) -> tuple:
+    """The one config validator: look up the spec, fill its sample counts
+    and methods, check every field; return (config, spec, merged params)."""
+    name = cfg.experiment
+    spec = isinstance(name, str) and EXPERIMENTS.get(name)
+    if not spec:
+        raise ConfigError(f"unknown experiment {name!r}; available: "
                           f"{', '.join(sorted(EXPERIMENTS))}")
-    spec = EXPERIMENTS[cfg.experiment]
+    counts = cfg.sample_counts
+    counts = spec.sample_counts if counts is None else counts
+    if not isinstance(counts, (list, tuple)) or not counts:
+        raise ConfigError(f"sample_counts must be a nonempty list, "
+                          f"got {counts!r}")
+    counts = tuple(_count(t, "sample count", 1) for t in counts)
+    if not isinstance(cfg.methods, (list, tuple)):
+        raise ConfigError(f"methods must be a list, got {cfg.methods!r}")
     methods = tuple(cfg.methods) or spec.methods
-    counts = tuple(cfg.sample_counts)
-    if not counts:
-        raise ConfigError("sample_counts must be a nonempty list")
-    for t in counts:
-        if not isinstance(t, (int, np.integer)) or isinstance(t, bool) or t < 1:
-            raise ConfigError(f"sample count {t!r} must be a positive integer")
-    if cfg.reps < 1:
-        raise ConfigError(f"reps must be at least 1, got {cfg.reps}")
+    _count(cfg.reps, "reps", 1)
+    _count(cfg.seed, "seed", 0)
     if not isinstance(cfg.params, dict):
-        raise ConfigError("params must be a mapping")
+        raise ConfigError(f"params must be a mapping, got {cfg.params!r}")
     unknown = set(cfg.params) - set(spec.defaults)
     if unknown:
-        raise ConfigError(f"unknown params for {cfg.experiment}: "
+        raise ConfigError(f"unknown params for {name}: "
                           f"{', '.join(sorted(unknown))}; available: "
                           f"{', '.join(sorted(spec.defaults))}")
+    for key, value in cfg.params.items():
+        types, kind = _KINDS[type(spec.defaults[key])]
+        if not isinstance(value, types) or isinstance(value, bool):
+            raise ConfigError(f"param {key} must be {kind}, got {value!r}")
     params = {**spec.defaults, **cfg.params}
     for method in methods:
         if method not in spec.methods:
-            raise ConfigError(
-                f"unknown method {method!r} for {cfg.experiment}; available: "
-                f"{', '.join(spec.methods)}")
+            raise ConfigError(f"unknown method {method!r} for {name}; "
+                              f"available: {', '.join(spec.methods)}")
         least = spec.min_samples(params, method)
         if min(counts) < least:
-            raise ConfigError(f"{cfg.experiment} method {method} needs "
-                              f"T >= {least}; got sample count {min(counts)}")
-    return spec, methods, params
+            raise ConfigError(f"{name} method {method} needs T >= {least}; "
+                              f"got sample count {min(counts)}")
+    return (replace(cfg, sample_counts=counts, methods=methods,
+                    params=dict(cfg.params)), spec, params)
 
 
 def parse_config(doc) -> RunPlan:
-    """Validate a configuration document into a :class:`RunPlan`.
+    """A document's ``experiments`` list as validated configs in a RunPlan.
 
-    The document is a mapping with an ``experiments`` list; top-level
-    ``seed``, ``reps`` and ``workers`` provide defaults for every entry.
-    All keys are validated strictly so typos fail fast.
-    """
+    Top-level ``seed`` and ``reps`` apply to each entry that sets none,
+    ``workers`` to the run; unknown keys fail fast."""
     if not isinstance(doc, dict):
         raise ConfigError("configuration must be a mapping")
     unknown = set(doc) - _TOP_KEYS
@@ -544,35 +563,18 @@ def parse_config(doc) -> RunPlan:
     entries = doc.get("experiments")
     if not isinstance(entries, list) or not entries:
         raise ConfigError("configuration needs a nonempty 'experiments' list")
-    workers = doc.get("workers", 1)
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise ConfigError(f"workers must be a positive integer, got {workers!r}")
-    default_seed = doc.get("seed", 0)
-    default_reps = doc.get("reps", 200)
+    workers = _count(doc.get("workers", 1), "workers", 1)
+    shared = {key: doc[key] for key in ("reps", "seed") if key in doc}
     configs = []
     for pos, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"experiment entry {pos} must be a mapping")
+        if not isinstance(entry, dict) or "experiment" not in entry:
+            raise ConfigError(f"experiment entry {pos} must be a mapping "
+                              "with an 'experiment' name")
         unknown = set(entry) - _ENTRY_KEYS
         if unknown:
             raise ConfigError(f"unknown keys in experiment entry {pos}: "
                               f"{', '.join(sorted(unknown))}")
-        name = entry.get("experiment")
-        if name not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {name!r}; available: "
-                              f"{', '.join(sorted(EXPERIMENTS))}")
-        spec = EXPERIMENTS[name]
-        cfg = ExperimentConfig(
-            experiment=name,
-            sample_counts=tuple(entry.get("sample_counts",
-                                          spec.sample_counts)),
-            reps=entry.get("reps", default_reps),
-            seed=entry.get("seed", default_seed),
-            methods=tuple(entry.get("methods", spec.methods)),
-            params=dict(entry.get("params", {})),
-        )
-        _validated(cfg)
-        configs.append(cfg)
+        configs.append(_validated(ExperimentConfig(**{**shared, **entry}))[0])
     return RunPlan(configs=tuple(configs), workers=workers)
 
 
@@ -599,8 +601,11 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
     all read it.  Replications are independent random streams, so
     ``workers > 1`` produces bit-identical results to a serial run.
     """
-    spec, methods, params = _validated(cfg)
-    setting = spec.setting(params)
+    cfg, spec, params = _validated(cfg)
+    try:  # the setting is a pure function of the params
+        setting = spec.setting(params)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise ConfigError(f"{cfg.experiment} params: {exc}") from exc
     rows = []
     for t_index, t in enumerate(cfg.sample_counts):
         def one_rep(rep: int, _t=t, _ti=t_index):
@@ -608,14 +613,14 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
             # stream offsets and sub-draws never collide across reps
             base = (_ti * cfg.reps + rep) * _STREAMS_PER_REP
             stream = RngStream(cfg.seed, base)
-            return spec.replicate(setting, _t, methods, stream)
+            return spec.replicate(setting, _t, cfg.methods, stream)
 
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 per_rep = list(pool.map(one_rep, range(cfg.reps)))
         else:
             per_rep = [one_rep(rep) for rep in range(cfg.reps)]
-        for method in methods:
+        for method in cfg.methods:
             mean, stderr = _aggregate(spec.metric,
                                       [r[method] for r in per_rep])
             rows.append(ResultRow(experiment=cfg.experiment, method=method,

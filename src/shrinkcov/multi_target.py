@@ -263,10 +263,15 @@ def mt_scm_loocv_moments(samples: np.ndarray, targets) -> MultiMoments:
     leave-one-out identity expresses a_00 = mean_t tr(R_t^2) and
     b_0 = mean_t y_t^H R_t y_t through tr(R^2) and the fourth-moment sum
     sum_t ||y_t||^4 alone, so no R_t is ever formed.  The mean R_t is R,
-    so a_0k = b_k = tr(R T_k); a_jk = tr(T_j T_k).  Requires T >= 3 so
-    the T-2 factor stays positive.  ``samples`` may be a sample block.
+    so a_0k = b_k = tr(R T_k); a_jk = tr(T_j T_k).  Requires T >= 3, the
+    floor of every cross-validated selector; the closed form holds from
+    T = 2 (:func:`_scm_loocv_moments`).  ``samples`` may be a block.
     """
-    block = sample_block(samples, min_count=3)
+    return _scm_loocv_moments(sample_block(samples, min_count=3), targets)
+
+
+def _scm_loocv_moments(block, targets) -> MultiMoments:
+    """:func:`mt_scm_loocv_moments` of a block of T >= 2 samples."""
     y, count = block.y, block.y.shape[1]
     a = _gram([block.r, *map(block.checked, targets)])
     b = a[0].copy()
@@ -396,7 +401,7 @@ def mt_constrained_oracle_moments(base: np.ndarray, targets,
     """Oracle quadratic || sum tau_k (T_k - R) + (R - Sigma) ||_F^2."""
     targets = list(targets)
     return _convex_design(mt_oracle_moments(base, targets, truth),
-                          float(np.trace(base).real), targets)
+                          float(np.trace(_base(base)[0]).real), targets)
 
 
 # ---------------------------------------------------------------------------

@@ -173,7 +173,7 @@ def scm_fast_moments(samples: np.ndarray, target: np.ndarray) -> QuadMoments:
     Uses the rank-one leave-one-out identity to express every moment
     through tr(R^2), tr(R T0) and the fourth-moment sum of the samples,
     so no R_t is ever formed (:func:`mt_scm_loocv_moments` with one
-    target).  Requires T >= 3 so the T-2 factor stays positive.
+    target).  Requires T >= 3, the floor of every cross-validated selector.
     """
     return _quad(mt_scm_loocv_moments(samples, [target]))
 

@@ -11,13 +11,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .estimators import _base, sample_block, scm_leave_one_out
-from .single_target import (
-    loocv_moments_general,
-    scm_fast_moments,
-    shrink,
-    solve_quadratic_2d,
-)
+from .estimators import _base, sample_block
+from .multi_target import _scm_loocv_moments
+from .single_target import _quad, shrink, solve_quadratic_2d
 
 __all__ = [
     "scaled_identity_target",
@@ -76,17 +72,10 @@ def knowledge_aided_target(past_samples: np.ndarray) -> np.ndarray:
     its sample covariance and mu I its scaled identity.  The convex
     constraint keeps the trace of R_past, so the target remains a
     calibrated power reference even when the past block is short.
-    ``past_samples`` may be a sample block.
+    ``past_samples`` (T >= 2) may be a sample block.
     """
-    past = sample_block(past_samples)
+    past = sample_block(past_samples, min_count=2)
     t0 = scaled_identity_target(past)
-    count = past.y.shape[1]
-    if count >= 3:
-        moments = scm_fast_moments(past, t0)
-    else:
-        # the closed-form accumulator needs T >= 3; fall back to the
-        # explicit leave-one-out covariances for tiny past blocks
-        loo = [scm_leave_one_out(past.r, past.y, i) for i in range(count)]
-        moments = loocv_moments_general(loo, past.y, t0)
+    moments = _quad(_scm_loocv_moments(past, [t0]))
     sol = solve_quadratic_2d(moments, constrained=True)
     return shrink(past.r, t0, sol)

@@ -176,10 +176,38 @@ def test_parse_config_minimal():
                       "params": {"n": 5, "m": 1}}]},
     {"experiments": [{"experiment": "LinearModelPastTarget",
                       "methods": ["cv_past"], "params": {"past_t": 1}}]},
+    # every field's type is checked, not only its range
+    {"experiments": [{"experiment": "Ar1Identity", "params": "ab"}]},
+    {"experiments": [{"experiment": "Ar1Identity", "sample_counts": 5}]},
+    {"experiments": [{"experiment": "Ar1Identity", "reps": "3"}]},
+    {"experiments": [{"experiment": "Ar1Identity", "seed": 1.5}]},
+    {"experiments": [{"experiment": "Ar1Identity", "seed": -1}]},
+    {"seed": True, "experiments": [{"experiment": "Ar1Identity"}]},
+    {"experiments": [{"experiment": ["Ar1Identity"]}]},
+    {"experiments": [{"experiment": "Ar1Identity", "methods": "cv"}]},
+    {"experiments": [{"sample_counts": [10]}]},
+    # each param takes the kind of its default
+    {"experiments": [{"experiment": "LinearModelPastTarget",
+                      "params": {"past_t": "x"}}]},
+    {"experiments": [{"experiment": "Ar1Identity", "params": {"n": "5"}}]},
+    {"experiments": [{"experiment": "MvdrBeam", "params": {"aoas_deg": "x"}}]},
 ])
 def test_parse_config_rejects(doc):
     with pytest.raises(ConfigError):
         parse_config(doc)
+
+
+def test_validator_fills_the_experiment_defaults():
+    spec = EXPERIMENTS["Ar1Identity"]
+    cfg, got_spec, params = experiments._validated(
+        ExperimentConfig("Ar1Identity", params={"n": 7}))
+    assert got_spec is spec and params == {**spec.defaults, "n": 7}
+    assert cfg.sample_counts == spec.sample_counts
+    assert cfg.methods == spec.methods and cfg.params == {"n": 7}
+    (parsed,) = parse_config({"experiments": [{"experiment": "Ar1Identity"}]}
+                             ).configs
+    # parse_config restates no default: reps and seed are the dataclass's
+    assert parsed == dataclasses.replace(cfg, params={})
 
 
 def test_unknown_method_error_lists_available():
@@ -598,7 +626,7 @@ def test_declared_min_samples_match_the_draws(name):
 
 
 def test_past_target_runs_on_two_past_samples():
-    # knowledge_aided_target's explicit leave-one-out covers T_past = 2
+    # knowledge_aided_target's closed form holds at T_past = 2
     params = {**TINY["LinearModelPastTarget"]["params"], "past_t": 2}
     parse_config({"experiments": [{"experiment": "LinearModelPastTarget",
                                    "methods": ["cv_past"], "params": params,
@@ -613,6 +641,8 @@ def test_run_experiment_rejects_bad_config():
         run_experiment(tiny_config("Ar1Identity", methods=("bogus",)))
     with pytest.raises(ConfigError):
         run_experiment(tiny_config("Ar1Identity", sample_counts=(2,)))
+    with pytest.raises(ConfigError, match="Ar1Identity params"):
+        run_experiment(tiny_config("Ar1Identity", params={"n": 6, "r": 1.5}))
 
 
 # ---------------------------------------------------------------------------
@@ -677,6 +707,37 @@ def test_cli_least_squares_config_error_exit_code(tmp_path, entry):
         {"experiment": "LinearModelPastTarget", **entry}]}
     assert main(["run", "--config", cli_config(tmp_path, doc), "--out",
                  str(tmp_path / "x.csv")]) == 1
+
+
+@pytest.mark.parametrize("entry", [
+    {"experiment": "Ar1Identity", "params": "ab"},
+    {"experiment": "Ar1Identity", "sample_counts": 5},
+    {"experiment": "Ar1Identity", "reps": "3"},
+    {"experiment": "Ar1Identity", "seed": 1.5},
+    {"experiment": "Ar1Identity", "seed": -1},
+    {"experiment": ["Ar1Identity"]},
+    {"experiment": "Ar1Identity", "methods": "cv"},
+    {"experiment": "LinearModelPastTarget", "params": {"past_t": "x"}},
+    {"experiment": "Ar1Identity", "params": {"n": "5"}},
+    {"experiment": "MvdrBeam", "params": {"aoas_deg": "x"}},
+    # outside the setting's domain: raised as it is built, before any draw
+    {"experiment": "Ar1Identity", "params": {"r": 1.5}},
+    {"experiment": "MimoChannelMmse", "params": {"nt": 0}},
+    {"experiment": "LmmseDetect", "params": {"sigma2": -1}},
+    {"experiment": "MvdrBeam", "params": {"aoas_deg": ["x"]}},
+])
+def test_cli_malformed_config_exit_code(tmp_path, entry):
+    # each used to fail as a numeric error (exit 2) or with a wrong message
+    doc = {"reps": 2, "experiments": [entry]}
+    assert main(["run", "--config", cli_config(tmp_path, doc), "--out",
+                 str(tmp_path / "x.csv")]) == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("override", [["--seed", "-1"], ["--reps", "0"]])
+def test_cli_overrides_are_validated(tmp_path, override):
+    assert main(["run", "--config", cli_config(tmp_path, GOOD_DOC), "--out",
+                 str(tmp_path / "x.csv"), *override]) == 1
 
 
 def test_cli_missing_config_is_io_error(tmp_path):

@@ -13,6 +13,7 @@ from shrinkcov.estimators import (
 )
 from shrinkcov.multi_target import (
     mt_constrained_moments,
+    mt_constrained_oracle_moments,
     mt_ols_loocv_moments,
     mt_oracle_moments,
     mt_scm_loocv_moments,
@@ -77,6 +78,8 @@ def test_block_path_is_bit_identical_to_raw_path(complex_field):
          mt_oracle_moments(r, raw_targets, truth)),
         (mt_constrained_moments(block, targets),
          mt_constrained_moments(y, raw_targets)),
+        (mt_constrained_oracle_moments(block, targets, truth),
+         mt_constrained_oracle_moments(r, raw_targets, truth)),
         (oracle_moments(block, t0, truth), oracle_moments(r, raw_t0, truth)),
         (scm_fast_moments(block, t0), scm_fast_moments(y, raw_t0)),
         (lw_coefficients(block), lw_coefficients(y)),
@@ -97,7 +100,7 @@ def test_block_path_is_bit_identical_to_raw_path(complex_field):
 
 @pytest.mark.parametrize("complex_field", (False, True))
 def test_knowledge_aided_fallback_block_matches_raw(complex_field):
-    y, _ = _data(complex_field, t=2)  # below the closed form's T >= 3
+    y, _ = _data(complex_field, t=2)  # below the cross-validation floor T >= 3
     assert np.array_equal(knowledge_aided_target(sample_block(y)),
                           knowledge_aided_target(y))
 

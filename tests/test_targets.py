@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shrinkcov.datagen import RngStream, ar_covariance, gaussian_samples
-from shrinkcov.estimators import scm
+from shrinkcov.estimators import scm, scm_leave_one_out
 from shrinkcov.hermitian import frobenius_norm_sq, is_psd
 from shrinkcov.targets import (
     diagonal_target,
@@ -11,7 +11,13 @@ from shrinkcov.targets import (
     toeplitz_average_target,
 )
 
-from oracles import random_psd, toeplitz_first_row_loop
+from shrinkcov.single_target import (
+    loocv_moments_general,
+    shrink,
+    solve_quadratic_2d,
+)
+
+from oracles import random_psd, random_samples, toeplitz_first_row_loop
 
 
 def toeplitz_band_oracle(r):
@@ -127,6 +133,22 @@ def test_knowledge_aided_two_samples_finite_psd():
     assert is_psd(t0)
     # constrained combination preserves the sample covariance trace
     assert np.trace(t0).real == pytest.approx(np.trace(scm(y)).real, rel=1e-10)
+
+
+@pytest.mark.parametrize("complex_field", (False, True))
+@pytest.mark.parametrize("seed", range(5))
+def test_knowledge_aided_two_samples_match_explicit_folds(complex_field, seed):
+    # the closed form is exact at T = 2: the target built from the two
+    # explicit leave-one-out covariances is the same to rounding
+    y = random_samples(6, 2, np.random.default_rng(seed), complex_field)
+    r = scm(y)
+    t0 = scaled_identity_target(r)
+    loo = [scm_leave_one_out(r, y, i) for i in range(2)]
+    sol = solve_quadratic_2d(loocv_moments_general(loo, y, t0),
+                             constrained=True)
+    want = shrink(r, t0, sol)
+    got = knowledge_aided_target(y)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_knowledge_aided_target_improves_over_scm_on_average():
