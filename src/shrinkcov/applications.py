@@ -9,10 +9,11 @@ fixed downstream stages used by the experiment harness.
 Channel estimation has a dense form, :func:`ls_to_channel_cov` followed
 by :func:`mmse_channel_estimate`, and an eigenbasis form,
 :func:`spectral_channel_estimate`, for the pilot sqrt(p) I.  A shrunk
-sample covariance rho R + tau mu I has R's eigenvectors, from a thin SVD
-of the samples, and the eigenvalue tau mu on R's null space; removing the
-noise floor and filtering are then scalar maps of those eigenvalues, and
-no N x N matrix is formed.
+sample covariance rho R + tau mu I has R's eigenvectors, which the
+harness takes from the eigendecomposition of the smaller Gram matrix of
+the samples (Y^H Y when T < N), and the eigenvalue tau mu on R's null
+space; removing the noise floor and filtering are then scalar maps of
+those eigenvalues, and no N x N matrix is formed.
 """
 
 from __future__ import annotations

@@ -11,15 +11,16 @@ Conventions: the Ledoit-Wolf and general-target coefficients scale the
 *unscaled* target (tau absorbs the power calibration), while the
 oracle-approximating tau multiplies the trace-calibrated identity
 tr(R)/n I and satisfies rho + tau = 1.
-Each takes the samples as an array or a sample block.
+Each takes the samples as an array or a sample block, and reads the
+block's R, fourth-moment sum and trace products from the block.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .estimators import sample_block
-from .hermitian import frobenius_norm_sq, real_trace_product
+from .estimators import SampleBlock, sample_block
+from .hermitian import frobenius_norm_sq
 from .single_target import Clip, ShrinkageSolution
 
 __all__ = [
@@ -29,16 +30,16 @@ __all__ = [
 ]
 
 
-def _dispersion_stat(y: np.ndarray, r: np.ndarray) -> float:
+def _dispersion_stat(block: SampleBlock) -> float:
     """Average squared distance (1/T^2) sum_t ||y_t y_t^H - R||_F^2.
 
     Computed through the identity sum_t ||S_t - R||^2 =
-    sum_t ||y_t||^4 - T ||R||^2 and clamped at zero so rounding noise on
-    dispersion-free samples cannot turn the statistic negative.
+    sum_t ||y_t||^4 - T ||R||^2, the fourth-moment sum read from the
+    block, and clamped at zero so rounding noise on dispersion-free
+    samples cannot turn the statistic negative.
     """
-    t = y.shape[1]
-    quart = float(np.sum(np.sum(np.abs(y) ** 2, axis=0) ** 2))
-    return max(0.0, quart / t**2 - frobenius_norm_sq(r) / t)
+    t = block.y.shape[1]
+    return max(0.0, block.quart / t**2 - frobenius_norm_sq(block.r) / t)
 
 
 def lw_coefficients(y: np.ndarray) -> ShrinkageSolution:
@@ -49,13 +50,13 @@ def lw_coefficients(y: np.ndarray) -> ShrinkageSolution:
     :func:`shrink` should be the unscaled identity.
     """
     block = sample_block(y)
-    y, r = block.y, block.r
+    r = block.r
     n = r.shape[0]
     mu = float(np.trace(r).real) / n
     delta2 = frobenius_norm_sq(r - mu * np.eye(n))
     if delta2 <= 0.0:
         return ShrinkageSolution(0.0, mu, Clip.RHO_ZERO)
-    beta2 = min(delta2, _dispersion_stat(y, r))
+    beta2 = min(delta2, _dispersion_stat(block))
     rho = (delta2 - beta2) / delta2
     return ShrinkageSolution(rho, (beta2 / delta2) * mu,
                              Clip.RHO_ZERO if rho == 0.0 else Clip.NONE)
@@ -70,15 +71,15 @@ def glc_coefficients(y: np.ndarray, target: np.ndarray) -> ShrinkageSolution:
     build must be finite and Hermitian.
     """
     block = sample_block(y)
-    y, r, t0 = block.y, block.r, block.checked(target)
+    r, t0 = block.r, block.checked(target)
     norm_t0 = frobenius_norm_sq(t0)
     if norm_t0 <= 0.0:
         raise ValueError("target must be nonzero")
-    nu = real_trace_product(t0, r) / norm_t0
+    nu = block.trace(t0, r) / norm_t0
     d2 = frobenius_norm_sq(r - nu * t0)
     if d2 <= 0.0:
         return ShrinkageSolution(0.0, nu, Clip.RHO_ZERO)
-    beta2 = min(d2, _dispersion_stat(y, r))
+    beta2 = min(d2, _dispersion_stat(block))
     rho = 1.0 - beta2 / d2
     return ShrinkageSolution(rho, nu * beta2 / d2,
                              Clip.RHO_ZERO if rho == 0.0 else Clip.NONE)

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hermitian import require_hermitian, validate_samples
+from .hermitian import real_trace_product, require_hermitian, validate_samples
 
 __all__ = [
     "SampleBlock",
@@ -52,14 +52,27 @@ class SampleBlock:
     built from the block are read-only and held by it (:meth:`own`).  A
     function given the block skips :func:`require_hermitian` for exactly
     those objects, matched by identity, and checks every other matrix.
+
+    The block also keeps what every selector of one draw reads: the
+    fourth-moment sum ``quart`` = sum_t ||y_t||^4, formed on first use,
+    and :meth:`trace`, which memoizes :func:`real_trace_product` of two
+    matrices the block owns.  Sharing those is safe: an owned matrix is
+    read-only, so its products cannot go stale, and the block holds it,
+    so its id is not reused while the memo lives.  Any other operand is
+    recomputed on every call, as a caller may change it in place.
     """
 
     y: np.ndarray
     _owned: dict = field(default_factory=dict, init=False, repr=False)
+    _traces: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def r(self) -> np.ndarray:
         return self.own(scm(self.y))
+
+    @cached_property
+    def quart(self) -> float:
+        return float(np.sum(np.sum(np.abs(self.y) ** 2, axis=0) ** 2))
 
     def own(self, m: np.ndarray) -> np.ndarray:
         m.flags.writeable = False
@@ -67,6 +80,15 @@ class SampleBlock:
 
     def checked(self, m) -> np.ndarray:
         return m if self._owned.get(id(m)) is m else require_hermitian(m)
+
+    def trace(self, a: np.ndarray, b: np.ndarray) -> float:
+        if self._owned.get(id(a)) is not a or self._owned.get(id(b)) is not b:
+            return real_trace_product(a, b)
+        # the product is symmetric in its operands, bit for bit
+        key = (id(a), id(b)) if id(a) <= id(b) else (id(b), id(a))
+        if key not in self._traces:
+            self._traces[key] = real_trace_product(a, b)
+        return self._traces[key]
 
 
 def sample_block(samples, min_count: int = 1,
@@ -82,10 +104,12 @@ def sample_block(samples, min_count: int = 1,
 
 
 def _base(base) -> tuple:
-    """(R, own, check) of a block; a raw R is checked and trusts nothing."""
+    """(R, own, check, trace) of a block; a raw R is checked, trusts nothing
+    and memoizes nothing."""
     if isinstance(base, SampleBlock):
-        return base.r, base.own, base.checked
-    return require_hermitian(base), (lambda m: m), require_hermitian
+        return base.r, base.own, base.checked, base.trace
+    return (require_hermitian(base), (lambda m: m), require_hermitian,
+            real_trace_product)
 
 
 def scm_leave_one_out(r: np.ndarray, y: np.ndarray, t: int) -> np.ndarray:

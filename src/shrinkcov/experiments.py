@@ -159,21 +159,22 @@ def nmse(estimates, truths) -> float:
 # ---------------------------------------------------------------------------
 # settings, scenes and method tables
 #
-# A setting function maps a config's params to what its replications
-# share, a _frozen namespace; it draws nothing.  A scene function draws
-# from the setting on sub-streams 0-2 and returns a _Scene of ``samples``
-# (the SampleBlock the selectors see), ``base`` (the estimate they
-# shrink), ``source`` (the SCM scenes' block, or base: what base, the
-# targets and the oracle read), ``truth`` (the oracle's covariance),
-# ``targets`` (scaled identity first), ``judge`` and its consumer's
-# inputs.  A table entry maps the scene to the judge's input: a covariance
-# estimate, a channel estimate or beamformer weights.  The judge returns
-# (error, reference) for normalized-error metrics, a float for dB
-# metrics.  A draw only one method needs is made in its entry, so a method
-# subset never changes another method's data.  Entries look package
-# functions up in these module globals at call time, and replicate
-# iterates the ``methods`` it is given, so wrappers installed on either
-# see every call and its method.
+# A setting function checks a config's params against its draws' domain
+# and maps them to what its replications share, a _frozen namespace: the
+# truth, its samplers and every constant of the config; it draws nothing.
+# A scene function draws from the setting on sub-streams 0-2 and returns
+# a _Scene of ``samples`` (the SampleBlock the selectors see), ``base``
+# (the estimate they shrink), ``source`` (the SCM scenes' block, or base:
+# what base, the targets and the oracle read), ``truth`` (the oracle's
+# covariance), ``targets`` (scaled identity first), ``judge`` and its
+# consumer's inputs.  A table entry maps the scene to the judge's input:
+# a covariance estimate, a channel estimate or beamformer weights.  The
+# judge returns (error, reference) for normalized-error metrics, a float
+# for dB metrics.  A draw only one method needs is made in its entry, so
+# a method subset never changes another method's data.  Entries look
+# package functions up in these module globals at call time, and
+# replicate iterates the ``methods`` it is given, so wrappers installed
+# on either see every call and its method.
 
 
 def _cov_judge(sigma: np.ndarray) -> Callable:
@@ -264,14 +265,36 @@ def _scm_scene(samples: np.ndarray, truth: np.ndarray, judge: Callable,
 
 def _spectral_scene(samples: np.ndarray, truth: np.ndarray, judge: Callable,
                     **inputs) -> _Scene:
-    """SCM scene plus R's eigenpairs on its range: R = basis diag(eigs) basis^H."""
+    """SCM scene plus R's eigenpairs on its range: R = basis diag(eigs) basis^H.
+
+    They come from the smaller of the two Gram matrices: for T < N from
+    Y^H Y = V diag(w) V^H, as basis Y V / sqrt(w) and eigs w / T, and
+    otherwise from R itself.  Directions with w at or below the rank
+    cutoff (its size times eps times the largest w) are left out: in the
+    null space they take the shrunk eigenvalue tau mu, which theirs
+    exceeds by at most rho times that cutoff.
+    """
     s = _scm_scene(samples, truth, judge, **inputs)
-    s.basis, sv, _ = np.linalg.svd(samples, full_matrices=False)
-    s.eigs = sv * sv / samples.shape[1]
+    y = s.samples.y
+    n, t = y.shape
+    w, v = np.linalg.eigh(y.conj().T @ y if t < n else s.base)
+    keep = w > w.size * np.finfo(float).eps * w[-1]
+    w, v = w[keep], v[:, keep]
+    s.basis, s.eigs = ((y @ v) / np.sqrt(w), w / t) if t < n else (v, w)
     return s
 
 
+def _in_domain(params, **least) -> None:
+    """Raise ValueError unless each named param is finite and >= its least
+    value: a setting rejects what its draws cannot use before any runs."""
+    for key, low in least.items():
+        if not (math.isfinite(params[key]) and params[key] >= low):
+            raise ValueError(f"{key} must be finite and >= {low}, "
+                             f"got {params[key]!r}")
+
+
 def _ar_setting(params) -> _Scene:
+    _in_domain(params, n=1)
     sigma = ar_covariance(params["n"], params["r"])
     return _frozen(truth=sigma, sampler=gaussian_sampler(sigma),
                    judge=_cov_judge(sigma))
@@ -290,6 +313,7 @@ def _multi_target_scene(setting: _Scene, t, stream: RngStream) -> _Scene:
 
 def _linear_model_setting(params) -> _Scene:
     # the model itself is random, so only the params are fixed
+    _in_domain(params, n=1, m=1, sigma2=0.0)
     return _frozen(**params)
 
 
@@ -317,7 +341,15 @@ def _linear_model_scene(setting: _Scene, t, stream: RngStream) -> _Scene:
         past=lambda: model.generator(setting.past_t, stream.generator(2))[1])
 
 
+def _mmse_filter(sigma_h: np.ndarray, p: float) -> np.ndarray:
+    """The true MMSE filter sqrt(p) Sigma_h (p Sigma_h + I)^-1 as one solve:
+    the two matrices commute, so it is sqrt(p) (p Sigma_h + I)^-1 Sigma_h."""
+    gram = p * sigma_h + np.eye(sigma_h.shape[0])
+    return math.sqrt(p) * np.linalg.solve(gram, sigma_h)
+
+
 def _mimo_setting(params) -> _Scene:
+    _in_domain(params, nt=1, nr=1, pilot_len=1, pilot_db=-math.inf)
     sigma_h = kronecker_channel_cov(
         params["nt"], params["nr"],
         params["tx_mag"] * np.exp(1j * np.pi * params["tx_phase_pi"]),
@@ -327,7 +359,8 @@ def _mimo_setting(params) -> _Scene:
     p_eff = 10.0 ** (params["pilot_db"] / 10.0) * params["pilot_len"] / params["nt"]
     sigma_ls = sigma_h + np.eye(p) / p_eff
     return _frozen(
-        sigma_h=sigma_h, sigma_ls=sigma_ls, p_eff=p_eff,
+        sigma_ls=sigma_ls, p_eff=p_eff,
+        mmse_filter=_mmse_filter(sigma_h, p_eff),
         ls_sampler=gaussian_sampler(sigma_ls, complex_field=True),
         h_sampler=gaussian_sampler(sigma_h, complex_field=True),
         noise_sampler=gaussian_sampler(np.eye(p), complex_field=True),
@@ -348,7 +381,7 @@ def _mimo_scene(setting: _Scene, t, stream: RngStream) -> _Scene:
         samples, setting.sigma_ls,
         lambda h_hat: (float(np.sum(np.abs(h_hat - h_star) ** 2)),
                        setting.den),
-        sigma_h=setting.sigma_h, p_eff=setting.p_eff, obs=obs)
+        mmse_filter=setting.mmse_filter, p_eff=setting.p_eff, obs=obs)
 
 
 def _mmse_shrunk(s: _Scene, sol: ShrinkageSolution) -> np.ndarray:
@@ -364,12 +397,13 @@ def _mmse_shrunk(s: _Scene, sol: ShrinkageSolution) -> np.ndarray:
 
 
 def _mmse_true(s: _Scene) -> np.ndarray:
-    """MMSE channel estimate sqrt(p) Sigma_h (p Sigma_h + I)^-1 y."""
-    gram = s.p_eff * s.sigma_h + np.eye(s.sigma_h.shape[0])
-    return math.sqrt(s.p_eff) * (s.sigma_h @ np.linalg.solve(gram, s.obs))
+    """MMSE channel estimate sqrt(p) Sigma_h (p Sigma_h + I)^-1 y, by the
+    setting's filter (:func:`_mmse_filter`)."""
+    return s.mmse_filter @ s.obs
 
 
 def _lmmse_setting(params) -> _Scene:
+    _in_domain(params, n=1, m=1, coef_var=0.0, sigma2=0.0)
     n, m = params["n"], params["m"]
     # the channel coefficients, and so the covariance, are drawn per
     # replication; only the white symbol and noise draws have a fixed law
@@ -407,6 +441,7 @@ def _lmmse_scene(setting: _Scene, t, stream: RngStream) -> _Scene:
 
 
 def _mvdr_setting(params) -> _Scene:
+    _in_domain(params, n=1)
     scene = interference_scene(np.deg2rad(np.asarray(params["aoas_deg"],
                                                      dtype=float)),
                                params["inr_db"], params["noise_db"],
@@ -422,13 +457,15 @@ def _mvdr_setting(params) -> _Scene:
 
     return _frozen(truth=scene.true_covariance, sampler=scene.generator,
                    steering=steering, sigma_in=sigma_in, weights=weights,
+                   optimal=mvdr_weights(scene.true_covariance, steering),
                    judge=lambda w: output_sinr(w, steering, 1.0, sigma_in))
 
 
 def _mvdr_scene(setting: _Scene, t, stream: RngStream) -> _Scene:
     y = setting.sampler(t, stream.generator(0))
     return _scm_scene(y, setting.truth, setting.judge,
-                      steering=setting.steering, weights=setting.weights)
+                      steering=setting.steering, weights=setting.weights,
+                      optimal=setting.optimal)
 
 
 EXPERIMENTS = {
@@ -473,7 +510,7 @@ EXPERIMENTS = {
         sample_counts=(40, 80, 160)),
     "MvdrBeam": _experiment(
         "sinr_db", _mvdr_setting, _mvdr_scene,
-        {"optimal": lambda s: mvdr_weights(s.truth, s.steering),
+        {"optimal": lambda s: s.optimal,
          "oracle": lambda s: s.weights(_oracle(s)),
          "cv": lambda s: s.weights(_cv(s)),
          "oas": lambda s: s.weights(_oas(s)),
@@ -579,16 +616,23 @@ def parse_config(doc) -> RunPlan:
 
 
 def _aggregate(metric: str, per_rep: list) -> tuple[float, float]:
-    """Reduce per-replication method results to (mean, stderr)."""
+    """Reduce per-replication method results to (mean, stderr).
+
+    The arithmetic of ``np.mean`` and ``np.std(ddof=1)``, the same
+    pairwise sums in the same order, without their per-call overhead.
+    """
     reps = len(per_rep)
     if metric.startswith("nmse"):
+        refs = np.array([v[1] for v in per_rep])
         values = (np.array([v[0] for v in per_rep])
-                  / float(np.mean(np.array([v[1] for v in per_rep]))))
+                  / float(np.add.reduce(refs) / reps))
     else:
         values = np.array(per_rep, dtype=float)
-    mean = float(np.mean(values))
-    stderr = 0.0 if reps < 2 else float(np.std(values, ddof=1)
-                                        / math.sqrt(reps))
+    mean = float(np.add.reduce(values) / reps)
+    dev = values - mean
+    stderr = 0.0 if reps < 2 else (
+        math.sqrt(float(np.add.reduce(dev * dev)) / (reps - 1))
+        / math.sqrt(reps))
     if not (np.isfinite(mean) and np.isfinite(stderr)):
         raise NumericError(f"non-finite {metric} aggregate")
     return mean, stderr

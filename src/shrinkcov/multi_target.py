@@ -226,13 +226,14 @@ def solve_nonneg_qp_simplex(m: MultiMoments) -> tuple[np.ndarray, float]:
 # moment accumulation
 
 
-def _gram(mats) -> np.ndarray:
-    """Symmetric matrix of the real trace products tr(M_i M_j)."""
+def _gram(mats, trace=real_trace_product) -> np.ndarray:
+    """Symmetric matrix of the real trace products tr(M_i M_j), each taken
+    by ``trace`` (a block's memo, or :func:`real_trace_product`)."""
     k = len(mats)
     g = np.zeros((k, k))
     for i in range(k):
         for j in range(i, k):
-            g[i, j] = g[j, i] = real_trace_product(mats[i], mats[j])
+            g[i, j] = g[j, i] = trace(mats[i], mats[j])
     return g
 
 
@@ -272,11 +273,10 @@ def mt_scm_loocv_moments(samples: np.ndarray, targets) -> MultiMoments:
 
 def _scm_loocv_moments(block, targets) -> MultiMoments:
     """:func:`mt_scm_loocv_moments` of a block of T >= 2 samples."""
-    y, count = block.y, block.y.shape[1]
-    a = _gram([block.r, *map(block.checked, targets)])
+    count, quart = block.y.shape[1], block.quart
+    a = _gram([block.r, *map(block.checked, targets)], block.trace)
     b = a[0].copy()
     tr_r2 = float(a[0, 0])
-    quart = float(np.sum(np.sum(np.abs(y) ** 2, axis=0) ** 2))
     a[0, 0] = (count * (count - 2) / (count - 1) ** 2 * tr_r2
                + quart / (count * (count - 1) ** 2))
     b[0] = count / (count - 1) * tr_r2 - quart / (count * (count - 1))
@@ -341,13 +341,14 @@ def mt_ols_loocv_moments(fit: OlsFit, outputs: np.ndarray,
 def mt_oracle_moments(base: np.ndarray, targets, truth: np.ndarray) -> MultiMoments:
     """Frobenius-error quadratic || rho R + sum tau_k T_k - Sigma ||_F^2.
 
-    ``base`` may be a sample block; R is then its sample covariance.
+    ``base`` may be a sample block; R is then its sample covariance, and
+    the products of R and the block's targets come from its memo.
     """
-    r, _, check = _base(base)
+    r, _, check, trace = _base(base)
     mats = [r, *map(check, targets)]
     sigma = require_hermitian(truth)
-    a = _gram(mats)
-    b = np.array([real_trace_product(m, sigma) for m in mats])
+    a = _gram(mats, trace)
+    b = np.array([trace(m, sigma) for m in mats])
     return MultiMoments(a=a, b=b, const=frobenius_norm_sq(sigma))
 
 

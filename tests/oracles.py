@@ -432,3 +432,25 @@ def dense_channel_estimate(ls_cov, pilot_power, observation):
     channel_cov = ls_to_channel_cov(ls_cov, pilot_power)
     return mmse_channel_estimate(channel_cov, math.sqrt(pilot_power) * np.eye(n),
                                  observation)
+
+
+# ---------------------------------------------------------------------------
+# Monte-Carlo aggregation
+
+
+def aggregate_numpy(metric, per_rep):
+    """(mean, stderr) of per-replication results by np.mean and np.std.
+
+    For ``nmse*`` metrics each result is (error, reference) and the values
+    are the errors over the mean reference; otherwise each is a float.
+    """
+    reps = len(per_rep)
+    if metric.startswith("nmse"):
+        values = (np.array([v[0] for v in per_rep])
+                  / float(np.mean(np.array([v[1] for v in per_rep]))))
+    else:
+        values = np.array(per_rep, dtype=float)
+    mean = float(np.mean(values))
+    stderr = 0.0 if reps < 2 else float(np.std(values, ddof=1)
+                                        / math.sqrt(reps))
+    return mean, stderr

@@ -26,7 +26,12 @@ from shrinkcov.experiments import (
 )
 from shrinkcov.single_target import ShrinkageSolution
 
-from oracles import dense_channel_estimate, random_psd, random_samples
+from oracles import (
+    aggregate_numpy,
+    dense_channel_estimate,
+    random_psd,
+    random_samples,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +54,24 @@ def test_nmse_guards():
         nmse([np.eye(2)], [np.eye(2), np.eye(2)])
     with pytest.raises(ValueError):
         nmse([np.eye(2)], [np.zeros((2, 2))])
+
+
+@pytest.mark.parametrize("reps", (1, 2, 3, 7, 8, 9, 15, 16, 17, 100, 129,
+                                  500))
+def test_aggregate_equals_numpy_mean_and_std_bit_for_bit(reps):
+    rng = np.random.default_rng(700 + reps)
+    # errors and references spread over decades, and dB values of both signs
+    errors = rng.lognormal(0.0, 3.0, reps).tolist()
+    refs = rng.lognormal(2.0, 1.0, reps).tolist()
+    sinr = (rng.standard_normal(reps) * 7.0 - 2.0).tolist()
+    for metric, per_rep in (("nmse_cov", list(zip(errors, refs))),
+                            ("sinr_db", sinr)):
+        got = experiments._aggregate(metric, per_rep)
+        want = aggregate_numpy(metric, per_rep)
+        assert got == want, (metric, got, want)
+    if reps > 1:  # a constant column: deviations of rounding size only
+        assert experiments._aggregate("sinr_db", [0.1] * reps)[1] == \
+            aggregate_numpy("sinr_db", [0.1] * reps)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +471,27 @@ def test_one_scm_per_replication_and_block_matrices_not_rechecked(
                              for a in calls["require_hermitian"])
 
 
+def test_one_trace_product_per_pair_in_a_multi_target_replication(
+        monkeypatch):
+    # cv_single, oracle_single and the three multi-target selectors share
+    # the block: 10 products of R and its three targets, each taken once,
+    # plus the 2 + 4 oracle products with the truth, which it does not own
+    real = hermitian.real_trace_product
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("shrinkcov")
+                and getattr(module, "real_trace_product", None) is real):
+            monkeypatch.setattr(module, "real_trace_product", counted)
+    cfg = tiny_config("MultiTargetAr")
+    assert cfg.methods == ()  # every method of the default table
+    run_experiment(cfg)
+    assert len(calls) == 16 * cfg.reps * len(cfg.sample_counts)
+
+
 def test_multi_target_run_solves_every_face_without_lstsq(monkeypatch):
     # the moment matrices of real draws are positive definite on every face
     # the solvers visit, so none falls back to the minimum-norm lstsq solve
@@ -471,25 +515,46 @@ def _rel_err(got, want):
 
 
 @pytest.mark.parametrize("complex_field", (False, True))
-@pytest.mark.parametrize("t", (4, 9, 20))  # T < N, T = N and T > N
-def test_mimo_spectral_path_matches_dense(complex_field, t):
+@pytest.mark.parametrize("n, t", [  # T < N, T = N, T > N and T << N
+    pytest.param(9, 4, id="4"), pytest.param(9, 9, id="9"),
+    pytest.param(9, 20, id="20"), pytest.param(40, 3, id="n40-3")])
+def test_mimo_spectral_path_matches_dense(complex_field, n, t):
     rng = np.random.default_rng(300 + t)
-    n, power = 9, 2.0
+    power = 2.0
     y = random_samples(n, t, rng, complex_field)
     obs = random_samples(n, 1, rng, complex_field)[:, 0]
-    s = experiments._spectral_scene(y, np.eye(n), None, p_eff=power, obs=obs)
-    mu = float(s.targets[0][0, 0].real)
-    at_floor = 1.0 / (power * mu)  # tau mu = 1/p: the null-space switch
-    coefficients = [(0.5, f * at_floor) for f in (0.9, 1.0, 1.1)]
-    coefficients += [(0.0, 1.5 * at_floor), (1.0, 0.0), (0.0, 0.0)]
-    for rho, tau in coefficients:
-        got = experiments._mmse_shrunk(s, ShrinkageSolution(rho, tau))
-        want = dense_channel_estimate(rho * s.base + tau * s.targets[0],
-                                      power, obs)
-        if rho == tau == 0.0:  # zero channel covariance, zero estimate
-            assert np.array_equal(got, np.zeros(n)) and not np.any(want)
-        else:
-            assert _rel_err(got, want) <= 1e-10, (rho, tau)
+    # the same T columns, repeating the first k: R has rank k < min(N, T)
+    repeated = y[:, np.arange(t) % max(1, min(n, t) // 2)]
+    for samples in (y, repeated):
+        s = experiments._spectral_scene(samples, np.eye(n), None,
+                                        p_eff=power, obs=obs)
+        assert s.basis.shape[1] == np.linalg.matrix_rank(samples)
+        mu = float(s.targets[0][0, 0].real)
+        at_floor = 1.0 / (power * mu)  # tau mu = 1/p: the null-space switch
+        coefficients = [(0.5, f * at_floor) for f in (0.9, 1.0, 1.1)]
+        coefficients += [(0.0, 1.5 * at_floor), (1.0, 0.0), (0.0, 0.0)]
+        for rho, tau in coefficients:
+            got = experiments._mmse_shrunk(s, ShrinkageSolution(rho, tau))
+            want = dense_channel_estimate(rho * s.base + tau * s.targets[0],
+                                          power, obs)
+            if rho == tau == 0.0:  # zero channel covariance, zero estimate
+                assert np.array_equal(got, np.zeros(n)) and not np.any(want)
+            else:
+                assert _rel_err(got, want) <= 1e-10, (rho, tau)
+
+
+def test_mimo_replication_makes_no_svd(monkeypatch):
+    # the eigenpairs come from eigh of the T x T Gram (T < N = 100)
+    svd = []
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: svd.append(a) or real(*a, **k))
+    spec = EXPERIMENTS["MimoChannelMmse"]
+    setting = spec.setting(spec.defaults)
+    for t in spec.sample_counts:
+        out = spec.replicate(setting, t, spec.methods, RngStream(6, t))
+        assert set(out) == set(spec.methods)
+    assert not svd
 
 
 @pytest.mark.parametrize("t", (10, 40, 80))
@@ -521,7 +586,7 @@ def test_mimo_true_estimate_matches_dense():
         sigma_h = random_psd(n, rng, rank=4)
         obs = random_samples(n, 1, rng)[:, 0]
         got = experiments._mmse_true(experiments._Scene(
-            sigma_h=sigma_h, p_eff=power, obs=obs))
+            mmse_filter=experiments._mmse_filter(sigma_h, power), obs=obs))
         want = mmse_channel_estimate(sigma_h, np.sqrt(power) * np.eye(n), obs)
         assert _rel_err(got, want) <= 1e-10
 
@@ -725,6 +790,15 @@ def test_cli_least_squares_config_error_exit_code(tmp_path, entry):
     {"experiment": "MimoChannelMmse", "params": {"nt": 0}},
     {"experiment": "LmmseDetect", "params": {"sigma2": -1}},
     {"experiment": "MvdrBeam", "params": {"aoas_deg": ["x"]}},
+    # inside their kind but outside the draws' domain: rejected by the
+    # setting, where they used to fail at the first replication
+    {"experiment": "Ar1Identity", "params": {"n": 0}},
+    {"experiment": "LinearModelPastTarget", "params": {"sigma2": -1}},
+    {"experiment": "LinearModelPastTarget", "params": {"n": 0}},
+    {"experiment": "MultiTargetAr", "params": {"n": -1}},
+    {"experiment": "MimoChannelMmse", "params": {"nr": 0}},
+    {"experiment": "LmmseDetect", "params": {"m": 0}},
+    {"experiment": "MvdrBeam", "params": {"n": 0}},
 ])
 def test_cli_malformed_config_exit_code(tmp_path, entry):
     # each used to fail as a numeric error (exit 2) or with a wrong message

@@ -254,3 +254,59 @@ def test_raw_matrices_are_still_checked(build):
     for bad in _bad_matrices(4, True):
         with pytest.raises(ValueError):
             build(bad)
+
+
+# ---------------------------------------------------------------------------
+# the block's memo: trace products of its own matrices, sum_t ||y_t||^4
+
+
+@pytest.mark.parametrize("complex_field", (False, True))
+def test_memoized_trace_product_equals_a_fresh_call(complex_field, monkeypatch):
+    y, _ = _data(complex_field)
+    block = sample_block(y)
+    owned = [block.r, *(build(block) for build in BUILDERS)]
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return hermitian.real_trace_product(a, b)
+    monkeypatch.setattr(estimators, "real_trace_product", counted)
+    for a in owned:
+        for b in owned:
+            fresh = hermitian.real_trace_product(a, b)
+            for _ in range(2):  # the first call, then the memo
+                assert block.trace(a, b) == fresh
+                assert block.trace(b, a) == fresh  # symmetric, bit for bit
+    k = len(owned)
+    assert len(calls) == k * (k + 1) // 2  # each unordered pair once
+    assert block.quart == float(np.sum(np.sum(np.abs(y) ** 2, axis=0) ** 2))
+
+
+@pytest.mark.parametrize("complex_field", (False, True))
+def test_matrices_the_block_does_not_own_are_never_memoized(complex_field):
+    y, truth = _data(complex_field)
+    block, other = sample_block(y), sample_block(y.copy())
+    t0 = scaled_identity_target(block)
+    raw = np.diag(np.arange(1.0, 7.0))        # the caller's, writable
+    copy = t0.copy()                          # equal values, another object
+    foreign = scaled_identity_target(other)   # owned, but by another block
+    for m in (raw, copy, foreign):
+        assert block.trace(block.r, m) == hermitian.real_trace_product(block.r, m)
+    before = (mt_scm_loocv_moments(block, [t0, raw]),
+              mt_oracle_moments(block, [t0, raw], truth),
+              glc_coefficients(block, raw), block.trace(raw, raw))
+    raw[0, 0] += 5.0
+    copy[1, 1] += 5.0
+    after = (mt_scm_loocv_moments(block, [t0, raw]),
+             mt_oracle_moments(block, [t0, raw], truth),
+             glc_coefficients(block, raw), block.trace(raw, raw))
+    for old, new in zip(before[:2], after[:2]):
+        assert old.a[2, 2] != new.a[2, 2] and old.a[0, 2] != new.a[0, 2]
+        assert old.a[1, 1] == new.a[1, 1]  # the owned pair is unchanged
+    assert before[2].tau != after[2].tau and before[3] != after[3]
+    assert block.trace(block.r, copy) == \
+        hermitian.real_trace_product(block.r, copy)
+    # each call on the mutated raw target equals a fresh block's
+    fresh = sample_block(y)
+    assert _same(after[0], mt_scm_loocv_moments(fresh, [scaled_identity_target(
+        fresh), raw]))
