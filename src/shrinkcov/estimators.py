@@ -28,7 +28,6 @@ __all__ = [
     "SampleBlock",
     "sample_block",
     "scm",
-    "scm_leave_one_out",
     "OlsFit",
     "ols_fit",
     "ols_covariance",
@@ -110,26 +109,6 @@ def _base(base) -> tuple:
         return base.r, base.own, base.checked, base.trace
     return (require_hermitian(base), (lambda m: m), require_hermitian,
             real_trace_product)
-
-
-def scm_leave_one_out(r: np.ndarray, y: np.ndarray, t: int) -> np.ndarray:
-    """Sample covariance with column ``t`` removed, via a rank-one downdate.
-
-    Parameters
-    ----------
-    r : ndarray
-        Full sample covariance of ``y`` (as returned by :func:`scm`).
-    y : ndarray
-        The N x T sample block ``r`` was computed from; T >= 2.
-    t : int
-        Index of the held-out column.
-    """
-    y = validate_samples(y, min_count=2)
-    count = y.shape[1]
-    if not 0 <= t < count:
-        raise ValueError(f"hold-out index {t} outside 0..{count - 1}")
-    yt = y[:, t]
-    return (count * r - np.outer(yt, yt.conj())) / (count - 1)
 
 
 # ---------------------------------------------------------------------------

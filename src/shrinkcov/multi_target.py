@@ -10,21 +10,26 @@ case.  The convex-combination design rho = 1 - sum_k tau_k is one
 substitution applied to those moments, which leaves a K dimensional
 quadratic.
 
-The dimension stays tiny in practice, so the nonnegativity constraints
-are handled by a primal active-set method after Lawson and Hanson's
-NNLS: each step solves one face of the feasible set in closed form,
-visiting about one face per coordinate instead of all 2^(K+1).  That
-keeps the selection exactly reproducible.  It runs on Python floats, as
-numpy's per-call cost outweighs arithmetic this small: a Cholesky factor
-solves each face, and ``lstsq`` (minimum norm) only a face that is not
-numerically positive definite.  Dividing the moments by their largest
-diagonal entry first makes the selection free of the data's units.
+The dimension stays tiny in practice, so one primal active-set method
+after Lawson and Hanson's NNLS solves every K and both designs, the
+single target being K = 1.  Each step solves one face of the feasible
+set in closed form, visiting about one face per coordinate instead of
+all 2^(K+1), and rho is freed first, so ties prefer the base estimate.
+That keeps the selection exactly reproducible.  It runs on Python
+floats, as numpy's per-call cost outweighs arithmetic this small: a
+Cholesky factor solves each face, and ``lstsq`` (minimum norm) only a
+face that is not numerically positive definite.  Dividing the moments
+by their largest diagonal entry first makes the selection free of the
+data's units.  The convex design is checked and scaled as the (K+1)
+quadratic before rho is substituted, so a substituted curvature at
+rounding level (a target equal to R) reads as flat, not as a scale.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -64,8 +69,11 @@ class MultiMoments:
     const: float
 
     def objective(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(x @ self.a @ x - 2.0 * self.b @ x + self.const)
+        """The quadratic at x, evaluated on Python floats."""
+        a, b = _lists(self)
+        x = np.asarray(x, dtype=float).reshape(len(b)).tolist()
+        ax = [_dot(row, x) for row in a]
+        return _dot(x, ax) - 2.0 * _dot(b, x) + self.const
 
 
 @dataclass(frozen=True)
@@ -83,27 +91,12 @@ class MtSolution:
     objective: float
 
 
-def _validate_qp(m: MultiMoments) -> tuple[np.ndarray, np.ndarray]:
-    """Checked finite (a, b) divided by the largest diagonal moment, so
-    that the PSD check, the stopping rule and the face solves' cutoffs do
-    not depend on the units of the data (moments scale as c^4).
-    """
-    a = np.asarray(m.a, dtype=float)
-    b = np.asarray(m.b, dtype=float)
+def _lists(m: MultiMoments) -> tuple[list, list]:
+    """(a, b) of ``m`` as lists of floats, their shapes checked."""
+    a, b = np.asarray(m.a, dtype=float), np.asarray(m.b, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape != (a.shape[0],):
         raise ValueError("moment matrix and vector shapes do not match")
-    if a.shape[0] > _MAX_DIM:
-        raise ValueError(f"quadratic dimension {a.shape[0]} exceeds the "
-                         f"supported limit {_MAX_DIM}")
-    if not (np.isfinite(a).all() and np.isfinite(np.append(b, m.const)).all()):
-        raise ValueError(_NONFINITE)
-    scale = float(a.diagonal().max(initial=0.0))
-    if scale > 0.0:
-        a, b = a / scale, b / scale
-    if not is_psd(a):
-        raise ValueError("moment matrix is not positive semidefinite; "
-                         "the selection objective is not convex")
-    return a, b
+    return a.tolist(), b.tolist()
 
 
 def _dot(u, v) -> float:
@@ -114,31 +107,66 @@ def _dot(u, v) -> float:
     return total
 
 
+def _factor(a, free) -> list:
+    """Cholesky rows of list a on the coordinates ``free``, cut short at a
+    pivot at most 1e-12 of 1 or of their largest diagonal entry if larger,
+    1 being the largest diagonal moment of the checked quadratic."""
+    low = []
+    cut = 1e-12 * max([1.0, *[a[i][i] for i in free]])
+    for i in free:
+        ai, li = a[i], []
+        for j, lj in zip(free, low):
+            li.append((ai[j] - _dot(li, lj)) / lj[-1])
+        pivot = ai[i] - _dot(li, li)
+        if pivot <= cut:
+            break
+        li.append(math.sqrt(pivot))
+        low.append(li)
+    return low
+
+
+def _checked(a, b, const) -> tuple[list, list, list]:
+    """Finite lists (a, b) divided by the largest diagonal moment, so that
+    the PSD check, the stopping rule and the face cutoffs do not depend on
+    the data's units, and a's Cholesky rows.  A full factor shows a
+    positive definite; else :func:`is_psd`'s rule decides."""
+    dim = len(b)
+    if dim > _MAX_DIM:
+        raise ValueError(f"quadratic dimension {dim} exceeds the "
+                         f"supported limit {_MAX_DIM}")
+    if not all(map(math.isfinite, chain([const], b, *a))):
+        raise ValueError(_NONFINITE)
+    scale = max([a[i][i] for i in range(dim)], default=0.0)
+    if scale > 0.0:
+        a, b = [[v / scale for v in row] for row in a], [v / scale for v in b]
+    low = _factor(a, range(dim))
+    if len(low) < dim and not is_psd(np.reshape(a, (dim, dim))):
+        raise ValueError("moment matrix is not positive semidefinite; "
+                         "the selection objective is not convex")
+    return a, b, low
+
+
+def _cholesky_solve(low, r) -> list:
+    """y with L L^T y = r for the rows ``low`` of a lower triangular L."""
+    y = []
+    for li, ri in zip(low, r):
+        y.append((ri - _dot(li, y)) / li[-1])
+    for i in range(len(y) - 1, -1, -1):  # back substitution by columns
+        li = low[i]
+        yi = y[i] = y[i] / li[i]
+        for j in range(i):
+            y[j] -= li[j] * yi
+    return y
+
+
 def _solve_face(a, b, free, simplex=False):
     """Minimizer z of z^T a z - 2 b . z on the coordinates ``free`` of lists
     a, b (zero elsewhere; sum z = 1 for ``simplex``) and the multiplier lam
     of that border, (a z)_i + lam = b_i on ``free``, by Cholesky from
-    u = A^-1 b, v = A^-1 1: lam = (sum u - 1) / sum v, z = u - lam v."""
-    k, low, top = len(free), [], max([a[i][i] for i in free], default=0.0)
-    for i in free:
-        li = []
-        for j, lj in zip(free, low):
-            li.append((a[i][j] - _dot(li, lj)) / lj[-1])
-        pivot = a[i][i] - _dot(li, li)
-        if pivot <= 1e-12 * top:
-            break
-        low.append(li + [math.sqrt(pivot)])
-
-    def solve(r):
-        y = []
-        for i, li in enumerate(low):
-            y.append((r[i] - _dot(li, y)) / li[i])
-        for i in reversed(range(k)):  # back substitution by columns
-            y[i] /= low[i][i]
-            for j in range(i):
-                y[j] -= low[i][j] * y[i]
-        return y
-    rhs, ones, lam = [b[i] for i in free], [1.0] * k, 0.0
+    u = A^-1 b, v = A^-1 1: lam = (sum u - 1) / sum v, z = u - lam v; by
+    minimum-norm ``lstsq`` if the face's factor is short."""
+    k, low = len(free), _factor(a, free)
+    rhs, lam = [b[i] for i in free], 0.0
     if not k or len(low) < k:
         kkt = np.ones((k + simplex, k + simplex))
         kkt[:k, :k] = [[a[i][j] for j in free] for i in free]
@@ -146,41 +174,48 @@ def _solve_face(a, b, free, simplex=False):
         z = np.linalg.lstsq(kkt, rhs + [1.0] * simplex, rcond=None)[0].tolist()
         lam = z.pop() if simplex else 0.0
     elif simplex:
-        u, v = solve(rhs), solve(ones)
+        ones = [1.0] * k
+        u, v = _cholesky_solve(low, rhs), _cholesky_solve(low, ones)
         lam = (_dot(u, ones) - 1.0) / _dot(v, ones)
         z = [p - lam * q for p, q in zip(u, v)]
     else:
-        z = solve(rhs)
+        z = _cholesky_solve(low, rhs)
     z = dict(zip(free, z))
     return [z.get(i, 0.0) for i in range(len(b))], lam
 
 
-def _active_set(a: np.ndarray, b: np.ndarray, simplex=False) -> np.ndarray:
+def _active_set(a, b, simplex=False, low=()) -> list:
     """Minimize x^T a x - 2 b . x over x >= 0 (and sum x = 1 for ``simplex``).
 
-    Lawson-Hanson style primal active set: start at x = 0, or at the best
-    vertex of the simplex, and free the coordinate with the largest
-    multiplier w = b - a x - lam.  A scalar Cholesky factor solves each
-    free block, or face; ``lstsq`` (minimum norm) solves only a face with
-    a pivot at most 1e-12 of its largest diagonal entry.  When the solution
-    leaves the orthant, x steps back to the boundary.  As in NNLS, a freed
-    coordinate whose own value comes out nonpositive is rejected until x
-    moves.  Coordinates off the final free set are exact zeros.
+    Lawson-Hanson style primal active set on lists a, b.  On the cone, with
+    the full factor ``low`` of a positive definite a, a positive minimizer
+    of the whole face is the optimum.  Else start at x = 0, or at the best
+    vertex of the simplex, and free a coordinate whose multiplier
+    w = b - a x - lam exceeds the stopping tolerance: index 0 (rho of the
+    cone design) whenever it does, so that ties prefer the pure base
+    estimate, else the first largest.  When a face's solution leaves the
+    orthant, x steps back to the boundary.  As in NNLS, a freed coordinate
+    whose own value comes out nonpositive is rejected until x moves.
+    Coordinates off the final free set are exact zeros.
     """
-    a, b, dim = a.tolist(), b.tolist(), b.size
+    dim = len(b)
+    if dim and len(low) == dim and not simplex:
+        x = _cholesky_solve(low, b)
+        if min(x) > 0.0:
+            return x
     x, free, rejected, lam = [0.0] * dim, [], [], 0.0
     if simplex:
         i = min(range(dim), key=lambda i: a[i][i] - 2.0 * b[i])
         x[i], free, lam = 1.0, [i], b[i] - a[i][i]
-    tol = 1e-12 * max([1.0, *(a[i][i] for i in range(dim)), *map(abs, b)])
+    tol = 1e-12 * max([1.0, *[a[i][i] for i in range(dim)], *map(abs, b)])
 
     # in exact arithmetic each freeing lowers the objective: no face repeats
     for _ in range(4 * dim * dim + 4):
         w = {i: b[i] - _dot(a[i], x) - lam for i in range(dim)
              if i not in free and i not in rejected}
-        j = max(w, key=w.get, default=None)  # the first largest
+        j = 0 if w.get(0, 0.0) > tol else max(w, key=w.get, default=None)
         if j is None or w[j] <= tol:
-            return np.array(x)
+            return x
         grown = sorted(free + [j])
         z, z_lam = _solve_face(a, b, grown, simplex)
         if z[j] <= 0.0:
@@ -199,26 +234,44 @@ def _active_set(a: np.ndarray, b: np.ndarray, simplex=False) -> np.ndarray:
     raise RuntimeError("active-set solve did not converge")
 
 
-def solve_nonneg_qp(m: MultiMoments) -> tuple[np.ndarray, float]:
-    """Minimize x^T a x - 2 b . x over x >= 0; returns (x, objective).
+def _simplex(a, b) -> list:
+    """Minimizer over x >= 0, sum x <= 1: the cone's, else on sum x = 1."""
+    x = _active_set(a, b, False, _factor(a, range(len(b))))
+    if _dot(x, [1.0] * len(x)) > 1.0 + 1e-12:
+        x = _active_set(a, b, True)
+    return x
 
-    The objective is evaluated on the moments as given.
-    """
-    a, b = _validate_qp(m)
-    x = _active_set(a, b)
+
+def _substitute(a, b, const) -> tuple[list, list, float]:
+    """Substitute rho = 1 - sum_k tau_k into the (rho, tau) quadratic of
+    lists a, b, exactly: a'_kl = a_kl - a_k0 - a_0l + a_00,
+    b'_k = b_k - a_0k + a_00 - b_0 and c' = a_00 - 2 b_0 + c."""
+    a00, a0 = a[0][0], a[0][1:]
+    return ([[a_kl - row[0] - a_0l + a00 for a_kl, a_0l in zip(row[1:], a0)]
+             for row in a[1:]],
+            [b_k - a_0k + a00 - b[0] for b_k, a_0k in zip(b[1:], a0)],
+            a00 - 2.0 * b[0] + const)
+
+
+def _minimize(a, b, const, convex=False) -> list:
+    """Minimizer x = (rho, tau_1..tau_K) >= 0 of the quadratic of lists a, b;
+    the ``convex`` design solves the substituted one on the simplex."""
+    a, b, low = _checked(a, b, const)
+    if not convex:
+        return _active_set(a, b, False, low)
+    taus = _simplex(*_substitute(a, b, 0.0)[:2])
+    return [max(0.0, 1.0 - _dot(taus, [1.0] * len(taus))), *taus]
+
+
+def solve_nonneg_qp(m: MultiMoments) -> tuple[np.ndarray, float]:
+    """Minimize x^T a x - 2 b . x over x >= 0; returns (x, objective)."""
+    x = np.array(_minimize(*_lists(m), m.const))
     return x, m.objective(x)
 
 
 def solve_nonneg_qp_simplex(m: MultiMoments) -> tuple[np.ndarray, float]:
-    """Minimize the quadratic over the simplex x >= 0, sum x <= 1.
-
-    If the nonnegative minimizer already satisfies the sum constraint it
-    is returned unchanged; otherwise the optimum lies on sum x = 1.
-    """
-    a, b = _validate_qp(m)
-    x = _active_set(a, b)
-    if float(np.sum(x)) > 1.0 + 1e-12:
-        x = _active_set(a, b, simplex=True)
+    """Minimize the quadratic over x >= 0, sum x <= 1; (x, objective)."""
+    x = np.array(_simplex(*_checked(*_lists(m), m.const)[:2]))
     return x, m.objective(x)
 
 
@@ -352,23 +405,19 @@ def mt_oracle_moments(base: np.ndarray, targets, truth: np.ndarray) -> MultiMome
     return MultiMoments(a=a, b=b, const=frobenius_norm_sq(sigma))
 
 
-def _convex_design(m: MultiMoments, tr_r=0.0, targets=()) -> MultiMoments:
-    """Substitute rho = 1 - sum_k tau_k into a (rho, tau) quadratic.
-
-    Returns the quadratic in tau alone, exactly:
-    a'_kl = a_kl - a_0k - a_0l + a_00, b'_k = b_k - a_0k + a_00 - b_0 and
-    c' = a_00 - 2 b_0 + c.  The design needs trace-preserving targets:
-    each of ``targets`` must match tr R = ``tr_r`` to 1e-8 relative.
-    """
+def _require_trace(targets, tr_r: float) -> None:
+    """Check that each target keeps tr R = ``tr_r`` to 1e-8 relative."""
     for j, t0 in enumerate(targets):
         if abs(float(np.trace(t0).real) - tr_r) > 1e-8 * abs(tr_r):
             raise ValueError(f"target {j} does not match the base estimate "
                              "trace; the convex-combination design requires "
                              "trace-preserving targets")
-    a, b = m.a, m.b
-    return MultiMoments(a=a[1:, 1:] - a[1:, :1] - a[:1, 1:] + a[0, 0],
-                        b=b[1:] - a[0, 1:] + a[0, 0] - b[0],
-                        const=float(a[0, 0] - 2.0 * b[0] + m.const))
+
+
+def _convex_design(m: MultiMoments) -> MultiMoments:
+    """The (rho, tau) quadratic under rho = 1 - sum_k tau_k, in tau alone."""
+    a, b, const = _substitute(*_lists(m), m.const)
+    return MultiMoments(np.reshape(a, (len(b),) * 2), np.array(b), const)
 
 
 def mt_constrained_moments(samples: np.ndarray, targets) -> MultiMoments:
@@ -393,16 +442,17 @@ def mt_constrained_moments(samples: np.ndarray, targets) -> MultiMoments:
     kept as is.
     """
     targets = list(targets)
-    return _convex_design(*_selection_moments("cv_constrained", targets,
-                                              samples), targets)
+    m, tr_r = _selection_moments("cv_constrained", targets, samples)
+    _require_trace(targets, tr_r)
+    return _convex_design(m)
 
 
 def mt_constrained_oracle_moments(base: np.ndarray, targets,
                                   truth: np.ndarray) -> MultiMoments:
     """Oracle quadratic || sum tau_k (T_k - R) + (R - Sigma) ||_F^2."""
     targets = list(targets)
-    return _convex_design(mt_oracle_moments(base, targets, truth),
-                          float(np.trace(_base(base)[0]).real), targets)
+    _require_trace(targets, float(np.trace(_base(base)[0]).real))
+    return _convex_design(mt_oracle_moments(base, targets, truth))
 
 
 # ---------------------------------------------------------------------------
@@ -460,11 +510,11 @@ def mt_select(method: str, targets, samples: np.ndarray | None = None,
     m, tr_r = _selection_moments(method, targets, samples, truth)
     if tr_r is None:
         x, obj = solve_nonneg_qp(m)
-        rho, taus = float(x[0]), x[1:]
     else:
-        taus, obj = solve_nonneg_qp_simplex(_convex_design(m, tr_r, targets))
-        rho = max(0.0, 1.0 - float(np.sum(taus)))
-
-    cutoff = 1e-10 * max([rho, *taus])
-    active = tuple(k for k in range(len(taus)) if taus[k] > cutoff)
-    return MtSolution(rho=rho, taus=taus, active_targets=active, objective=obj)
+        _require_trace(targets, tr_r)
+        x = np.array(_minimize(*_lists(m), m.const, convex=True))
+        obj = m.objective(x)
+    cutoff = 1e-10 * max(x)
+    active = tuple(k for k, tau in enumerate(x[1:]) if tau > cutoff)
+    return MtSolution(rho=float(x[0]), taus=x[1:], active_targets=active,
+                      objective=obj)

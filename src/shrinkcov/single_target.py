@@ -13,10 +13,12 @@ same machinery with the true covariance in place of the held-out
 samples.
 
 Every moment and selection here is the K = 1 case of
-:mod:`shrinkcov.multi_target`; this module keeps the single-target views
-and the 2x2 solver with its ``Clip`` flags, which works in closed form:
-its thresholds and its PSD check (:func:`shrinkcov.hermitian.is_psd`'s
-rule) are relative, so the selection does not depend on data units.
+:mod:`shrinkcov.multi_target`, solver included: this module keeps the
+single-target views and reads the ``Clip`` flags off the point that the
+active set returns.  The solver's thresholds and its PSD check
+(:func:`shrinkcov.hermitian.is_psd`'s rule) are relative, so the
+selection does not depend on data units, and it frees rho first, so
+ties between the quadrant edges prefer tau = 0.
 """
 
 from __future__ import annotations
@@ -28,10 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import OlsFit, ols_fit
-from .hermitian import _psd_spectrum
 from .multi_target import (
-    _NONFINITE,
     MultiMoments,
+    _minimize,
     _selection_moments,
     mt_loocv_moments,
     mt_ols_loocv_moments,
@@ -97,53 +98,21 @@ class ShrinkageSolution:
 
 
 def solve_quadratic_2d(m: QuadMoments, constrained: bool = False) -> ShrinkageSolution:
-    """Minimize the selection objective in closed form.
+    """Minimize the selection objective: the K = 1 call of the active set.
 
     Unconstrained mode minimizes over the nonnegative quadrant
     rho, tau >= 0; constrained mode minimizes over the convex segment
-    rho + tau = 1, rho in [0, 1].  Ties between the two quadrant edges
-    deterministically prefer tau = 0 (pure base estimate).
+    rho + tau = 1, rho in [0, 1].  The active set frees rho first, so
+    ties between the quadrant edges prefer tau = 0 (pure base estimate).
     """
-    if not all(map(math.isfinite, vars(m).values())):
-        raise ValueError(_NONFINITE)
-    # the eigenvalues of [[a_rr, a_rt], [a_rt, a_tt]] are mean -/+ radius
-    mean, radius = 0.5 * (m.a_rr + m.a_tt), math.hypot(0.5 * (m.a_rr - m.a_tt), m.a_rt)
-    if not _psd_spectrum((mean - radius, mean + radius)):
-        raise ValueError("moment matrix is not positive semidefinite; "
-                         "the selection objective is not convex")
+    rho, tau = _minimize([[m.a_rr, m.a_rt], [m.a_rt, m.a_tt]], [m.b_r, m.b_t],
+                         m.const, constrained)
     if constrained:
-        return _solve_convex_segment(m)
-
-    scale = max(m.a_rr, m.a_tt)
-    det = m.a_rr * m.a_tt - m.a_rt * m.a_rt
-    if det > 1e-14 * scale * scale:
-        rho = (m.a_tt * m.b_r - m.a_rt * m.b_t) / det
-        tau = (m.a_rr * m.b_t - m.a_rt * m.b_r) / det
-        if rho >= 0.0 and tau >= 0.0:
-            return ShrinkageSolution(rho, tau, Clip.NONE, m.objective(rho, tau))
-
-    rho_edge = max(m.b_r, 0.0) / m.a_rr if m.a_rr > 0.0 else 0.0
-    tau_edge = max(m.b_t, 0.0) / m.a_tt if m.a_tt > 0.0 else 0.0
-    obj_tau0 = m.objective(rho_edge, 0.0)
-    obj_rho0 = m.objective(0.0, tau_edge)
-    if obj_tau0 <= obj_rho0:
-        return ShrinkageSolution(rho_edge, 0.0, Clip.TAU_ZERO, obj_tau0)
-    return ShrinkageSolution(0.0, tau_edge, Clip.RHO_ZERO, obj_rho0)
-
-
-def _solve_convex_segment(m: QuadMoments) -> ShrinkageSolution:
-    """Minimize along rho + tau = 1 with rho in [0, 1]."""
-    curv = m.a_rr - 2.0 * m.a_rt + m.a_tt
-    scale = max(m.a_rr, m.a_tt)
-    if curv <= 1e-14 * scale:
-        # every point of the segment yields the same estimate
-        return ShrinkageSolution(1.0, 0.0, Clip.CONVEX_BOUNDARY,
-                                 m.objective(1.0, 0.0))
-    rho = (m.a_tt - m.a_rt + m.b_r - m.b_t) / curv
-    clipped = min(max(rho, 0.0), 1.0)
-    clip = Clip.NONE if clipped == rho else Clip.CONVEX_BOUNDARY
-    return ShrinkageSolution(clipped, 1.0 - clipped, clip,
-                             m.objective(clipped, 1.0 - clipped))
+        clip = Clip.CONVEX_BOUNDARY if 0.0 in (rho, tau) else Clip.NONE
+    else:
+        clip = (Clip.TAU_ZERO if tau == 0.0 else
+                Clip.RHO_ZERO if rho == 0.0 else Clip.NONE)
+    return ShrinkageSolution(rho, tau, clip, m.objective(rho, tau))
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +173,7 @@ def oracle_moments(base: np.ndarray, target: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# closed-form selectors
+# selectors
 
 
 def scm_solution_unconstrained(samples: np.ndarray,
@@ -225,7 +194,8 @@ def select_single_target(method: str, target: np.ndarray,
                          truth: np.ndarray | None = None,
                          inputs: np.ndarray | None = None,
                          outputs: np.ndarray | None = None) -> ShrinkageSolution:
-    """The K = 1 case of ``mt_select``, solved in closed form.
+    """The K = 1 case of ``mt_select``, solved by its active set, which
+    frees rho first (:func:`solve_quadratic_2d`).
 
     Parameters
     ----------

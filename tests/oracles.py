@@ -85,6 +85,21 @@ def loo_scm_naive(y, t):
     return scm_naive(np.delete(y, t, axis=1))
 
 
+def scm_leave_one_out(r, y, t):
+    """Sample covariance with column ``t`` removed, by the rank-one downdate
+    R_t = (T R - y_t y_t^H) / (T - 1) of the sample covariance ``r`` of the
+    N x T block ``y`` (T >= 2), the identity the package's SCM moments use.
+    """
+    y = np.asarray(y)
+    if y.ndim != 2 or y.shape[1] < 2:
+        raise ValueError(f"need an N x T block with T >= 2, got {y.shape}")
+    count = y.shape[1]
+    if not 0 <= t < count:
+        raise ValueError(f"hold-out index {t} outside 0..{count - 1}")
+    yt = y[:, t]
+    return (count * r - np.outer(yt, yt.conj())) / (count - 1)
+
+
 def ols_refit(x, y):
     """Least-squares coefficient/noise/covariance via numpy.linalg.lstsq."""
     t = x.shape[1]
@@ -268,6 +283,45 @@ def grid_min_constrained(a11, a12, a22, b1, b2, c, step=1e-3):
     j = (a11 * rho ** 2 + 2 * a12 * rho * tau + a22 * tau ** 2
          - 2 * b1 * rho - 2 * b2 * tau + c)
     return float(j.min())
+
+
+def closed_form_2d(a_rr, a_rt, a_tt, b_r, b_t, const, constrained=False):
+    """Minimizer of the single-target quadratic by case analysis.
+
+    J(rho, tau) = a_rr rho^2 + 2 a_rt rho tau + a_tt tau^2 - 2 b_r rho
+    - 2 b_t tau + const, over rho, tau >= 0 or, ``constrained``, over the
+    segment rho + tau = 1.  Returns (rho, tau, clip, tie): clip names the
+    boundary met ("none", "rho_zero", "tau_zero", "convex_boundary"), and
+    tie says that an edge solution had the same objective on both edges
+    to 1e-12 relative (collinear moments), where this reference takes
+    tau = 0 unless rounding favours the other edge.  Assumes PSD, finite
+    moments.
+    """
+    def j(rho, tau):
+        return (a_rr * rho * rho + 2.0 * a_rt * rho * tau + a_tt * tau * tau
+                - 2.0 * b_r * rho - 2.0 * b_t * tau + const)
+    scale = max(a_rr, a_tt)
+    if constrained:
+        curv = a_rr - 2.0 * a_rt + a_tt
+        if curv <= 1e-14 * scale:  # every point gives the same estimate
+            return 1.0, 0.0, "convex_boundary", False
+        rho = (a_tt - a_rt + b_r - b_t) / curv
+        clipped = min(max(rho, 0.0), 1.0)
+        clip = "none" if clipped == rho else "convex_boundary"
+        return clipped, 1.0 - clipped, clip, False
+    det = a_rr * a_tt - a_rt * a_rt
+    if det > 1e-14 * scale * scale:
+        rho = (a_tt * b_r - a_rt * b_t) / det
+        tau = (a_rr * b_t - a_rt * b_r) / det
+        if rho >= 0.0 and tau >= 0.0:
+            return rho, tau, "none", False
+    rho_edge = max(b_r, 0.0) / a_rr if a_rr > 0.0 else 0.0
+    tau_edge = max(b_t, 0.0) / a_tt if a_tt > 0.0 else 0.0
+    obj_tau0, obj_rho0 = j(rho_edge, 0.0), j(0.0, tau_edge)
+    tie = abs(obj_tau0 - obj_rho0) <= 1e-12 * max(abs(obj_tau0), abs(const))
+    if obj_tau0 <= obj_rho0:
+        return rho_edge, 0.0, "tau_zero", tie
+    return 0.0, tau_edge, "rho_zero", tie
 
 
 def projected_gradient_nonneg(a, b, iters=20000):

@@ -7,7 +7,6 @@ from shrinkcov.estimators import (
     ols_loo_blocks,
     ols_loo_covariances,
     scm,
-    scm_leave_one_out,
 )
 from shrinkcov.hermitian import is_psd
 
@@ -16,6 +15,7 @@ from oracles import (
     ols_loo_cov_refit,
     ols_refit,
     random_samples,
+    scm_leave_one_out,
     scm_naive,
 )
 

@@ -7,7 +7,13 @@ import time
 import numpy as np
 import pytest
 
-from shrinkcov import estimators, experiments, hermitian, multi_target
+from shrinkcov import (
+    estimators,
+    experiments,
+    hermitian,
+    multi_target,
+    single_target,
+)
 from shrinkcov.applications import mmse_channel_estimate
 from shrinkcov.cli import classify_error, main
 from shrinkcov.datagen import RngStream
@@ -504,6 +510,31 @@ def test_multi_target_run_solves_every_face_without_lstsq(monkeypatch):
     run_experiment(tiny_config("MultiTargetAr", reps=6))
     assert len(faces) >= 6 * 3  # three multi-target solves per draw
     assert not lstsq
+
+
+@pytest.mark.parametrize("name", ["Ar1Identity", "LinearModelPastTarget",
+                                  "MimoChannelMmse", "LmmseDetect", "MvdrBeam"])
+def test_single_target_solves_are_active_set_calls(monkeypatch, name):
+    # one solver for every K: each 2 x 2 solve of a default single-target
+    # replication is one call of the multi-target active set, not a second
+    # engine beside it
+    walks, solves = [], []
+    real_walk = multi_target._active_set
+    real_solve = single_target.solve_quadratic_2d
+    monkeypatch.setattr(multi_target, "_active_set",
+                        lambda *a: walks.append(a) or real_walk(*a))
+
+    def counted(*a, **k):
+        solves.append(a)
+        return real_solve(*a, **k)
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("shrinkcov")
+                and getattr(module, "solve_quadratic_2d", None) is real_solve):
+            monkeypatch.setattr(module, "solve_quadratic_2d", counted)
+    spec = EXPERIMENTS[name]
+    spec.replicate(spec.setting(spec.defaults), spec.sample_counts[0],
+                   spec.methods, RngStream(8, 0))
+    assert solves and len(walks) == len(solves)
 
 
 # ---------------------------------------------------------------------------

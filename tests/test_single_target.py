@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shrinkcov.datagen import ar_covariance, gaussian_samples
-from shrinkcov.estimators import ols_covariance, ols_fit, scm, scm_leave_one_out
+from shrinkcov.estimators import ols_covariance, ols_fit, scm
 from shrinkcov.hermitian import frobenius_norm_sq, is_psd
 from shrinkcov.multi_target import MultiMoments, solve_nonneg_qp
 from shrinkcov.single_target import (
@@ -21,9 +21,14 @@ from shrinkcov.single_target import (
     shrink,
     solve_quadratic_2d,
 )
-from shrinkcov.targets import scaled_identity_target
+from shrinkcov.targets import (
+    diagonal_target,
+    scaled_identity_target,
+    toeplitz_average_target,
+)
 
 from oracles import (
+    closed_form_2d,
     cv_cost_direct,
     grid_min_2d_fast,
     grid_min_2d_full,
@@ -32,6 +37,7 @@ from oracles import (
     ols_loo_moments_loop,
     random_psd,
     random_samples,
+    scm_leave_one_out,
 )
 
 MOMENT_FIELDS = ("a_rr", "a_rt", "a_tt", "b_r", "b_t", "const")
@@ -279,6 +285,50 @@ def test_solve2d_constrained_matches_grid():
         grid = grid_min_constrained(m.a_rr, m.a_rt, m.a_tt, m.b_r, m.b_t,
                                     m.const, step=1e-4)
         assert sol.objective <= grid + 1e-9
+
+
+def _sweep_moments():
+    """Random PSD moments a = F^T F, b = F^T d (F of rank 1 to 3, so b lies
+    in the range of a, as for data), then the SCM moments of identity,
+    diagonal and Toeplitz targets on AR draws at n = 30."""
+    rng = np.random.default_rng(90)
+    for _ in range(400):
+        f = rng.standard_normal((int(rng.integers(1, 4)), 2))
+        f *= rng.uniform(0.1, 3.0)
+        d = rng.standard_normal(f.shape[0]) + rng.uniform(0.0, 2.0)
+        a, b = f.T @ f, f.T @ d
+        yield QuadMoments(a[0, 0], a[0, 1], a[1, 1], b[0], b[1],
+                          float(rng.uniform(0.0, 5.0)))
+    for r in (0.3, 0.5, 0.9):
+        for t in (3, 4, 5, 8, 10, 15, 20, 40, 80):
+            for cplx in (False, True):
+                y = gaussian_samples(ar_covariance(30, r), t, rng, cplx)
+                for make in (scaled_identity_target, diagonal_target,
+                             toeplitz_average_target):
+                    yield scm_fast_moments(y, make(scm(y)))
+
+
+@pytest.mark.parametrize("constrained", [False, True])
+def test_solve2d_matches_closed_form_reference(constrained):
+    # the K = 1 active-set call against the former closed-form solver.
+    # Exact ties, where the objective is equal on both quadrant edges to
+    # rounding (collinear moments: the target equals R), are excluded:
+    # the reference then takes whichever edge rounding favours, while the
+    # active set frees rho first and lands on tau = 0
+    compared = ties = 0
+    for m in _sweep_moments():
+        rho, tau, clip, tie = closed_form_2d(*vars(m).values(),
+                                             constrained=constrained)
+        if tie:
+            ties += 1
+            continue
+        sol = solve_quadratic_2d(m, constrained)
+        assert sol.clip.value == clip, (vars(m), sol)
+        scale = max(rho, tau)
+        assert abs(sol.rho - rho) <= 1e-12 * scale, (vars(m), sol)
+        assert abs(sol.tau - tau) <= 1e-12 * scale, (vars(m), sol)
+        compared += 1
+    assert compared >= 400 and ties <= 200
 
 
 def test_grid_fast_equals_grid_full():

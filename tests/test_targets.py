@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shrinkcov.datagen import RngStream, ar_covariance, gaussian_samples
-from shrinkcov.estimators import scm, scm_leave_one_out
+from shrinkcov.estimators import scm
 from shrinkcov.hermitian import frobenius_norm_sq, is_psd
 from shrinkcov.targets import (
     diagonal_target,
@@ -17,7 +17,12 @@ from shrinkcov.single_target import (
     solve_quadratic_2d,
 )
 
-from oracles import random_psd, random_samples, toeplitz_first_row_loop
+from oracles import (
+    random_psd,
+    random_samples,
+    scm_leave_one_out,
+    toeplitz_first_row_loop,
+)
 
 
 def toeplitz_band_oracle(r):
