@@ -1,10 +1,11 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately naive: dense products, explicit refits,
-grid scans, projected gradient, face enumeration. Apart from the paired
-MultiTargetAr reference and the dense MMSE channel composition at the end,
-nothing imports from shrinkcov, so the package and these oracles can only
-agree by computing the same mathematics.
+grid scans, projected gradient, face enumeration, and a 2 x 2 solve by
+case analysis that the package's active set must match. Apart from the
+paired MultiTargetAr reference and the dense MMSE channel composition at
+the end, nothing imports from shrinkcov, so the package and these oracles
+can only agree by computing the same mathematics.
 """
 import math
 
