@@ -13,6 +13,15 @@ The Gram matrix of the regressors is factorized once; the rank-one
 updates of all T samples are computed together as column blocks (sample
 t is column t), which the least-squares moment accumulator of
 :mod:`shrinkcov.multi_target` reads directly without a loop over samples.
+
+Both base estimates, :class:`SampleBlock` and :class:`OlsFit`, are owners:
+each holds its R and the targets built from it read-only, as well as a
+truth registered on it (``own``).  A function given the owner skips
+:func:`require_hermitian` for exactly those objects, matched by identity,
+and memoizes their pairwise trace products: an owned matrix cannot change,
+and its id is not reused while the owner lives.  Every other matrix is
+checked, and its products are taken again, on every call: its caller
+may change it in place.
 """
 
 from __future__ import annotations
@@ -44,34 +53,11 @@ def scm(y: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class SampleBlock:
-    """An N x T sample block ``y`` validated by :func:`sample_block`, and R.
+class _Owner:
+    """Holder of read-only matrices, matched by identity (module docs)."""
 
-    ``y`` is a read-only view; ``r``, formed on first use, and the targets
-    built from the block are read-only and held by it (:meth:`own`).  A
-    function given the block skips :func:`require_hermitian` for exactly
-    those objects, matched by identity, and checks every other matrix.
-
-    The block also keeps what every selector of one draw reads: the
-    fourth-moment sum ``quart`` = sum_t ||y_t||^4, formed on first use,
-    and :meth:`trace`, which memoizes :func:`real_trace_product` of two
-    matrices the block owns.  Sharing those is safe: an owned matrix is
-    read-only, so its products cannot go stale, and the block holds it,
-    so its id is not reused while the memo lives.  Any other operand is
-    recomputed on every call, as a caller may change it in place.
-    """
-
-    y: np.ndarray
     _owned: dict = field(default_factory=dict, init=False, repr=False)
     _traces: dict = field(default_factory=dict, init=False, repr=False)
-
-    @cached_property
-    def r(self) -> np.ndarray:
-        return self.own(scm(self.y))
-
-    @cached_property
-    def quart(self) -> float:
-        return float(np.sum(np.sum(np.abs(self.y) ** 2, axis=0) ** 2))
 
     def own(self, m: np.ndarray) -> np.ndarray:
         m.flags.writeable = False
@@ -90,6 +76,26 @@ class SampleBlock:
         return self._traces[key]
 
 
+@dataclass(frozen=True, eq=False)
+class SampleBlock(_Owner):
+    """An N x T sample block ``y`` validated by :func:`sample_block`, and R.
+
+    ``y`` is a read-only view; the block owns ``r``.  It also keeps the
+    fourth-moment sum ``quart`` = sum_t ||y_t||^4, which every SCM
+    selector of one draw reads.  Both are formed on first use.
+    """
+
+    y: np.ndarray
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        return self.own(scm(self.y))
+
+    @cached_property
+    def quart(self) -> float:
+        return float(np.sum(np.sum(np.abs(self.y) ** 2, axis=0) ** 2))
+
+
 def sample_block(samples, min_count: int = 1,
                  name: str = "samples") -> SampleBlock:
     """Raw samples validated (see :func:`validate_samples`) and wrapped."""
@@ -103,9 +109,9 @@ def sample_block(samples, min_count: int = 1,
 
 
 def _base(base) -> tuple:
-    """(R, own, check, trace) of a block; a raw R is checked, trusts nothing
-    and memoizes nothing."""
-    if isinstance(base, SampleBlock):
+    """(R, own, check, trace) of a block or fit; a raw R is checked, trusts
+    nothing and memoizes nothing."""
+    if isinstance(base, _Owner):
         return base.r, base.own, base.checked, base.trace
     return (require_hermitian(base), (lambda m: m), require_hermitian,
             real_trace_product)
@@ -115,8 +121,8 @@ def _base(base) -> tuple:
 # least-squares path
 
 
-@dataclass(frozen=True)
-class OlsFit:
+@dataclass(frozen=True, eq=False)
+class OlsFit(_Owner):
     """Full least-squares fit of Y ~ coef @ X.
 
     Attributes
@@ -132,6 +138,9 @@ class OlsFit:
     gram_dirs : ndarray
         M x T block of directions ``(X X^H)^-1 x_t``, reused by every
         leave-one-out update.
+
+    ``r`` = coef coef^H + noise_var I, which the fit owns, and
+    ``loo_blocks`` (:func:`ols_loo_blocks`) are formed on first use.
     """
 
     coef: np.ndarray
@@ -141,12 +150,14 @@ class OlsFit:
     gram_dirs: np.ndarray
 
     @cached_property
-    def covariance(self) -> np.ndarray:
-        """Read-only ``coef coef^H + noise_var I``, formed on first use."""
+    def r(self) -> np.ndarray:
         n = self.coef.shape[0]
-        r = self.coef @ self.coef.conj().T + self.noise_var * np.eye(n)
-        r.flags.writeable = False
-        return r
+        return self.own(self.coef @ self.coef.conj().T
+                        + self.noise_var * np.eye(n))
+
+    @cached_property
+    def loo_blocks(self) -> tuple[np.ndarray, ...]:
+        return ols_loo_blocks(self)
 
 
 def ols_fit(x: np.ndarray, y: np.ndarray) -> OlsFit:
@@ -163,7 +174,8 @@ def ols_fit(x: np.ndarray, y: np.ndarray) -> OlsFit:
         raise ValueError("inputs and outputs must have the same sample count")
     t = x.shape[1]
     gram = x @ x.conj().T
-    if np.linalg.cond(gram) > 1e12:
+    w = np.linalg.eigvalsh(gram)  # Hermitian PSD: condition w[-1] / w[0]
+    if not w[0] > 0.0 or w[-1] / w[0] > 1e12:
         raise ValueError("regressor Gram matrix is singular or ill-conditioned")
     gram_dirs = np.linalg.solve(gram, x)
     coef = y @ gram_dirs.conj().T
@@ -176,7 +188,7 @@ def ols_fit(x: np.ndarray, y: np.ndarray) -> OlsFit:
 
 def ols_covariance(fit: OlsFit) -> np.ndarray:
     """Covariance estimate coef coef^H + noise_var I from a full fit."""
-    return fit.covariance.copy()
+    return fit.r.copy()
 
 
 def ols_loo_blocks(fit: OlsFit) -> tuple[np.ndarray, ...]:

@@ -49,7 +49,7 @@ from .datagen import (
     kronecker_channel_cov,
     linear_model_scene,
 )
-from .estimators import ols_covariance, ols_fit, sample_block, scm
+from .estimators import ols_fit, sample_block, scm
 from .hermitian import frobenius_norm_sq
 from .multi_target import mt_select
 from .single_target import (
@@ -164,17 +164,17 @@ def nmse(estimates, truths) -> float:
 # truth, its samplers and every constant of the config; it draws nothing.
 # A scene function draws from the setting on sub-streams 0-2 and returns
 # a _Scene of ``samples`` (the SampleBlock the selectors see), ``base``
-# (the estimate they shrink), ``source`` (the SCM scenes' block, or base:
-# what base, the targets and the oracle read), ``truth`` (the oracle's
-# covariance), ``targets`` (scaled identity first), ``judge`` and its
-# consumer's inputs.  A table entry maps the scene to the judge's input:
-# a covariance estimate, a channel estimate or beamformer weights.  The
-# judge returns (error, reference) for normalized-error metrics, a float
-# for dB metrics.  A draw only one method needs is made in its entry, so
-# a method subset never changes another method's data.  Entries look
-# package functions up in these module globals at call time, and
-# replicate iterates the ``methods`` it is given, so wrappers installed
-# on either see every call and its method.
+# (the estimate they shrink), ``source`` (the replication's owner, the
+# block or the least-squares fit, which holds base, the targets and the
+# truth), ``truth`` (the oracle's covariance), ``targets`` (scaled
+# identity first), ``judge`` and its consumer's inputs.  A table entry
+# maps the scene to the judge's input: a covariance estimate, a channel
+# estimate or beamformer weights.  The judge returns (error, reference)
+# for normalized-error metrics, a float for dB metrics.  A draw only one
+# method needs is made in its entry, so a method subset never changes
+# another method's data.  Entries look package functions up in these
+# module globals at call time, and replicate iterates the ``methods`` it
+# is given, so wrappers installed on either see every call and its method.
 
 
 def _cov_judge(sigma: np.ndarray) -> Callable:
@@ -225,7 +225,7 @@ def _multi(method: str) -> Callable:
 
 def _cv_ols(s: _Scene, target: np.ndarray) -> np.ndarray:
     """Single-target LOOCV on the least-squares base."""
-    m = ols_loo_moments(s.fit, s.samples, target)
+    m = ols_loo_moments(s.source, s.samples, target)
     return shrink(s.base, target, solve_quadratic_2d(m))
 
 
@@ -259,8 +259,9 @@ def _scm_scene(samples: np.ndarray, truth: np.ndarray, judge: Callable,
                **inputs) -> _Scene:
     """Scene shrinking the sample covariance toward the scaled identity."""
     blk = sample_block(samples)
-    return _Scene(samples=blk, base=blk.r, source=blk, truth=truth,
-                  targets=[scaled_identity_target(blk)], judge=judge, **inputs)
+    return _Scene(samples=blk, base=blk.r, source=blk,
+                  truth=blk.own(truth), targets=[scaled_identity_target(blk)],
+                  judge=judge, **inputs)
 
 
 def _spectral_scene(samples: np.ndarray, truth: np.ndarray, judge: Callable,
@@ -333,10 +334,9 @@ def _linear_model_scene(setting: _Scene, t, stream: RngStream) -> _Scene:
     sigma = model.true_covariance
     outputs = sample_block(y, name="outputs")
     fit = ols_fit(x, outputs)
-    r = ols_covariance(fit)
     return _Scene(
-        samples=outputs, base=r, source=r, truth=sigma,
-        targets=[scaled_identity_target(r)], judge=_cov_judge(sigma), fit=fit,
+        samples=outputs, base=fit.r, source=fit, truth=fit.own(sigma),
+        targets=[scaled_identity_target(fit)], judge=_cov_judge(sigma),
         # outputs of an earlier block, drawn only by the method using them
         past=lambda: model.generator(setting.past_t, stream.generator(2))[1])
 

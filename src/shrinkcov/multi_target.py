@@ -33,14 +33,9 @@ from itertools import chain
 
 import numpy as np
 
-from .estimators import OlsFit, _base, ols_fit, ols_loo_blocks, sample_block
-from .hermitian import (
-    frobenius_norm_sq,
-    is_psd,
-    outer_product,
-    real_trace_product,
-    require_hermitian,
-)
+from .estimators import OlsFit, _base, ols_fit, sample_block
+from .hermitian import (frobenius_norm_sq, is_psd, outer_product,
+                        real_trace_product)
 
 __all__ = [
     "MultiMoments",
@@ -349,17 +344,17 @@ def mt_ols_loocv_moments(fit: OlsFit, outputs: np.ndarray,
     + psi_t e_t^H (column t of :func:`ols_loo_blocks`), so each M of
     (R, T_1..T_K) needs only tr(D_t M) and y_t^H M y_t, column inner
     products of N x T blocks: no R_t or refit is formed.  ``outputs``
-    may be a sample block.
+    may be a sample block; the fit's own R and targets are not checked
+    again, and their products come from its memo.
     """
     y = sample_block(outputs, name="outputs").y
     if y.shape != fit.residuals.shape:
         raise ValueError(f"outputs of shape {y.shape} do not match the fit's "
                          f"residuals {fit.residuals.shape}")
-    targets = [require_hermitian(t0) for t0 in targets]
-    e, _, delta, phi, psi = ols_loo_blocks(fit)
-    mats = [fit.covariance, *targets]
+    mats = [fit.r, *map(fit.checked, targets)]
+    e, _, delta, phi, psi = fit.loo_blocks
     n, count = y.shape
-    a = _gram(mats)
+    a = _gram(mats, fit.trace)
 
     def update_trace(m):  # tr(D_t M) for every t
         me = m @ e
@@ -394,12 +389,13 @@ def mt_ols_loocv_moments(fit: OlsFit, outputs: np.ndarray,
 def mt_oracle_moments(base: np.ndarray, targets, truth: np.ndarray) -> MultiMoments:
     """Frobenius-error quadratic || rho R + sum tau_k T_k - Sigma ||_F^2.
 
-    ``base`` may be a sample block; R is then its sample covariance, and
-    the products of R and the block's targets come from its memo.
+    ``base`` may be a sample block or a least-squares fit; R is then its
+    own, and the products of the matrices it owns (R, its targets and a
+    registered truth) come from its memo.
     """
     r, _, check, trace = _base(base)
     mats = [r, *map(check, targets)]
-    sigma = require_hermitian(truth)
+    sigma = check(truth)
     a = _gram(mats, trace)
     b = np.array([trace(m, sigma) for m in mats])
     return MultiMoments(a=a, b=b, const=frobenius_norm_sq(sigma))
@@ -441,10 +437,8 @@ def mt_constrained_moments(samples: np.ndarray, targets) -> MultiMoments:
     neither is better overall.  The bias is a property of the design,
     kept as is.
     """
-    targets = list(targets)
-    m, tr_r = _selection_moments("cv_constrained", targets, samples)
-    _require_trace(targets, tr_r)
-    return _convex_design(m)
+    return _convex_design(_selection_moments("cv_constrained", targets,
+                                             samples)[0])
 
 
 def mt_constrained_oracle_moments(base: np.ndarray, targets,
@@ -461,11 +455,12 @@ def mt_constrained_oracle_moments(base: np.ndarray, targets,
 
 def _selection_moments(method: str, targets, samples=None, truth=None,
                        inputs=None, outputs=None):
-    """The (rho, tau_1..tau_K) quadratic of ``method`` and tr R of its base.
+    """The (rho, tau_1..tau_K) quadratic of ``method`` and whether it is
+    a convex-combination method.
 
     The one dispatch on method names, behind both selection facades.
-    ``inputs`` and ``outputs`` select the least-squares base.  tr R is
-    None for the cone methods, which need no trace guard.
+    ``inputs`` and ``outputs`` select the least-squares base.  The convex
+    methods require trace-preserving targets (:func:`_require_trace`).
     """
     if method not in ("cv", "cv_constrained", "oracle", "oracle_constrained"):
         raise ValueError(f"unknown selection method {method!r}; expected one "
@@ -476,17 +471,15 @@ def _selection_moments(method: str, targets, samples=None, truth=None,
     oracle = method.startswith("oracle")
     if oracle and truth is None:
         raise ValueError("oracle selection requires the true covariance")
-    if ols:
-        fit = ols_fit(inputs, outputs)
-        r = fit.covariance
-        m = (mt_oracle_moments(r, targets, truth) if oracle
-             else mt_ols_loocv_moments(fit, outputs, targets))
-    else:
-        block = sample_block(samples)
-        r = block.r
-        m = (mt_oracle_moments(block, targets, truth) if oracle
-             else mt_scm_loocv_moments(block, targets))
-    return m, float(np.trace(r).real) if method.endswith("constrained") else None
+    targets = list(targets)
+    base = ols_fit(inputs, outputs) if ols else sample_block(samples)
+    m = (mt_oracle_moments(base, targets, truth) if oracle
+         else mt_ols_loocv_moments(base, outputs, targets) if ols
+         else mt_scm_loocv_moments(base, targets))
+    convex = method.endswith("constrained")
+    if convex:
+        _require_trace(targets, float(np.trace(base.r).real))
+    return m, convex
 
 
 def mt_select(method: str, targets, samples: np.ndarray | None = None,
@@ -506,12 +499,10 @@ def mt_select(method: str, targets, samples: np.ndarray | None = None,
     truth : ndarray, optional
         True covariance, required by the oracle methods.
     """
-    targets = list(targets)
-    m, tr_r = _selection_moments(method, targets, samples, truth)
-    if tr_r is None:
+    m, convex = _selection_moments(method, targets, samples, truth)
+    if not convex:
         x, obj = solve_nonneg_qp(m)
     else:
-        _require_trace(targets, tr_r)
         x = np.array(_minimize(*_lists(m), m.const, convex=True))
         obj = m.objective(x)
     cutoff = 1e-10 * max(x)

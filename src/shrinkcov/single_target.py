@@ -211,8 +211,9 @@ def select_single_target(method: str, target: np.ndarray,
     inputs, outputs : ndarray, optional
         Regression data (least-squares path); overrides ``samples``.
     """
-    m, tr_r = _selection_moments(method, [target], samples, truth, inputs, outputs)
-    return solve_quadratic_2d(_quad(m), constrained=tr_r is not None)
+    m, convex = _selection_moments(method, [target], samples, truth, inputs,
+                                   outputs)
+    return solve_quadratic_2d(_quad(m), constrained=convex)
 
 
 def shrink(base: np.ndarray, target: np.ndarray,

@@ -2,8 +2,9 @@
 
 Every target here preserves the trace of its input, so convex
 combinations of base estimate and target keep the total power; all of
-them are Hermitian PSD whenever the input is.  Given a sample block in
-place of R, a target reads its R unchecked and is registered on it.
+them are Hermitian PSD whenever the input is.  Given an owner (a sample
+block or a least-squares fit) in place of R, a target reads its R
+unchecked and is registered on it.
 """
 
 from __future__ import annotations

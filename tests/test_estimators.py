@@ -133,6 +133,22 @@ def test_ols_gram_guard():
         ols_fit(x, y)
 
 
+def test_ols_gram_guard_is_the_condition_rule_without_svd(monkeypatch):
+    # the Gram matrix's eigenvalues give its 2-norm condition number
+    svd = []
+    real = np.linalg._linalg.svd
+    monkeypatch.setattr(np.linalg._linalg, "svd",
+                        lambda *a, **k: svd.append(a) or real(*a, **k))
+    y = np.ones((2, 3))
+    ols_fit(np.array([[1.0, 0.0, 0.0], [0.0, 1e-5, 0.0]]), y)  # cond 1e10
+    for x in (np.zeros((2, 3)),                                # zero
+              np.array([[1.0, 0.0, 0.0], [0.0, 1e-7, 0.0]]),    # cond 1e14
+              np.array([[1.0, 2.0, 3.0], [1.0j, 2.0j, 3.0j]])):  # rank one
+        with pytest.raises(ValueError, match="ill-conditioned"):
+            ols_fit(x, y)
+    assert not svd
+
+
 def test_ols_leverage_guard_is_in_loo_not_fit():
     x = np.eye(2)
     y = np.diag([1.0, 2.0])

@@ -392,7 +392,6 @@ HARNESS_CALLS = {
     "datagen.interference_scene",
     "datagen.kronecker_channel_cov",
     "datagen.linear_model_scene",
-    "estimators.ols_covariance",
     "estimators.ols_fit",
     "estimators.sample_block",
     "estimators.scm",
@@ -481,7 +480,9 @@ def test_one_trace_product_per_pair_in_a_multi_target_replication(
         monkeypatch):
     # cv_single, oracle_single and the three multi-target selectors share
     # the block: 10 products of R and its three targets, each taken once,
-    # plus the 2 + 4 oracle products with the truth, which it does not own
+    # plus the 4 products of the truth, which the scene registers on the
+    # block, with R and the targets (oracle_single and oracle_multi_con
+    # share R Sigma and T_0 Sigma)
     real = hermitian.real_trace_product
     calls = []
 
@@ -495,7 +496,7 @@ def test_one_trace_product_per_pair_in_a_multi_target_replication(
     cfg = tiny_config("MultiTargetAr")
     assert cfg.methods == ()  # every method of the default table
     run_experiment(cfg)
-    assert len(calls) == 16 * cfg.reps * len(cfg.sample_counts)
+    assert len(calls) == 14 * cfg.reps * len(cfg.sample_counts)
 
 
 def test_multi_target_run_solves_every_face_without_lstsq(monkeypatch):
@@ -586,6 +587,33 @@ def test_mimo_replication_makes_no_svd(monkeypatch):
         out = spec.replicate(setting, t, spec.methods, RngStream(6, t))
         assert set(out) == set(spec.methods)
     assert not svd
+
+
+def test_least_squares_replication_checks_and_reduces_once(monkeypatch):
+    # the fit owns R, its scaled identity and the truth, so only the
+    # knowledge-aided target, which the past block built, is checked; both
+    # cross-validated methods read the fit's one set of leave-one-out
+    # blocks; the Gram guard takes eigenvalues (np.linalg.cond would call
+    # the svd of numpy's private module, not np.linalg.svd)
+    svd, blocks, checked = [], [], []
+    real_svd, real_blocks = np.linalg._linalg.svd, estimators.ols_loo_blocks
+    real_check = hermitian.require_hermitian
+    monkeypatch.setattr(np.linalg._linalg, "svd",
+                        lambda *a, **k: svd.append(a) or real_svd(*a, **k))
+    monkeypatch.setattr(estimators, "ols_loo_blocks",
+                        lambda fit: blocks.append(fit) or real_blocks(fit))
+    for layer in BLOCK_LAYERS:
+        module = sys.modules[f"shrinkcov.{layer}"]
+        if getattr(module, "require_hermitian", None) is real_check:
+            monkeypatch.setattr(
+                module, "require_hermitian",
+                lambda a, *r, **k: checked.append(a) or real_check(a, *r, **k))
+    spec = EXPERIMENTS["LinearModelPastTarget"]
+    out = spec.replicate(spec.setting(spec.defaults), spec.sample_counts[0],
+                         spec.methods, RngStream(7, 0))
+    assert set(out) == set(spec.methods)
+    assert not svd
+    assert len(blocks) == 1 and len(checked) == 1
 
 
 @pytest.mark.parametrize("t", (10, 40, 80))

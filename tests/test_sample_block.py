@@ -113,7 +113,7 @@ def test_least_squares_block_path_is_bit_identical(complex_field):
     outputs = sample_block(y, name="outputs")
     fit, raw_fit = ols_fit(x, outputs), ols_fit(x, y)
     assert _same(fit, raw_fit)
-    assert np.array_equal(fit.covariance, ols_covariance(raw_fit))
+    assert np.array_equal(fit.r, ols_covariance(raw_fit))
     t0 = scaled_identity_target(ols_covariance(fit))
     assert _same(mt_ols_loocv_moments(fit, outputs, [t0]),
                  mt_ols_loocv_moments(raw_fit, y, [t0]))
@@ -216,7 +216,6 @@ def test_only_the_blocks_own_matrices_skip_the_check(monkeypatch):
     def counted(a, *args, **kwargs):
         seen.append(a)
         return hermitian.require_hermitian(a, *args, **kwargs)
-    monkeypatch.setattr(multi_target, "require_hermitian", counted)
     monkeypatch.setattr(estimators, "require_hermitian", counted)
 
     mt_scm_loocv_moments(block, [*own, foreign, copy])
@@ -227,6 +226,48 @@ def test_only_the_blocks_own_matrices_skip_the_check(monkeypatch):
     assert len(seen) == 1 and seen[0] is truth
     seen.clear()
     mt_oracle_moments(other, own, truth)   # another block trusts none of them
+    assert len(seen) == 4
+
+
+@pytest.mark.parametrize("complex_field", (False, True))
+def test_the_fit_owns_its_r_targets_and_a_registered_truth(complex_field,
+                                                           monkeypatch):
+    rng = np.random.default_rng(11 + complex_field)
+    x = random_samples(3, 12, rng, complex_field)
+    y = random_samples(5, 12, rng, complex_field)
+    truth = random_psd(5, rng, complex_field)
+    fit, other = ols_fit(x, y), ols_fit(x, y)
+    own = [build(fit) for build in BUILDERS]
+    assert fit.own(truth) is truth
+    for m in (fit.r, *own, truth):
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 1.0
+    fresh = ols_covariance(fit)  # a writable copy the fit does not own
+    assert fresh.flags.writeable and np.array_equal(fresh, fit.r)
+    foreign = scaled_identity_target(other)
+    copies = [m.copy() for m in own]
+    seen = []
+
+    def counted(a, *args, **kwargs):
+        seen.append(a)
+        return hermitian.require_hermitian(a, *args, **kwargs)
+    monkeypatch.setattr(estimators, "require_hermitian", counted)
+
+    assert _same(mt_ols_loocv_moments(fit, y, own),
+                 mt_ols_loocv_moments(other, y, copies))
+    assert len(seen) == 3 and all(map(_same, seen, copies))
+    seen.clear()
+    mt_ols_loocv_moments(fit, y, [*own, foreign, copies[1]])
+    assert len(seen) == 2 and seen[0] is foreign and seen[1] is copies[1]
+    seen.clear()
+    assert _same(mt_oracle_moments(fit, own, truth),
+                 mt_oracle_moments(fresh, copies, truth.copy()))
+    assert len(seen) == 5 and seen[0] is fresh  # the raw path's R, 3, truth
+    seen.clear()
+    mt_oracle_moments(fit, [fresh], truth)
+    assert len(seen) == 1 and seen[0] is fresh
+    seen.clear()
+    mt_oracle_moments(other, own, truth)  # another fit trusts none of them
     assert len(seen) == 4
 
 

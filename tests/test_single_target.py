@@ -533,19 +533,34 @@ def test_select_dispatch_matches_components():
     refo = solve_quadratic_2d(oracle_moments(scm(y), t0, sigma))
     assert (orc.rho, orc.tau) == (refo.rho, refo.tau)
 
-    # the least-squares base, every method against its components
+    # the least-squares base, every method against its components; the
+    # convex design needs a target that keeps tr R
     x = random_samples(2, 12, rng, False)
     yo = random_samples(4, 12, rng, False)
-    d0 = np.eye(4)
+    d0, s0 = np.eye(4), scaled_identity_target(ols_fit(x, yo))
     sigma_o = ar_covariance(4, 0.3)
-    cv_m = ols_fast_moments(x, yo, d0)
-    oracle_m = oracle_moments(ols_covariance(ols_fit(x, yo)), d0, sigma_o)
-    for method, m in (("cv", cv_m), ("cv_constrained", cv_m),
-                      ("oracle", oracle_m), ("oracle_constrained", oracle_m)):
-        got = select_single_target(method, d0, inputs=x, outputs=yo,
+    for method, tk in (("cv", d0), ("cv_constrained", s0),
+                       ("oracle", d0), ("oracle_constrained", s0)):
+        m = (oracle_moments(ols_covariance(ols_fit(x, yo)), tk, sigma_o)
+             if method.startswith("oracle") else ols_fast_moments(x, yo, tk))
+        got = select_single_target(method, tk, inputs=x, outputs=yo,
                                    truth=sigma_o)
         want = solve_quadratic_2d(m, constrained=method.endswith("constrained"))
         assert got == want, method
+
+
+def test_select_constrained_requires_trace_preserving_target():
+    # both selection facades apply the convex design's trace guard, on
+    # either base
+    rng = np.random.default_rng(42)
+    x = random_samples(2, 12, rng, False)
+    yo = random_samples(4, 12, rng, False)
+    y = gaussian_samples(ar_covariance(4, 0.6), 12, rng)
+    truth = ar_covariance(4, 0.3)
+    for data in ({"inputs": x, "outputs": yo}, {"samples": y}):
+        for method in ("cv_constrained", "oracle_constrained"):
+            with pytest.raises(ValueError, match="trace-preserving"):
+                select_single_target(method, np.eye(4), truth=truth, **data)
 
 
 def test_select_argument_guards():
