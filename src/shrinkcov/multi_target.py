@@ -6,23 +6,21 @@ convex quadratic in (rho, tau_1..tau_K).  Its three accumulators (SCM
 path, least-squares path, oracle) form no leave-one-out estimate; the
 reference :func:`mt_loocv_moments` takes them explicitly.  The
 single-target moments of :mod:`shrinkcov.single_target` are the K = 1
-case.  The convex-combination design rho = 1 - sum_k tau_k is one
-substitution applied to those moments, which leaves a K dimensional
-quadratic.
+case.  The convex-combination design rho = 1 - sum_k tau_k is the same
+quadratic minimized over the probability simplex in (rho, tau).
 
 The dimension stays tiny in practice, so one primal active-set method
 after Lawson and Hanson's NNLS solves every K and both designs, the
 single target being K = 1.  Each step solves one face of the feasible
 set in closed form, visiting about one face per coordinate instead of
-all 2^(K+1), and rho is freed first, so ties prefer the base estimate.
-That keeps the selection exactly reproducible.  It runs on Python
-floats, as numpy's per-call cost outweighs arithmetic this small: a
-Cholesky factor solves each face, and ``lstsq`` (minimum norm) only a
-face that is not numerically positive definite.  Dividing the moments
-by their largest diagonal entry first makes the selection free of the
-data's units.  The convex design is checked and scaled as the (K+1)
-quadratic before rho is substituted, so a substituted curvature at
-rounding level (a target equal to R) reads as flat, not as a scale.
+all 2^(K+1).  Ties prefer the base estimate: the cone frees rho first,
+and the simplex starts at rho's vertex unless another is better by more
+than the stopping tolerance.  That keeps the selection exactly
+reproducible.  It runs on Python floats, as numpy's per-call cost
+outweighs arithmetic this small: a Cholesky factor solves each face,
+and ``lstsq`` (minimum norm) only a face that is not numerically
+positive definite.  Dividing the moments by their largest diagonal
+entry first makes the selection free of the data's units.
 """
 
 from __future__ import annotations
@@ -46,8 +44,6 @@ __all__ = [
     "mt_scm_loocv_moments",
     "mt_ols_loocv_moments",
     "mt_oracle_moments",
-    "mt_constrained_moments",
-    "mt_constrained_oracle_moments",
     "mt_select",
 ]
 
@@ -154,13 +150,15 @@ def _cholesky_solve(low, r) -> list:
     return y
 
 
-def _solve_face(a, b, free, simplex=False):
+def _solve_face(a, b, free, simplex=False, low=None):
     """Minimizer z of z^T a z - 2 b . z on the coordinates ``free`` of lists
     a, b (zero elsewhere; sum z = 1 for ``simplex``) and the multiplier lam
     of that border, (a z)_i + lam = b_i on ``free``, by Cholesky from
     u = A^-1 b, v = A^-1 1: lam = (sum u - 1) / sum v, z = u - lam v; by
-    minimum-norm ``lstsq`` if the face's factor is short."""
-    k, low = len(free), _factor(a, free)
+    minimum-norm ``lstsq`` if the face's factor (``low``, if given) is
+    short."""
+    k = len(free)
+    low = _factor(a, free) if low is None else low
     rhs, lam = [b[i] for i in free], 0.0
     if not k or len(low) < k:
         kkt = np.ones((k + simplex, k + simplex))
@@ -182,27 +180,29 @@ def _solve_face(a, b, free, simplex=False):
 def _active_set(a, b, simplex=False, low=()) -> list:
     """Minimize x^T a x - 2 b . x over x >= 0 (and sum x = 1 for ``simplex``).
 
-    Lawson-Hanson style primal active set on lists a, b.  On the cone, with
-    the full factor ``low`` of a positive definite a, a positive minimizer
+    Lawson-Hanson style primal active set on lists a, b.  Given the full
+    factor ``low`` of a positive definite a, a strictly positive minimizer
     of the whole face is the optimum.  Else start at x = 0, or at the best
-    vertex of the simplex, and free a coordinate whose multiplier
-    w = b - a x - lam exceeds the stopping tolerance: index 0 (rho of the
-    cone design) whenever it does, so that ties prefer the pure base
-    estimate, else the first largest.  When a face's solution leaves the
-    orthant, x steps back to the boundary.  As in NNLS, a freed coordinate
-    whose own value comes out nonpositive is rejected until x moves.
-    Coordinates off the final free set are exact zeros.
+    vertex of the simplex (index 0's unless another is better by more than
+    the stopping tolerance), and free a coordinate whose multiplier
+    w = b - a x - lam exceeds that tolerance: index 0 (rho) whenever it
+    does, so that ties prefer the pure base estimate, else the first
+    largest.  When a face's solution leaves the orthant, x steps back to
+    the boundary.  As in NNLS, a freed coordinate whose own value comes
+    out nonpositive is rejected until x moves.  Coordinates off the final
+    free set are exact zeros.
     """
     dim = len(b)
-    if dim and len(low) == dim and not simplex:
-        x = _cholesky_solve(low, b)
+    if dim and len(low) == dim:
+        x = _solve_face(a, b, range(dim), simplex, low)[0]
         if min(x) > 0.0:
             return x
     x, free, rejected, lam = [0.0] * dim, [], [], 0.0
-    if simplex:
-        i = min(range(dim), key=lambda i: a[i][i] - 2.0 * b[i])
-        x[i], free, lam = 1.0, [i], b[i] - a[i][i]
     tol = 1e-12 * max([1.0, *[a[i][i] for i in range(dim)], *map(abs, b)])
+    if simplex:
+        cost = [a[i][i] - 2.0 * b[i] for i in range(dim)]
+        i = 0 if cost[0] <= min(cost) + tol else cost.index(min(cost))
+        x[i], free, lam = 1.0, [i], b[i] - a[i][i]
 
     # in exact arithmetic each freeing lowers the objective: no face repeats
     for _ in range(4 * dim * dim + 4):
@@ -229,33 +229,19 @@ def _active_set(a, b, simplex=False, low=()) -> list:
     raise RuntimeError("active-set solve did not converge")
 
 
-def _simplex(a, b) -> list:
+def _simplex(a, b, low) -> list:
     """Minimizer over x >= 0, sum x <= 1: the cone's, else on sum x = 1."""
-    x = _active_set(a, b, False, _factor(a, range(len(b))))
+    x = _active_set(a, b, False, low)
     if _dot(x, [1.0] * len(x)) > 1.0 + 1e-12:
-        x = _active_set(a, b, True)
+        x = _active_set(a, b, True, low)
     return x
 
 
-def _substitute(a, b, const) -> tuple[list, list, float]:
-    """Substitute rho = 1 - sum_k tau_k into the (rho, tau) quadratic of
-    lists a, b, exactly: a'_kl = a_kl - a_k0 - a_0l + a_00,
-    b'_k = b_k - a_0k + a_00 - b_0 and c' = a_00 - 2 b_0 + c."""
-    a00, a0 = a[0][0], a[0][1:]
-    return ([[a_kl - row[0] - a_0l + a00 for a_kl, a_0l in zip(row[1:], a0)]
-             for row in a[1:]],
-            [b_k - a_0k + a00 - b[0] for b_k, a_0k in zip(b[1:], a0)],
-            a00 - 2.0 * b[0] + const)
-
-
 def _minimize(a, b, const, convex=False) -> list:
-    """Minimizer x = (rho, tau_1..tau_K) >= 0 of the quadratic of lists a, b;
-    the ``convex`` design solves the substituted one on the simplex."""
+    """Minimizer x = (rho, tau_1..tau_K) >= 0 of the checked quadratic of
+    lists a, b; the ``convex`` design adds rho + sum_k tau_k = 1."""
     a, b, low = _checked(a, b, const)
-    if not convex:
-        return _active_set(a, b, False, low)
-    taus = _simplex(*_substitute(a, b, 0.0)[:2])
-    return [max(0.0, 1.0 - _dot(taus, [1.0] * len(taus))), *taus]
+    return _active_set(a, b, convex, low)
 
 
 def solve_nonneg_qp(m: MultiMoments) -> tuple[np.ndarray, float]:
@@ -266,7 +252,7 @@ def solve_nonneg_qp(m: MultiMoments) -> tuple[np.ndarray, float]:
 
 def solve_nonneg_qp_simplex(m: MultiMoments) -> tuple[np.ndarray, float]:
     """Minimize the quadratic over x >= 0, sum x <= 1; (x, objective)."""
-    x = np.array(_simplex(*_checked(*_lists(m), m.const)[:2]))
+    x = np.array(_simplex(*_checked(*_lists(m), m.const)))
     return x, m.objective(x)
 
 
@@ -410,45 +396,6 @@ def _require_trace(targets, tr_r: float) -> None:
                              "trace-preserving targets")
 
 
-def _convex_design(m: MultiMoments) -> MultiMoments:
-    """The (rho, tau) quadratic under rho = 1 - sum_k tau_k, in tau alone."""
-    a, b, const = _substitute(*_lists(m), m.const)
-    return MultiMoments(np.reshape(a, (len(b),) * 2), np.array(b), const)
-
-
-def mt_constrained_moments(samples: np.ndarray, targets) -> MultiMoments:
-    """Quadratic in (tau_1..tau_K) for the convex-combination design.
-
-    Under rho = 1 - sum tau_k the cross-validation cost becomes
-    (1/T) sum_t || sum_k tau_k (T_k - R_t) + (R_t - y_t y_t^H) ||_F^2,
-    accumulated on the SCM path (T >= 3).
-
-    The targets are held fixed across folds, so on the SCM path the
-    linear term is the same for every target (``b = a_rr - b_r``) and
-    only the quadratic term tells the targets apart.  This biases the
-    selection, as measured on the AR(0.9) scene of acceptance check 8
-    (n=25, T = 15, 25, 50, 21 seeds of 200 draws): the scaled-identity
-    target (listed first there) got zero weight on every one of the
-    12600 draws, while the best fixed weight vector in hindsight gives it
-    0.03-0.19.  Two variants restore that weight: targets rebuilt from
-    each leave-one-out R_t, and an unbiased estimate of the linear term
-    of the Frobenius risk.  On seeds 6003-6005 both land 1.09-1.18x
-    above the best fixed vector, against 1.05-1.19x for this design, so
-    neither is better overall.  The bias is a property of the design,
-    kept as is.
-    """
-    return _convex_design(_selection_moments("cv_constrained", targets,
-                                             samples)[0])
-
-
-def mt_constrained_oracle_moments(base: np.ndarray, targets,
-                                  truth: np.ndarray) -> MultiMoments:
-    """Oracle quadratic || sum tau_k (T_k - R) + (R - Sigma) ||_F^2."""
-    targets = list(targets)
-    _require_trace(targets, float(np.trace(_base(base)[0]).real))
-    return _convex_design(mt_oracle_moments(base, targets, truth))
-
-
 # ---------------------------------------------------------------------------
 # selection
 
@@ -472,6 +419,8 @@ def _selection_moments(method: str, targets, samples=None, truth=None,
     if oracle and truth is None:
         raise ValueError("oracle selection requires the true covariance")
     targets = list(targets)
+    if ols:  # one validated block of outputs for the fit and the moments
+        outputs = sample_block(outputs, name="outputs")
     base = ols_fit(inputs, outputs) if ols else sample_block(samples)
     m = (mt_oracle_moments(base, targets, truth) if oracle
          else mt_ols_loocv_moments(base, outputs, targets) if ols
@@ -490,8 +439,8 @@ def mt_select(method: str, targets, samples: np.ndarray | None = None,
     ----------
     method : str
         ``cv`` / ``oracle`` minimize over the nonnegative cone;
-        ``cv_constrained`` / ``oracle_constrained`` additionally impose
-        rho = 1 - sum tau_k with tau on the simplex.
+        ``cv_constrained`` / ``oracle_constrained`` minimize over the
+        simplex rho + sum tau_k = 1 of the same cone.
     targets : sequence of ndarray
         Shrinkage targets T_1..T_K.
     samples : ndarray

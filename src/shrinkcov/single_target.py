@@ -102,8 +102,9 @@ def solve_quadratic_2d(m: QuadMoments, constrained: bool = False) -> ShrinkageSo
 
     Unconstrained mode minimizes over the nonnegative quadrant
     rho, tau >= 0; constrained mode minimizes over the convex segment
-    rho + tau = 1, rho in [0, 1].  The active set frees rho first, so
-    ties between the quadrant edges prefer tau = 0 (pure base estimate).
+    rho + tau = 1, rho in [0, 1].  Ties prefer tau = 0 (pure base
+    estimate): the active set frees rho first on the quadrant and starts
+    at rho's vertex on the segment.
     """
     rho, tau = _minimize([[m.a_rr, m.a_rt], [m.a_rt, m.a_tt]], [m.b_r, m.b_t],
                          m.const, constrained)

@@ -3,9 +3,10 @@
 Everything here is deliberately naive: dense products, explicit refits,
 grid scans, projected gradient, face enumeration, and a 2 x 2 solve by
 case analysis that the package's active set must match. Apart from the
-paired MultiTargetAr reference and the dense MMSE channel composition at
-the end, nothing imports from shrinkcov, so the package and these oracles
-can only agree by computing the same mathematics.
+tau-form of the convex design, the paired MultiTargetAr reference and the
+dense MMSE channel composition at the end, nothing imports from shrinkcov,
+so the package and these oracles can only agree by computing the same
+mathematics.
 """
 import math
 
@@ -16,9 +17,11 @@ from shrinkcov.datagen import RngStream, ar_covariance, gaussian_samples
 from shrinkcov.estimators import scm
 from shrinkcov.multi_target import (
     MultiMoments,
-    mt_constrained_oracle_moments,
+    mt_oracle_moments,
+    mt_scm_loocv_moments,
     solve_nonneg_qp_simplex,
 )
+from shrinkcov.single_target import QuadMoments, oracle_moments, solve_quadratic_2d
 from shrinkcov.targets import (
     diagonal_target,
     scaled_identity_target,
@@ -421,6 +424,38 @@ def enumerate_nonneg_qp_simplex(m):
     return best_x, best_obj
 
 # ---------------------------------------------------------------------------
+# The convex design in tau alone.
+#
+# The package minimizes the (rho, tau) quadratic on the simplex
+# rho + sum_k tau_k = 1.  Substituting rho = 1 - sum_k tau_k instead leaves
+# a quadratic in tau over x >= 0, sum x <= 1, which solve_nonneg_qp_simplex
+# minimizes: a second route to the same optimum.
+
+
+def convex_design(m):
+    """The (rho, tau) quadratic under rho = 1 - sum_k tau_k, in tau alone:
+    a'_kl = a_kl - a_k0 - a_0l + a_00, b'_k = b_k - a_0k + a_00 - b_0 and
+    c' = a_00 - 2 b_0 + c."""
+    a = np.asarray(m.a, dtype=float)
+    b = np.asarray(m.b, dtype=float)
+    a00 = a[0, 0]
+    return MultiMoments(a=a[1:, 1:] - a[1:, :1] - a[:1, 1:] + a00,
+                        b=b[1:] - a[0, 1:] + a00 - b[0],
+                        const=float(a00 - 2.0 * b[0] + m.const))
+
+
+def constrained_moments(samples, targets):
+    """Cross-validation cost of the convex design in tau on the SCM path,
+    (1/T) sum_t || sum_k tau_k (T_k - R_t) + (R_t - y_t y_t^H) ||_F^2."""
+    return convex_design(mt_scm_loocv_moments(samples, targets))
+
+
+def constrained_oracle_moments(base, targets, truth):
+    """Oracle cost || sum_k tau_k (T_k - R) + (R - Sigma) ||_F^2 in tau."""
+    return convex_design(mt_oracle_moments(base, targets, truth))
+
+
+# ---------------------------------------------------------------------------
 # Paired reference for the MultiTargetAr experiment.
 #
 # Unlike the helpers above, these reuse the package: the reference has to
@@ -462,13 +497,29 @@ def best_fixed_constrained(sigma, draws):
     fixed tau, with no grid.  The NMSE is normalized as the harness does:
     mean error over ||Sigma||_F^2.
     """
-    moments = [mt_constrained_oracle_moments(r_hat, targets, sigma)
+    moments = [constrained_oracle_moments(r_hat, targets, sigma)
                for _, r_hat, targets in draws]
     mean = MultiMoments(a=np.mean([m.a for m in moments], axis=0),
                         b=np.mean([m.b for m in moments], axis=0),
                         const=float(np.mean([m.const for m in moments])))
     _, objective = solve_nonneg_qp_simplex(mean)
     return objective / float(np.vdot(sigma, sigma).real)
+
+
+def best_fixed_single(sigma, draws):
+    """NMSE of the best fixed single-target (rho, tau) >= 0 in hindsight.
+
+    The target is each draw's first, the scaled identity, as for the
+    harness's ``cv_single``.  The mean squared error of a fixed (rho, tau)
+    is the quadratic with the draws' oracle moments averaged, so one 2 x 2
+    solve minimizes it; normalized by ||Sigma||_F^2 as the harness does.
+    """
+    moments = [oracle_moments(r_hat, targets[0], sigma)
+               for _, r_hat, targets in draws]
+    mean = QuadMoments(*np.mean([[m.a_rr, m.a_rt, m.a_tt, m.b_r, m.b_t,
+                                  m.const] for m in moments], axis=0).tolist())
+    return (solve_quadratic_2d(mean).objective
+            / float(np.vdot(sigma, sigma).real))
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from shrinkcov.experiments import (
     run_experiment,
 )
 from shrinkcov.single_target import ShrinkageSolution
+from shrinkcov.targets import scaled_identity_target
 
 from oracles import (
     aggregate_numpy,
@@ -536,6 +537,28 @@ def test_single_target_solves_are_active_set_calls(monkeypatch, name):
     spec.replicate(spec.setting(spec.defaults), spec.sample_counts[0],
                    spec.methods, RngStream(8, 0))
     assert solves and len(walks) == len(solves)
+
+
+def test_each_convex_selection_is_one_simplex_call(monkeypatch):
+    # the convex design is minimized on the simplex over (rho, tau) itself:
+    # one active-set call per selection, with no cone pass before it
+    walks = []
+    real_walk = multi_target._active_set
+    monkeypatch.setattr(multi_target, "_active_set",
+                        lambda *a: walks.append(a[2]) or real_walk(*a))
+    cfg = ExperimentConfig("MultiTargetAr", reps=25, seed=1,
+                           methods=("cv_multi_con", "oracle_multi_con"))
+    run_experiment(cfg)
+    assert walks == [True] * (2 * 25 * len(EXPERIMENTS[cfg.experiment]
+                                           .sample_counts))
+    walks.clear()
+    rng = np.random.default_rng(14)
+    truth = random_psd(5, rng, complex_field=True)
+    y = random_samples(5, 9, rng)
+    t0 = scaled_identity_target(estimators.sample_block(y))
+    for method in ("cv_constrained", "oracle_constrained"):
+        single_target.select_single_target(method, t0, samples=y, truth=truth)
+    assert walks == [True, True]
 
 
 # ---------------------------------------------------------------------------

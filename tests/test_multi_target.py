@@ -1,17 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shrinkcov import multi_target
 from shrinkcov.datagen import ar_covariance, gaussian_samples
 from shrinkcov.estimators import ols_fit, scm
 from shrinkcov.hermitian import frobenius_norm_sq
 from shrinkcov.multi_target import (
     MultiMoments,
-    _convex_design,
     _solve_face,
-    mt_constrained_moments,
-    mt_constrained_oracle_moments,
     mt_loocv_moments,
     mt_ols_loocv_moments,
     mt_oracle_moments,
@@ -34,6 +34,9 @@ from shrinkcov.targets import (
 )
 
 from oracles import (
+    constrained_moments,
+    constrained_oracle_moments,
+    convex_design,
     enumerate_nonneg_qp,
     enumerate_nonneg_qp_simplex,
     mt_constrained_cost_direct,
@@ -442,7 +445,7 @@ def test_mt_constrained_objective_matches_direct_cost():
     y = gaussian_samples(sigma, 8, rng)
     targets = make_targets(scm(y))
     covs = scm_loo_covs(y)
-    m = mt_constrained_moments(y, targets)
+    m = constrained_moments(y, targets)
     for _ in range(10):
         taus = rng.uniform(0, 0.8, size=3)
         want = mt_constrained_cost_direct(taus, covs, y, targets)
@@ -457,7 +460,7 @@ def test_convex_design_substitution_is_exact(k, seed):
     m = MultiMoments(a=random_psd(k + 1, rng, complex_field=False),
                      b=rng.standard_normal(k + 1),
                      const=float(rng.standard_normal()))
-    sub = _convex_design(m)
+    sub = convex_design(m)
     for _ in range(5):
         taus = rng.uniform(0.0, 1.0, size=k) * rng.uniform(0.0, 1.5)
         full = m.objective(np.concatenate([[1.0 - np.sum(taus)], taus]))
@@ -471,7 +474,7 @@ def test_mt_constrained_oracle_objective_matches_direct_cost(cplx):
     y = gaussian_samples(sigma, 8, rng, complex_field=cplx)
     r = scm(y)
     targets = make_targets(r)
-    m = mt_constrained_oracle_moments(r, targets, sigma)
+    m = constrained_oracle_moments(r, targets, sigma)
     for _ in range(10):
         taus = rng.uniform(0, 0.8, size=3)
         want = mt_constrained_oracle_cost_direct(taus, r, targets, sigma)
@@ -483,11 +486,34 @@ def test_mt_constrained_fast_matches_naive():
     sigma = ar_covariance(6, 0.6)
     y = gaussian_samples(sigma, 11, rng, complex_field=True)
     targets = make_targets(scm(y))
-    fast = mt_constrained_moments(y, targets)
-    slow = _convex_design(mt_loocv_moments(scm_loo_covs(y), y, targets))
+    fast = constrained_moments(y, targets)
+    slow = convex_design(mt_loocv_moments(scm_loo_covs(y), y, targets))
     assert np.allclose(fast.a, slow.a, rtol=1e-9, atol=1e-9)
     assert np.allclose(fast.b, slow.b, rtol=1e-9, atol=1e-9)
     assert fast.const == pytest.approx(slow.const, rel=1e-10)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(k=st.integers(1, 6), rank=st.integers(1, 7),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_direct_simplex_matches_tau_form(k, rank, seed):
+    # mt_select minimizes the (rho, tau) quadratic on the simplex directly;
+    # substituting rho = 1 - sum tau and minimizing over sum tau <= 1 is a
+    # second route to the same optimum.  The moments are least-squares
+    # sums, as every selection cost is; below full rank the minimizer need
+    # not be unique, so only the objectives are compared there
+    rank = min(rank, k + 1)
+    m, objective = least_squares_qp(np.random.default_rng(seed), k + 1, rank)
+    with mock.patch.object(multi_target, "_selection_moments",
+                           return_value=(m, True)):
+        sol = mt_select("cv_constrained", [])
+    taus, obj = solve_nonneg_qp_simplex(convex_design(m))
+    x = np.concatenate([[1.0 - np.sum(taus)], taus])
+    assert sol.objective == m.objective([sol.rho, *sol.taus])
+    got, want = objective([sol.rho, *sol.taus]), objective(x)
+    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+    if rank == k + 1:
+        assert np.max(np.abs([sol.rho, *sol.taus] - x)) <= 1e-10
 
 
 def test_active_targets_skip_rounding_level_weights():
@@ -524,10 +550,11 @@ def test_mt_constrained_k1_reduces_to_single_target():
 def test_mt_constrained_k1_matches_single_target_when_target_equals_r():
     # R = c^2 I to rounding, so its scaled identity target equals R and
     # every point of rho + tau = 1 gives the same estimate.  Checked as the
-    # 2 x 2 quadratic, the convex design is PSD and its substituted
-    # curvature is rounding noise, so both entry points take (1, 0).  The
-    # substituted 1-D quadratic checked alone, at its own scale, reads as
-    # not PSD on 69 of these draws and as curved on 49 more
+    # 2 x 2 quadratic, the convex design is PSD, its two vertices tie
+    # within the stopping tolerance and the simplex starts at rho's, so
+    # both entry points take (1, 0).  The substituted 1-D quadratic
+    # checked alone, at its own scale, reads as not PSD on 69 of these
+    # draws and as curved on 49 more
     rng = np.random.default_rng(0)
     for _ in range(300):
         q = np.linalg.qr(rng.standard_normal((8, 4)))[0]
@@ -543,12 +570,14 @@ def test_mt_constrained_k1_matches_single_target_when_target_equals_r():
 
 def test_mt_constrained_trace_guard():
     rng = np.random.default_rng(59)
-    y = gaussian_samples(ar_covariance(4, 0.5), 10, rng)
+    sigma = ar_covariance(4, 0.5)
+    y = gaussian_samples(sigma, 10, rng)
     bad = 2.0 * scaled_identity_target(scm(y))  # wrong trace
-    with pytest.raises(ValueError):
-        mt_constrained_moments(y, [bad])
-    with pytest.raises(ValueError):
-        mt_constrained_oracle_moments(scm(y), [bad], ar_covariance(4, 0.5))
+    for method in ("cv_constrained", "oracle_constrained"):
+        with pytest.raises(ValueError):
+            mt_select(method, [bad], samples=y, truth=sigma)
+        with pytest.raises(ValueError):
+            select_single_target(method, bad, samples=y, truth=sigma)
     # the tolerance is relative to tr R, so small amplitudes are caught too
     small = 1e-6 * y
     targets = [2.0 * scaled_identity_target(scm(small)),

@@ -12,8 +12,6 @@ from shrinkcov.estimators import (
     scm,
 )
 from shrinkcov.multi_target import (
-    mt_constrained_moments,
-    mt_constrained_oracle_moments,
     mt_ols_loocv_moments,
     mt_oracle_moments,
     mt_scm_loocv_moments,
@@ -76,10 +74,6 @@ def test_block_path_is_bit_identical_to_raw_path(complex_field):
          mt_scm_loocv_moments(y, raw_targets)),
         (mt_oracle_moments(block, targets, truth),
          mt_oracle_moments(r, raw_targets, truth)),
-        (mt_constrained_moments(block, targets),
-         mt_constrained_moments(y, raw_targets)),
-        (mt_constrained_oracle_moments(block, targets, truth),
-         mt_constrained_oracle_moments(r, raw_targets, truth)),
         (oracle_moments(block, t0, truth), oracle_moments(r, raw_t0, truth)),
         (scm_fast_moments(block, t0), scm_fast_moments(y, raw_t0)),
         (lw_coefficients(block), lw_coefficients(y)),
@@ -119,6 +113,21 @@ def test_least_squares_block_path_is_bit_identical(complex_field):
                  mt_ols_loocv_moments(raw_fit, y, [t0]))
     assert _same(ols_loo_moments(fit, outputs, t0),
                  ols_loo_moments(raw_fit, y, t0))
+
+
+def test_least_squares_selection_validates_each_array_once(monkeypatch):
+    # the outputs are wrapped once, and that block serves the fit and the
+    # moments: two arrays, two validations
+    rng = np.random.default_rng(13)
+    x, y = random_samples(2, 12, rng, False), random_samples(4, 12, rng, False)
+    seen = []
+
+    def counted(a, *args, **kwargs):
+        seen.append(a)
+        return hermitian.validate_samples(a, *args, **kwargs)
+    monkeypatch.setattr(estimators, "validate_samples", counted)
+    select_single_target("cv", np.eye(4), inputs=x, outputs=y)
+    assert len(seen) == 2 and {id(a) for a in seen} == {id(x), id(y)}
 
 
 def test_short_block_raises_the_raw_error():
