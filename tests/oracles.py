@@ -21,7 +21,11 @@ from shrinkcov.multi_target import (
     mt_scm_loocv_moments,
     solve_nonneg_qp_simplex,
 )
-from shrinkcov.single_target import QuadMoments, oracle_moments, solve_quadratic_2d
+from shrinkcov.single_target import (
+    QuadMoments,
+    oracle_moments,
+    solve_quadratic_2d,
+)
 from shrinkcov.targets import (
     diagonal_target,
     scaled_identity_target,

@@ -546,11 +546,11 @@ def test_each_convex_selection_is_one_simplex_call(monkeypatch):
     real_walk = multi_target._active_set
     monkeypatch.setattr(multi_target, "_active_set",
                         lambda *a: walks.append(a[2]) or real_walk(*a))
+    counts = EXPERIMENTS["MultiTargetAr"].sample_counts
     cfg = ExperimentConfig("MultiTargetAr", reps=25, seed=1,
                            methods=("cv_multi_con", "oracle_multi_con"))
     run_experiment(cfg)
-    assert walks == [True] * (2 * 25 * len(EXPERIMENTS[cfg.experiment]
-                                           .sample_counts))
+    assert walks == [True] * (2 * cfg.reps * len(counts))
     walks.clear()
     rng = np.random.default_rng(14)
     truth = random_psd(5, rng, complex_field=True)
