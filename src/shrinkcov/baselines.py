@@ -39,7 +39,7 @@ def _dispersion_stat(block: SampleBlock) -> float:
     samples cannot turn the statistic negative.
     """
     t = block.y.shape[1]
-    return max(0.0, block.quart / t**2 - frobenius_norm_sq(block.r) / t)
+    return max(0.0, block.quart / t**2 - block.trace(block.r, block.r) / t)
 
 
 def lw_coefficients(y: np.ndarray) -> ShrinkageSolution:
@@ -95,7 +95,7 @@ def oas_coefficient(y: np.ndarray) -> ShrinkageSolution:
     r, t = block.r, block.y.shape[1]
     n = r.shape[0]
     tr = float(np.trace(r).real)
-    tr2 = frobenius_norm_sq(r)
+    tr2 = block.trace(r, r)
     num = (1.0 - 2.0 / n) * tr2 + tr**2
     den = (t + 1.0 - 2.0 / n) * (tr2 - tr**2 / n)
     tau = 1.0 if den <= 0.0 else min(1.0, num / den)

@@ -15,13 +15,13 @@ t is column t), which the least-squares moment accumulator of
 :mod:`shrinkcov.multi_target` reads directly without a loop over samples.
 
 Both base estimates, :class:`SampleBlock` and :class:`OlsFit`, are owners:
-each holds its R and the targets built from it read-only, as well as a
-truth registered on it (``own``).  A function given the owner skips
-:func:`require_hermitian` for exactly those objects, matched by identity,
-and memoizes their pairwise trace products: an owned matrix cannot change,
-and its id is not reused while the owner lives.  Every other matrix is
-checked, and its products are taken again, on every call: its caller
-may change it in place.
+each holds its samples ``y`` (a fit, its outputs), R, the targets built
+from R and a truth registered on it (``own``) read-only: all a selection
+needs.  A function given the owner skips :func:`require_hermitian` for
+exactly those objects, matched by identity, and memoizes their pairwise
+trace products: an owned matrix cannot change, and its id is not reused
+while the owner lives.  Every other matrix is checked, and its products
+are taken again, on every call: its caller may change it in place.
 """
 
 from __future__ import annotations
@@ -138,6 +138,8 @@ class OlsFit(_Owner):
     gram_dirs : ndarray
         M x T block of directions ``(X X^H)^-1 x_t``, reused by every
         leave-one-out update.
+    y : ndarray
+        The N x T outputs it was fitted to, a read-only view.
 
     ``r`` = coef coef^H + noise_var I, which the fit owns, and
     ``loo_blocks`` (:func:`ols_loo_blocks`) are formed on first use.
@@ -148,6 +150,7 @@ class OlsFit(_Owner):
     leverage: np.ndarray
     residuals: np.ndarray
     gram_dirs: np.ndarray
+    y: np.ndarray
 
     @cached_property
     def r(self) -> np.ndarray:
@@ -183,7 +186,7 @@ def ols_fit(x: np.ndarray, y: np.ndarray) -> OlsFit:
     noise_var = float(np.vdot(residuals, residuals).real) / (t * y.shape[0])
     leverage = np.sum(x.conj() * gram_dirs, axis=0).real
     return OlsFit(coef=coef, noise_var=noise_var, leverage=leverage,
-                  residuals=residuals, gram_dirs=gram_dirs)
+                  residuals=residuals, gram_dirs=gram_dirs, y=y)
 
 
 def ols_covariance(fit: OlsFit) -> np.ndarray:
@@ -219,8 +222,7 @@ def ols_loo_blocks(fit: OlsFit) -> tuple[np.ndarray, ...]:
 def ols_loo_covariances(x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
     """All T leave-one-out covariance estimates of the least-squares path."""
     fit = ols_fit(x, y)
-    r = ols_covariance(fit)
-    e, _, delta, phi, psi = ols_loo_blocks(fit)
-    eye = np.eye(r.shape[0])
-    return [r - delta[t] * eye - np.outer(e[:, t], phi[:, t].conj())
+    e, _, delta, phi, psi = fit.loo_blocks
+    eye = np.eye(fit.r.shape[0])
+    return [fit.r - delta[t] * eye - np.outer(e[:, t], phi[:, t].conj())
             - np.outer(psi[:, t], e[:, t].conj()) for t in range(delta.size)]

@@ -52,14 +52,7 @@ from .datagen import (
 from .estimators import ols_fit, sample_block, scm
 from .hermitian import frobenius_norm_sq
 from .multi_target import mt_select
-from .single_target import (
-    ShrinkageSolution,
-    ols_loo_moments,
-    oracle_moments,
-    scm_solution_unconstrained,
-    shrink,
-    solve_quadratic_2d,
-)
+from .single_target import ShrinkageSolution, select_single_target, shrink
 from .targets import (
     diagonal_target,
     knowledge_aided_target,
@@ -163,18 +156,18 @@ def nmse(estimates, truths) -> float:
 # and maps them to what its replications share, a _frozen namespace: the
 # truth, its samplers and every constant of the config; it draws nothing.
 # A scene function draws from the setting on sub-streams 0-2 and returns
-# a _Scene of ``samples`` (the SampleBlock the selectors see), ``base``
-# (the estimate they shrink), ``source`` (the replication's owner, the
-# block or the least-squares fit, which holds base, the targets and the
-# truth), ``truth`` (the oracle's covariance), ``targets`` (scaled
-# identity first), ``judge`` and its consumer's inputs.  A table entry
-# maps the scene to the judge's input: a covariance estimate, a channel
-# estimate or beamformer weights.  The judge returns (error, reference)
-# for normalized-error metrics, a float for dB metrics.  A draw only one
-# method needs is made in its entry, so a method subset never changes
-# another method's data.  Entries look package functions up in these
-# module globals at call time, and replicate iterates the ``methods`` it
-# is given, so wrappers installed on either see every call and its method.
+# a _Scene of ``samples`` (an SCM scene's block, for the baselines), ``base``
+# (the estimate the selectors shrink), ``source`` (the replication's owner,
+# block or least-squares fit, which holds base, the targets and the truth,
+# and is what the selectors select on), ``truth`` (the oracle's covariance),
+# ``targets`` (scaled identity first), ``judge`` and its consumer's inputs.
+# A table entry maps the scene to the judge's input: a covariance estimate,
+# a channel estimate or beamformer weights.  The judge returns (error,
+# reference) for normalized-error metrics, a float for dB metrics.  A draw
+# only one method needs is made in its entry, so a method subset never
+# changes another method's data.  Entries look package functions up in
+# these module globals at call time, and replicate iterates the ``methods``
+# it is given, so wrappers installed on either see every call and method.
 
 
 def _cov_judge(sigma: np.ndarray) -> Callable:
@@ -183,18 +176,21 @@ def _cov_judge(sigma: np.ndarray) -> Callable:
     return lambda est: (frobenius_norm_sq(est - sigma), den)
 
 
-# single-target coefficients of the scene's base toward its first target
-def _cv_solution(s: _Scene) -> ShrinkageSolution:
-    return scm_solution_unconstrained(s.samples, s.targets[0])
+# single-target coefficients of the scene's base, selected on its source
+def _cv_solution(s: _Scene, target=None) -> ShrinkageSolution:
+    target = s.targets[0] if target is None else target
+    return select_single_target("cv", target, samples=s.source)
 
 
 def _oracle_solution(s: _Scene) -> ShrinkageSolution:
-    return solve_quadratic_2d(oracle_moments(s.source, s.targets[0], s.truth))
+    return select_single_target("oracle", s.targets[0], samples=s.source,
+                                truth=s.truth)
 
 
 # shared selectors: each returns a covariance estimate of the scene
-def _cv(s: _Scene) -> np.ndarray:
-    return shrink(s.base, s.targets[0], _cv_solution(s))
+def _cv(s: _Scene, target=None) -> np.ndarray:
+    target = s.targets[0] if target is None else target
+    return shrink(s.base, target, _cv_solution(s, target))
 
 
 def _oracle(s: _Scene) -> np.ndarray:
@@ -217,16 +213,10 @@ def _oas(s: _Scene) -> np.ndarray:
 def _multi(method: str) -> Callable:
     """Selector combining every target with :func:`mt_select` ``method``."""
     def select(s: _Scene) -> np.ndarray:
-        sol = mt_select(method, s.targets, samples=s.samples, truth=s.truth)
+        sol = mt_select(method, s.targets, samples=s.source, truth=s.truth)
         return sum((tau * tk for tau, tk in zip(sol.taus, s.targets)),
                    sol.rho * s.base)
     return select
-
-
-def _cv_ols(s: _Scene, target: np.ndarray) -> np.ndarray:
-    """Single-target LOOCV on the least-squares base."""
-    m = ols_loo_moments(s.source, s.samples, target)
-    return shrink(s.base, target, solve_quadratic_2d(m))
 
 
 def _loo_min_samples(*loo_methods) -> Callable:
@@ -332,10 +322,9 @@ def _linear_model_scene(setting: _Scene, t, stream: RngStream) -> _Scene:
                                stream.generator(0))
     x, y = model.generator(t, stream.generator(1))
     sigma = model.true_covariance
-    outputs = sample_block(y, name="outputs")
-    fit = ols_fit(x, outputs)
+    fit = ols_fit(x, y)
     return _Scene(
-        samples=outputs, base=fit.r, source=fit, truth=fit.own(sigma),
+        base=fit.r, source=fit, truth=fit.own(sigma),
         targets=[scaled_identity_target(fit)], judge=_cov_judge(sigma),
         # outputs of an earlier block, drawn only by the method using them
         past=lambda: model.generator(setting.past_t, stream.generator(2))[1])
@@ -477,9 +466,9 @@ EXPERIMENTS = {
         sample_counts=(10, 20, 40, 80, 160)),
     "LinearModelPastTarget": _experiment(
         "nmse_cov", _linear_model_setting, _linear_model_scene,
-        {"scm": lambda s: scm(s.samples.y),  # of the outputs, not the base
-         "cv_identity": lambda s: _cv_ols(s, s.targets[0]),
-         "cv_past": lambda s: _cv_ols(s, knowledge_aided_target(s.past())),
+        {"scm": lambda s: scm(s.source.y),  # of the outputs, not the base
+         "cv_identity": _cv,
+         "cv_past": lambda s: _cv(s, knowledge_aided_target(s.past())),
          "oracle_identity": _oracle},
         defaults={"n": 50, "m": 50, "sigma2": 0.1, "past_t": 50},
         sample_counts=(60, 80, 100, 140, 200),

@@ -177,6 +177,15 @@ def _solve_face(a, b, free, simplex=False, low=None):
     return [z.get(i, 0.0) for i in range(len(b))], lam
 
 
+def _ray(a, b, free, j, tol) -> bool:
+    """Whether d >= 0 with d_j = 1, a_FF d_F = -a_Fj on F = ``free`` and 0
+    elsewhere is a ray of descent whose minimizer, if any, is past 1e12."""
+    z = _solve_face(a, a[j], free)[0]  # -d on F
+    size, slope = 1.0 - math.fsum(z), b[j] - _dot(b, z)
+    return (max(z) <= 0.0 and slope > tol * size
+            and a[j][j] - _dot(a[j], z) <= 1e-12 * size * slope)
+
+
 def _active_set(a, b, simplex=False, low=()) -> list:
     """Minimize x^T a x - 2 b . x over x >= 0 (and sum x = 1 for ``simplex``).
 
@@ -189,8 +198,9 @@ def _active_set(a, b, simplex=False, low=()) -> list:
     does, so that ties prefer the pure base estimate, else the first
     largest.  When a face's solution leaves the orthant, x steps back to
     the boundary.  As in NNLS, a freed coordinate whose own value comes
-    out nonpositive is rejected until x moves.  Coordinates off the final
-    free set are exact zeros.
+    out nonpositive is rejected until x moves; the cone gives None if it
+    stops with one along an unbounded ray (:func:`_ray`).  Coordinates off
+    the final free set are exact zeros.
     """
     dim = len(b)
     if dim and len(low) == dim:
@@ -210,7 +220,8 @@ def _active_set(a, b, simplex=False, low=()) -> list:
              if i not in free and i not in rejected}
         j = 0 if w.get(0, 0.0) > tol else max(w, key=w.get, default=None)
         if j is None or w[j] <= tol:
-            return x
+            ray = any(_ray(a, b, free, i, tol) for i in rejected if not simplex)
+            return None if ray else x
         grown = sorted(free + [j])
         z, z_lam = _solve_face(a, b, grown, simplex)
         if z[j] <= 0.0:
@@ -232,7 +243,7 @@ def _active_set(a, b, simplex=False, low=()) -> list:
 def _simplex(a, b, low) -> list:
     """Minimizer over x >= 0, sum x <= 1: the cone's, else on sum x = 1."""
     x = _active_set(a, b, False, low)
-    if _dot(x, [1.0] * len(x)) > 1.0 + 1e-12:
+    if x is None or _dot(x, [1.0] * len(x)) > 1.0 + 1e-12:
         x = _active_set(a, b, True, low)
     return x
 
@@ -241,7 +252,9 @@ def _minimize(a, b, const, convex=False) -> list:
     """Minimizer x = (rho, tau_1..tau_K) >= 0 of the checked quadratic of
     lists a, b; the ``convex`` design adds rho + sum_k tau_k = 1."""
     a, b, low = _checked(a, b, const)
-    return _active_set(a, b, convex, low)
+    if (x := _active_set(a, b, convex, low)) is None:
+        raise ValueError("the selection objective is unbounded below")
+    return x
 
 
 def solve_nonneg_qp(m: MultiMoments) -> tuple[np.ndarray, float]:
@@ -322,21 +335,17 @@ def _col_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", a.conj(), b)
 
 
-def mt_ols_loocv_moments(fit: OlsFit, outputs: np.ndarray,
-                         targets) -> MultiMoments:
+def mt_ols_loocv_moments(fit: OlsFit, targets) -> MultiMoments:
     """Cross-validation quadratic on the least-squares path, from one fit.
 
     Refit t's estimate is R_t = R - D_t, D_t = delta_t I + e_t phi_t^H
     + psi_t e_t^H (column t of :func:`ols_loo_blocks`), so each M of
     (R, T_1..T_K) needs only tr(D_t M) and y_t^H M y_t, column inner
-    products of N x T blocks: no R_t or refit is formed.  ``outputs``
-    may be a sample block; the fit's own R and targets are not checked
+    products of N x T blocks of the fit and its outputs ``fit.y``: no R_t
+    or refit is formed.  The fit's own R and targets are not checked
     again, and their products come from its memo.
     """
-    y = sample_block(outputs, name="outputs").y
-    if y.shape != fit.residuals.shape:
-        raise ValueError(f"outputs of shape {y.shape} do not match the fit's "
-                         f"residuals {fit.residuals.shape}")
+    y = fit.y
     mats = [fit.r, *map(fit.checked, targets)]
     e, _, delta, phi, psi = fit.loo_blocks
     n, count = y.shape
@@ -406,8 +415,9 @@ def _selection_moments(method: str, targets, samples=None, truth=None,
     a convex-combination method.
 
     The one dispatch on method names, behind both selection facades.
-    ``inputs`` and ``outputs`` select the least-squares base.  The convex
-    methods require trace-preserving targets (:func:`_require_trace`).
+    The base, ``samples`` as a block or a least-squares fit, or the fit of
+    ``inputs`` and ``outputs``, picks the cross-validation moments by its
+    type.  The convex methods require trace-preserving targets.
     """
     if method not in ("cv", "cv_constrained", "oracle", "oracle_constrained"):
         raise ValueError(f"unknown selection method {method!r}; expected one "
@@ -419,11 +429,10 @@ def _selection_moments(method: str, targets, samples=None, truth=None,
     if oracle and truth is None:
         raise ValueError("oracle selection requires the true covariance")
     targets = list(targets)
-    if ols:  # one validated block of outputs for the fit and the moments
-        outputs = sample_block(outputs, name="outputs")
-    base = ols_fit(inputs, outputs) if ols else sample_block(samples)
+    base = (ols_fit(inputs, outputs) if ols else samples
+            if isinstance(samples, OlsFit) else sample_block(samples))
     m = (mt_oracle_moments(base, targets, truth) if oracle
-         else mt_ols_loocv_moments(base, outputs, targets) if ols
+         else mt_ols_loocv_moments(base, targets) if isinstance(base, OlsFit)
          else mt_scm_loocv_moments(base, targets))
     convex = method.endswith("constrained")
     if convex:
@@ -443,8 +452,8 @@ def mt_select(method: str, targets, samples: np.ndarray | None = None,
         simplex rho + sum tau_k = 1 of the same cone.
     targets : sequence of ndarray
         Shrinkage targets T_1..T_K.
-    samples : ndarray
-        N x T sample block.
+    samples : ndarray, SampleBlock or OlsFit
+        N x T samples, their block, or a least-squares fit of the samples.
     truth : ndarray, optional
         True covariance, required by the oracle methods.
     """

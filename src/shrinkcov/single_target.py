@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import OlsFit, ols_fit
+from .estimators import ols_fit
 from .multi_target import (
     MultiMoments,
     _minimize,
@@ -48,7 +48,6 @@ __all__ = [
     "loocv_moments_general",
     "scm_fast_moments",
     "ols_fast_moments",
-    "ols_loo_moments",
     "oracle_moments",
     "scm_solution_unconstrained",
     "scm_solution_constrained",
@@ -150,17 +149,9 @@ def scm_fast_moments(samples: np.ndarray, target: np.ndarray) -> QuadMoments:
 
 def ols_fast_moments(inputs: np.ndarray, outputs: np.ndarray,
                      target: np.ndarray) -> QuadMoments:
-    """Least-squares cross-validation moments: one fit, then the block core."""
-    return ols_loo_moments(ols_fit(inputs, outputs), outputs, target)
-
-
-def ols_loo_moments(fit: OlsFit, outputs: np.ndarray,
-                    target: np.ndarray) -> QuadMoments:
-    """Cross-validation moments from a full least-squares fit of ``outputs``.
-
-    :func:`mt_ols_loocv_moments` with one target; no R_t or refit is formed.
-    """
-    return _quad(mt_ols_loocv_moments(fit, outputs, [target]))
+    """Least-squares cross-validation moments: one fit, then the block core
+    (:func:`mt_ols_loocv_moments` with one target); no R_t is formed."""
+    return _quad(mt_ols_loocv_moments(ols_fit(inputs, outputs), [target]))
 
 
 def oracle_moments(base: np.ndarray, target: np.ndarray,
@@ -205,8 +196,8 @@ def select_single_target(method: str, target: np.ndarray,
         ``oracle_constrained``.
     target : ndarray
         Shrinkage target T0.
-    samples : ndarray, optional
-        N x T sample block (sample-covariance path).
+    samples : ndarray, SampleBlock or OlsFit, optional
+        N x T samples or their block, or a least-squares fit (``mt_select``).
     truth : ndarray, optional
         True covariance; required by the oracle methods.
     inputs, outputs : ndarray, optional

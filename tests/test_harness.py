@@ -398,11 +398,8 @@ HARNESS_CALLS = {
     "estimators.scm",
     "hermitian.frobenius_norm_sq",
     "multi_target.mt_select",
-    "single_target.ols_loo_moments",
-    "single_target.oracle_moments",
-    "single_target.scm_solution_unconstrained",
+    "single_target.select_single_target",
     "single_target.shrink",
-    "single_target.solve_quadratic_2d",
     "targets.diagonal_target",
     "targets.knowledge_aided_target",
     "targets.scaled_identity_target",
@@ -498,6 +495,37 @@ def test_one_trace_product_per_pair_in_a_multi_target_replication(
     assert cfg.methods == ()  # every method of the default table
     run_experiment(cfg)
     assert len(calls) == 14 * cfg.reps * len(cfg.sample_counts)
+
+
+def test_an_ar1_replication_computes_tr_r2_once(monkeypatch):
+    # cv and the lw, glc and oas baselines read ||R||_F^2 = tr R^2 from the
+    # block's memo
+    real = {"real_trace_product": hermitian.real_trace_product,
+            "frobenius_norm_sq": hermitian.frobenius_norm_sq,
+            "sample_block": estimators.sample_block}
+    calls = {key: [] for key in real}
+
+    def wrap(key, fn):
+        def counted(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            calls[key].append(out if key == "sample_block" else args)
+            return out
+        return counted
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("shrinkcov"):
+            for attr, fn in real.items():
+                if getattr(module, attr, None) is fn:
+                    monkeypatch.setattr(module, attr, wrap(attr, fn))
+    cfg = tiny_config("Ar1Identity")
+    run_experiment(cfg)
+    blocks = calls["sample_block"]
+    assert len({id(b) for b in blocks}) == cfg.reps * len(cfg.sample_counts)
+    for block in blocks:
+        r = block.r
+        squares = [a for a in calls["real_trace_product"]
+                   if a[0] is r and a[1] is r]
+        squares += [a for a in calls["frobenius_norm_sq"] if a[0] is r]
+        assert len(squares) == 1
 
 
 def test_multi_target_run_solves_every_face_without_lstsq(monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from shrinkcov import multi_target
 from shrinkcov.datagen import ar_covariance, gaussian_samples
-from shrinkcov.estimators import ols_fit, scm
+from shrinkcov.estimators import ols_fit, ols_loo_covariances, scm
 from shrinkcov.hermitian import frobenius_norm_sq
 from shrinkcov.multi_target import (
     MultiMoments,
@@ -22,6 +22,7 @@ from shrinkcov.multi_target import (
 )
 from shrinkcov.single_target import (
     Clip,
+    QuadMoments,
     scm_fast_moments,
     scm_solution_constrained,
     select_single_target,
@@ -87,6 +88,39 @@ def test_qp_frozen_singular_min_norm():
     x, obj = solve_nonneg_qp(MultiMoments(a=a, b=b, const=5.0))
     assert np.allclose(x, [1.0, 1.0, 0.0], atol=1e-8)
     assert obj == pytest.approx(0.0, abs=1e-10)
+
+
+def test_qp_unbounded_cone_and_its_simplex():
+    # b outside the range of a singular a: along d = 1 the objective falls
+    # without bound, so the cone has no minimizer and the simplex's lies on
+    # sum x = 1
+    m = MultiMoments(a=np.array([[0.0]]), b=np.array([1.0]), const=0.0)
+    x, obj = solve_nonneg_qp_simplex(m)
+    assert x.tolist() == [1.0] and obj == -2.0
+    with pytest.raises(ValueError, match="unbounded below"):
+        solve_nonneg_qp(m)
+    with pytest.raises(ValueError, match="unbounded below"):
+        solve_quadratic_2d(QuadMoments(0.0, 0.0, 0.0, 1.0, 1.0, 0.0))
+    # the ray leaves a free face: a (1, 1, 0) = 0 and b . (1, 1, 0) = 2
+    a = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    m = MultiMoments(a=a, b=np.array([1.0, 1.0, 0.0]), const=0.0)
+    with pytest.raises(ValueError, match="unbounded below"):
+        solve_nonneg_qp(m)
+    assert solve_nonneg_qp_simplex(m)[1] == pytest.approx(-2.0, abs=1e-12)
+
+
+def test_qp_far_minimizer_of_singular_moments_is_not_a_ray():
+    # a = F^T F of rank 2 and b = F^T d in its range: the minimum is
+    # attained, far along a's null direction, about (4850, 2486, 1), where
+    # rounding leaves a rejected multiplier above the stopping tolerance
+    f = np.array([[4.9238127503941085, -9.60431871628107, -3.467059386287728],
+                  [6.839088712672499, -13.31752256530401, -61.27303607176095]])
+    d = np.array([-0.7513010992561888, -0.6199477755961683])
+    m = MultiMoments(a=f.T @ f, b=f.T @ d, const=0.0)
+    x, _ = solve_nonneg_qp(m)
+    got, want = (float(np.sum((f @ v - d) ** 2) - d @ d)
+                 for v in (x, enumerate_nonneg_qp(m)[0]))
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_qp_matches_projected_gradient():
@@ -405,8 +439,28 @@ def test_mt_ols_moments_property_match_explicit_refits(n, m_in, extra, k,
     y = random_samples(n, t, rng, cplx)
     targets = [random_psd(n, rng, cplx) for _ in range(k)]
     refits = [ols_loo_cov_refit(x, y, i) for i in range(t)]
-    assert_moments_close(mt_ols_loocv_moments(ols_fit(x, y), y, targets),
+    assert_moments_close(mt_ols_loocv_moments(ols_fit(x, y), targets),
                          mt_loocv_moments(refits, y, targets), 1e-8)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_selection_facades_take_a_least_squares_fit(cplx):
+    # the fit holds its outputs, so it is a selection's whole input: K = 2
+    # targets through mt_select match the explicit leave-one-out refits
+    rng = np.random.default_rng(71 + cplx)
+    x, y = random_samples(3, 14, rng, cplx), random_samples(5, 14, rng, cplx)
+    fit = ols_fit(x, y)
+    targets = [scaled_identity_target(fit), diagonal_target(fit)]
+    sol = mt_select("cv", targets, samples=fit)
+    ref_x, ref_obj = solve_nonneg_qp(
+        mt_loocv_moments(ols_loo_covariances(x, y), y, targets))
+    assert np.allclose([sol.rho, *sol.taus], ref_x, rtol=1e-10, atol=0)
+    assert sol.objective == pytest.approx(ref_obj, rel=1e-10)
+    t0 = targets[0]
+    assert (select_single_target("cv", t0, samples=fit)
+            == select_single_target("cv", t0, inputs=x, outputs=y))
+    with pytest.raises(ValueError, match="read-only"):
+        fit.y[0, 0] = 1.0
 
 
 def test_mt_loocv_objective_equals_direct_cost():

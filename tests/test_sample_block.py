@@ -18,7 +18,6 @@ from shrinkcov.multi_target import (
     mt_select,
 )
 from shrinkcov.single_target import (
-    ols_loo_moments,
     oracle_moments,
     scm_fast_moments,
     select_single_target,
@@ -109,10 +108,10 @@ def test_least_squares_block_path_is_bit_identical(complex_field):
     assert _same(fit, raw_fit)
     assert np.array_equal(fit.r, ols_covariance(raw_fit))
     t0 = scaled_identity_target(ols_covariance(fit))
-    assert _same(mt_ols_loocv_moments(fit, outputs, [t0]),
-                 mt_ols_loocv_moments(raw_fit, y, [t0]))
-    assert _same(ols_loo_moments(fit, outputs, t0),
-                 ols_loo_moments(raw_fit, y, t0))
+    assert _same(mt_ols_loocv_moments(fit, [t0]),
+                 mt_ols_loocv_moments(raw_fit, [t0]))
+    assert _same(select_single_target("cv", t0, samples=fit),
+                 select_single_target("cv", t0, samples=raw_fit))
 
 
 def test_least_squares_selection_validates_each_array_once(monkeypatch):
@@ -262,11 +261,11 @@ def test_the_fit_owns_its_r_targets_and_a_registered_truth(complex_field,
         return hermitian.require_hermitian(a, *args, **kwargs)
     monkeypatch.setattr(estimators, "require_hermitian", counted)
 
-    assert _same(mt_ols_loocv_moments(fit, y, own),
-                 mt_ols_loocv_moments(other, y, copies))
+    assert _same(mt_ols_loocv_moments(fit, own),
+                 mt_ols_loocv_moments(other, copies))
     assert len(seen) == 3 and all(map(_same, seen, copies))
     seen.clear()
-    mt_ols_loocv_moments(fit, y, [*own, foreign, copies[1]])
+    mt_ols_loocv_moments(fit, [*own, foreign, copies[1]])
     assert len(seen) == 2 and seen[0] is foreign and seen[1] is copies[1]
     seen.clear()
     assert _same(mt_oracle_moments(fit, own, truth),

@@ -12,7 +12,6 @@ from shrinkcov.single_target import (
     QuadMoments,
     loocv_moments_general,
     ols_fast_moments,
-    ols_loo_moments,
     oracle_moments,
     scm_fast_moments,
     scm_solution_constrained,
@@ -228,8 +227,9 @@ def test_solve2d_psd_rule_is_the_cone_solver_rule(scale):
     ]
     for a_rr, a_rt, a_tt, rejected in cases:
         a = scale * np.array([[a_rr, a_rt], [a_rt, a_tt]])
-        quad = QuadMoments(*a.ravel()[[0, 1, 3]].tolist(), 1.0, 1.0, 0.0)
-        multi = MultiMoments(a=a, b=np.ones(2), const=0.0)
+        b = a @ np.ones(2)  # in a's range: only the PSD rule may reject
+        quad = QuadMoments(*a.ravel()[[0, 1, 3]].tolist(), *b.tolist(), 0.0)
+        multi = MultiMoments(a=a, b=b, const=0.0)
         assert _raises(solve_nonneg_qp, multi) == rejected, (a_rr, a_rt, a_tt)
         for constrained in (False, True):
             assert _raises(lambda m: solve_quadratic_2d(m, constrained), quad) \
@@ -457,16 +457,20 @@ def test_ols_block_moments_match_per_sample_loop(cplx, n, m_in, t):
 
 
 def test_ols_loo_moments_reuses_a_fit():
+    # the fit holds the outputs it was fitted to, so a selection handed
+    # the fit cannot pair it with other outputs, and gives the numbers of
+    # a fresh fit of the same arrays
     rng = np.random.default_rng(45)
     x = random_samples(3, 12, rng, True)
     y = random_samples(4, 12, rng, True)
     t0 = random_psd(4, rng, True)
     fit = ols_fit(x, y)
-    assert ols_loo_moments(fit, y, t0) == ols_fast_moments(x, y, t0)
-    with pytest.raises(ValueError, match=r"\(4, 11\).*\(4, 12\)"):
-        ols_loo_moments(fit, y[:, :11], t0)
+    assert np.array_equal(fit.y, y) and not fit.y.flags.writeable
+    want = solve_quadratic_2d(ols_fast_moments(x, y, t0))
+    for _ in range(2):  # the second selection reads the fit's memo
+        assert select_single_target("cv", t0, samples=fit) == want
     with pytest.raises(ValueError, match="non-finite"):
-        ols_loo_moments(fit, np.full_like(y, np.nan), t0)
+        ols_fit(x, np.full_like(y, np.nan))
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
