@@ -102,18 +102,15 @@ def gaussian_sampler(sigma: np.ndarray,
 
     ``sigma`` is validated and factored here, once; each draw only
     generates normals and multiplies them by the read-only factor, so
-    one sampler may be shared by threads that pass their own ``rng``.
-    ``rng`` is a numpy Generator or an :class:`RngStream` (materialized
-    at its root address).  Complex samples are circularly symmetric with
+    one sampler may be shared by threads that pass their own ``rng``, a
+    numpy Generator.  Complex samples are circularly symmetric with
     E[y y^H] = sigma.
     """
     factor = _covariance_factor(sigma)
     factor.flags.writeable = False
     n = factor.shape[0]
 
-    def draw(t: int, rng) -> np.ndarray:
-        if isinstance(rng, RngStream):
-            rng = rng.generator()
+    def draw(t: int, rng: np.random.Generator) -> np.ndarray:
         if complex_field:
             z = (rng.standard_normal((n, t))
                  + 1j * rng.standard_normal((n, t))) / math.sqrt(2.0)
@@ -124,25 +121,23 @@ def gaussian_sampler(sigma: np.ndarray,
     return draw
 
 
-def gaussian_samples(sigma: np.ndarray, t: int, rng,
+def gaussian_samples(sigma: np.ndarray, t: int, rng: np.random.Generator,
                      complex_field: bool = False) -> np.ndarray:
     """Draw one N x T block: the one-shot case of :func:`gaussian_sampler`."""
     return gaussian_sampler(sigma, complex_field)(t, rng)
 
 
 def linear_model_scene(n: int, m: int, sigma2: float,
-                       rng) -> ExperimentScene:
+                       rng: np.random.Generator) -> ExperimentScene:
     """Scene for the linear observation model y = H x + noise.
 
-    The n x m coefficient matrix has independent N(0, 1/m) entries, so
-    the signal part of the covariance has trace about n; ``sigma2`` is
-    the white noise variance.  The scene generator returns the pair
+    The n x m coefficient matrix has independent N(0, 1/m) entries, drawn
+    from the numpy Generator ``rng``, so the signal part of the covariance
+    has trace about n; ``sigma2`` is the white noise variance.  The scene generator returns the pair
     (inputs, outputs) for the least-squares estimation path.
     """
     if m < 1:
         raise ValueError("the linear model needs at least one input dimension")
-    if isinstance(rng, RngStream):
-        rng = rng.generator()
     coef = rng.standard_normal((n, m)) / math.sqrt(m)
     truth = coef @ coef.T + sigma2 * np.eye(n)
 

@@ -156,10 +156,9 @@ def nmse(estimates, truths) -> float:
 # and maps them to what its replications share, a _frozen namespace: the
 # truth, its samplers and every constant of the config; it draws nothing.
 # A scene function draws from the setting on sub-streams 0-2 and returns
-# a _Scene of ``samples`` (an SCM scene's block, for the baselines), ``base``
-# (the estimate the selectors shrink), ``source`` (the replication's owner,
-# block or least-squares fit, which holds base, the targets and the truth,
-# and is what the selectors select on), ``truth`` (the oracle's covariance),
+# a _Scene of ``source`` (the replication's owner, the SCM block or the
+# least-squares fit: its R is what the selectors shrink, and they and the
+# baselines select on it), ``truth`` (the oracle's covariance),
 # ``targets`` (scaled identity first), ``judge`` and its consumer's inputs.
 # A table entry maps the scene to the judge's input: a covariance estimate,
 # a channel estimate or beamformer weights.  The judge returns (error,
@@ -176,7 +175,7 @@ def _cov_judge(sigma: np.ndarray) -> Callable:
     return lambda est: (frobenius_norm_sq(est - sigma), den)
 
 
-# single-target coefficients of the scene's base, selected on its source
+# single-target coefficients of the scene's R, selected on its source
 def _cv_solution(s: _Scene, target=None) -> ShrinkageSolution:
     target = s.targets[0] if target is None else target
     return select_single_target("cv", target, samples=s.source)
@@ -190,24 +189,25 @@ def _oracle_solution(s: _Scene) -> ShrinkageSolution:
 # shared selectors: each returns a covariance estimate of the scene
 def _cv(s: _Scene, target=None) -> np.ndarray:
     target = s.targets[0] if target is None else target
-    return shrink(s.base, target, _cv_solution(s, target))
+    return shrink(s.source.r, target, _cv_solution(s, target))
 
 
 def _oracle(s: _Scene) -> np.ndarray:
-    return shrink(s.base, s.targets[0], _oracle_solution(s))
+    return shrink(s.source.r, s.targets[0], _oracle_solution(s))
 
 
 def _lw(s: _Scene) -> np.ndarray:
-    return shrink(s.base, np.eye(s.base.shape[0]), lw_coefficients(s.samples))
+    r = s.source.r
+    return shrink(r, np.eye(r.shape[0]), lw_coefficients(s.source))
 
 
 def _glc(s: _Scene) -> np.ndarray:
     t0 = s.targets[0]
-    return shrink(s.base, t0, glc_coefficients(s.samples, t0))
+    return shrink(s.source.r, t0, glc_coefficients(s.source, t0))
 
 
 def _oas(s: _Scene) -> np.ndarray:
-    return shrink(s.base, s.targets[0], oas_coefficient(s.samples))
+    return shrink(s.source.r, s.targets[0], oas_coefficient(s.source))
 
 
 def _multi(method: str) -> Callable:
@@ -215,7 +215,7 @@ def _multi(method: str) -> Callable:
     def select(s: _Scene) -> np.ndarray:
         sol = mt_select(method, s.targets, samples=s.source, truth=s.truth)
         return sum((tau * tk for tau, tk in zip(sol.taus, s.targets)),
-                   sol.rho * s.base)
+                   sol.rho * s.source.r)
     return select
 
 
@@ -249,9 +249,8 @@ def _scm_scene(samples: np.ndarray, truth: np.ndarray, judge: Callable,
                **inputs) -> _Scene:
     """Scene shrinking the sample covariance toward the scaled identity."""
     blk = sample_block(samples)
-    return _Scene(samples=blk, base=blk.r, source=blk,
-                  truth=blk.own(truth), targets=[scaled_identity_target(blk)],
-                  judge=judge, **inputs)
+    return _Scene(source=blk, truth=blk.own(truth),
+                  targets=[scaled_identity_target(blk)], judge=judge, **inputs)
 
 
 def _spectral_scene(samples: np.ndarray, truth: np.ndarray, judge: Callable,
@@ -266,9 +265,9 @@ def _spectral_scene(samples: np.ndarray, truth: np.ndarray, judge: Callable,
     exceeds by at most rho times that cutoff.
     """
     s = _scm_scene(samples, truth, judge, **inputs)
-    y = s.samples.y
+    y = s.source.y
     n, t = y.shape
-    w, v = np.linalg.eigh(y.conj().T @ y if t < n else s.base)
+    w, v = np.linalg.eigh(y.conj().T @ y if t < n else s.source.r)
     keep = w > w.size * np.finfo(float).eps * w[-1]
     w, v = w[keep], v[:, keep]
     s.basis, s.eigs = ((y @ v) / np.sqrt(w), w / t) if t < n else (v, w)
@@ -324,7 +323,7 @@ def _linear_model_scene(setting: _Scene, t, stream: RngStream) -> _Scene:
     sigma = model.true_covariance
     fit = ols_fit(x, y)
     return _Scene(
-        base=fit.r, source=fit, truth=fit.own(sigma),
+        source=fit, truth=fit.own(sigma),
         targets=[scaled_identity_target(fit)], judge=_cov_judge(sigma),
         # outputs of an earlier block, drawn only by the method using them
         past=lambda: model.generator(setting.past_t, stream.generator(2))[1])
@@ -461,7 +460,7 @@ EXPERIMENTS = {
     "Ar1Identity": _experiment(
         "nmse_cov", _ar_setting, _ar_scene,
         {"oracle": _oracle, "cv": _cv, "lw": _lw, "glc": _glc, "oas": _oas,
-         "scm": lambda s: s.base},
+         "scm": lambda s: s.source.r},
         defaults={"n": 100, "r": 0.5},
         sample_counts=(10, 20, 40, 80, 160)),
     "LinearModelPastTarget": _experiment(
@@ -475,8 +474,9 @@ EXPERIMENTS = {
         min_samples=_linear_model_min_samples),
     "MultiTargetAr": _experiment(
         "nmse_cov", _ar_setting, _multi_target_scene,
-        {"scm": lambda s: s.base, "oracle_single": _oracle, "cv_single": _cv,
-         "cv_multi": _multi("cv"), "cv_multi_con": _multi("cv_constrained"),
+        {"scm": lambda s: s.source.r, "oracle_single": _oracle,
+         "cv_single": _cv, "cv_multi": _multi("cv"),
+         "cv_multi_con": _multi("cv_constrained"),
          "oracle_multi_con": _multi("oracle_constrained")},
         defaults={"n": 50, "r": 0.9},
         sample_counts=(25, 50, 100, 200),
@@ -494,7 +494,7 @@ EXPERIMENTS = {
     "LmmseDetect": _experiment(
         "nmse_x", _lmmse_setting, _lmmse_scene,
         {"true": lambda s: s.truth, "oracle": _oracle, "cv": _cv,
-         "scm": lambda s: s.base},
+         "scm": lambda s: s.source.r},
         defaults={"n": 40, "m": 40, "coef_var": 1.0 / 40.0, "sigma2": 0.1},
         sample_counts=(40, 80, 160)),
     "MvdrBeam": _experiment(
@@ -504,7 +504,7 @@ EXPERIMENTS = {
          "cv": lambda s: s.weights(_cv(s)),
          "oas": lambda s: s.weights(_oas(s)),
          "lw": lambda s: s.weights(_lw(s)),
-         "scm_pinv": lambda s: mvdr_weights_pseudo(s.base, s.steering)},
+         "scm_pinv": lambda s: mvdr_weights_pseudo(s.source.r, s.steering)},
         defaults={"n": 30,
                   "aoas_deg": (8.0, -15.0, 23.0, -21.0, 46.0, -44.0,
                                -85.0, 74.0),
@@ -637,7 +637,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
     cfg, spec, params = _validated(cfg)
     try:  # the setting is a pure function of the params
         setting = spec.setting(params)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, ArithmeticError) as exc:
         raise ConfigError(f"{cfg.experiment} params: {exc}") from exc
     rows = []
     for t_index, t in enumerate(cfg.sample_counts):

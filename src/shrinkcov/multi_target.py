@@ -31,7 +31,7 @@ from itertools import chain
 
 import numpy as np
 
-from .estimators import OlsFit, _base, ols_fit, sample_block
+from .estimators import OlsFit, _base, sample_block
 from .hermitian import (frobenius_norm_sq, is_psd, outer_product,
                         real_trace_product)
 
@@ -409,28 +409,25 @@ def _require_trace(targets, tr_r: float) -> None:
 # selection
 
 
-def _selection_moments(method: str, targets, samples=None, truth=None,
-                       inputs=None, outputs=None):
+def _selection_moments(method: str, targets, samples, truth=None):
     """The (rho, tau_1..tau_K) quadratic of ``method`` and whether it is
     a convex-combination method.
 
     The one dispatch on method names, behind both selection facades.
-    The base, ``samples`` as a block or a least-squares fit, or the fit of
-    ``inputs`` and ``outputs``, picks the cross-validation moments by its
-    type.  The convex methods require trace-preserving targets.
+    The base, ``samples`` as a block or a least-squares fit, picks the
+    cross-validation moments by its type.  The convex methods require
+    trace-preserving targets.
     """
     if method not in ("cv", "cv_constrained", "oracle", "oracle_constrained"):
         raise ValueError(f"unknown selection method {method!r}; expected one "
                          "of cv, cv_constrained, oracle, oracle_constrained")
-    ols = inputs is not None and outputs is not None
-    if not ols and samples is None:
-        raise ValueError("selection requires samples, or inputs and outputs")
+    if samples is None:
+        raise ValueError("selection requires samples")
     oracle = method.startswith("oracle")
     if oracle and truth is None:
         raise ValueError("oracle selection requires the true covariance")
     targets = list(targets)
-    base = (ols_fit(inputs, outputs) if ols else samples
-            if isinstance(samples, OlsFit) else sample_block(samples))
+    base = samples if isinstance(samples, OlsFit) else sample_block(samples)
     m = (mt_oracle_moments(base, targets, truth) if oracle
          else mt_ols_loocv_moments(base, targets) if isinstance(base, OlsFit)
          else mt_scm_loocv_moments(base, targets))

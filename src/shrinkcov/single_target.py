@@ -171,21 +171,19 @@ def oracle_moments(base: np.ndarray, target: np.ndarray,
 def scm_solution_unconstrained(samples: np.ndarray,
                                target: np.ndarray) -> ShrinkageSolution:
     """Nonnegative (rho, tau) minimizing the cross-validated SCM cost."""
-    return solve_quadratic_2d(scm_fast_moments(samples, target))
+    return select_single_target("cv", target, samples=samples)
 
 
 def scm_solution_constrained(samples: np.ndarray,
                              target: np.ndarray) -> ShrinkageSolution:
-    """Convex-combination (rho + tau = 1) variant of the SCM selector."""
-    return solve_quadratic_2d(scm_fast_moments(samples, target),
-                              constrained=True)
+    """Convex-combination (rho + tau = 1) variant of the SCM selector; the
+    target must keep tr R."""
+    return select_single_target("cv_constrained", target, samples=samples)
 
 
 def select_single_target(method: str, target: np.ndarray,
                          samples: np.ndarray | None = None,
-                         truth: np.ndarray | None = None,
-                         inputs: np.ndarray | None = None,
-                         outputs: np.ndarray | None = None) -> ShrinkageSolution:
+                         truth: np.ndarray | None = None) -> ShrinkageSolution:
     """The K = 1 case of ``mt_select``, solved by its active set, which
     frees rho first (:func:`solve_quadratic_2d`).
 
@@ -196,15 +194,13 @@ def select_single_target(method: str, target: np.ndarray,
         ``oracle_constrained``.
     target : ndarray
         Shrinkage target T0.
-    samples : ndarray, SampleBlock or OlsFit, optional
-        N x T samples or their block, or a least-squares fit (``mt_select``).
+    samples : ndarray, SampleBlock or OlsFit
+        N x T samples or their block, or a least-squares fit
+        (``ols_fit(inputs, outputs)``), as for ``mt_select``.
     truth : ndarray, optional
         True covariance; required by the oracle methods.
-    inputs, outputs : ndarray, optional
-        Regression data (least-squares path); overrides ``samples``.
     """
-    m, convex = _selection_moments(method, [target], samples, truth, inputs,
-                                   outputs)
+    m, convex = _selection_moments(method, [target], samples, truth)
     return solve_quadratic_2d(_quad(m), constrained=convex)
 
 

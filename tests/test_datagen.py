@@ -73,8 +73,8 @@ def test_gaussian_samples_reproducible_from_stream():
     assert np.iscomplexobj(a)
     c = gaussian_samples(cov, 5, RngStream(3).generator(2), complex_field=False)
     assert not np.iscomplexobj(c)
-    # an RngStream value itself is accepted and re-materializes its generator
-    d = gaussian_samples(cov, 5, RngStream(3, 2), complex_field=True)
+    # the stream at offset 2 of seed 3, addressed from its own base
+    d = gaussian_samples(cov, 5, RngStream(3, 2).generator(), complex_field=True)
     assert np.array_equal(a, d)
 
 
@@ -120,9 +120,9 @@ def test_gaussian_sampler_equals_one_shot_draws(name, complex_field):
         assert np.array_equal(got, _reference_draw(sigma, t, gen_c,
                                                    complex_field))
         assert np.iscomplexobj(got) == (complex_field or name == "complex")
-    # an RngStream is materialized at its root address, as one-shot draws do
-    assert np.array_equal(draw(4, RngStream(9, 4)),
-                          gaussian_samples(sigma, 4, RngStream(9, 4),
+    # a fresh generator of the same stream repeats the one-shot draw
+    assert np.array_equal(draw(4, RngStream(9, 4).generator()),
+                          gaussian_samples(sigma, 4, RngStream(9, 4).generator(),
                                            complex_field))
 
 

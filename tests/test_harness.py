@@ -618,8 +618,8 @@ def test_mimo_spectral_path_matches_dense(complex_field, n, t):
         coefficients += [(0.0, 1.5 * at_floor), (1.0, 0.0), (0.0, 0.0)]
         for rho, tau in coefficients:
             got = experiments._mmse_shrunk(s, ShrinkageSolution(rho, tau))
-            want = dense_channel_estimate(rho * s.base + tau * s.targets[0],
-                                          power, obs)
+            want = dense_channel_estimate(
+                rho * s.source.r + tau * s.targets[0], power, obs)
             if rho == tau == 0.0:  # zero channel covariance, zero estimate
                 assert np.array_equal(got, np.zeros(n)) and not np.any(want)
             else:
@@ -674,7 +674,7 @@ def test_mimo_scene_estimates_match_dense(t):
     s = experiments._mimo_scene(setting, t, RngStream(5, t))
     for select in (experiments._cv_solution, experiments._oracle_solution):
         sol = select(s)
-        want = dense_channel_estimate(sol.rho * s.base
+        want = dense_channel_estimate(sol.rho * s.source.r
                                       + sol.tau * s.targets[0], s.p_eff, s.obs)
         assert _rel_err(experiments._mmse_shrunk(s, sol), want) <= 1e-10
 
@@ -909,6 +909,11 @@ def test_cli_least_squares_config_error_exit_code(tmp_path, entry):
     {"experiment": "MimoChannelMmse", "params": {"nr": 0}},
     {"experiment": "LmmseDetect", "params": {"m": 0}},
     {"experiment": "MvdrBeam", "params": {"n": 0}},
+    # numbers the setting's arithmetic overflows on
+    {"experiment": "MimoChannelMmse", "params": {"pilot_db": 4000.0}},
+    {"experiment": "MimoChannelMmse", "params": {"pilot_len": 10**400}},
+    {"experiment": "MvdrBeam", "params": {"inr_db": 4000.0}},
+    {"experiment": "MvdrBeam", "params": {"noise_db": 4000.0}},
 ])
 def test_cli_malformed_config_exit_code(tmp_path, entry):
     # each used to fail as a numeric error (exit 2) or with a wrong message

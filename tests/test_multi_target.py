@@ -458,7 +458,7 @@ def test_selection_facades_take_a_least_squares_fit(cplx):
     assert sol.objective == pytest.approx(ref_obj, rel=1e-10)
     t0 = targets[0]
     assert (select_single_target("cv", t0, samples=fit)
-            == select_single_target("cv", t0, inputs=x, outputs=y))
+            == select_single_target("cv", t0, samples=ols_fit(x, y)))
     with pytest.raises(ValueError, match="read-only"):
         fit.y[0, 0] = 1.0
 

@@ -125,7 +125,7 @@ def test_least_squares_selection_validates_each_array_once(monkeypatch):
         seen.append(a)
         return hermitian.validate_samples(a, *args, **kwargs)
     monkeypatch.setattr(estimators, "validate_samples", counted)
-    select_single_target("cv", np.eye(4), inputs=x, outputs=y)
+    select_single_target("cv", np.eye(4), samples=ols_fit(x, y))
     assert len(seen) == 2 and {id(a) for a in seen} == {id(x), id(y)}
 
 

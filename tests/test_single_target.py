@@ -352,7 +352,7 @@ def test_scm_unconstrained_frozen_three_samples():
 
 def test_scm_constrained_frozen_three_samples():
     y = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
-    sol = scm_solution_constrained(y, np.eye(2))
+    sol = scm_solution_constrained(y, scaled_identity_target(scm(y)))
     assert sol.rho == pytest.approx(0.0, abs=1e-12)
     assert sol.tau == pytest.approx(1.0, abs=1e-12)
 
@@ -547,7 +547,7 @@ def test_select_dispatch_matches_components():
                        ("oracle", d0), ("oracle_constrained", s0)):
         m = (oracle_moments(ols_covariance(ols_fit(x, yo)), tk, sigma_o)
              if method.startswith("oracle") else ols_fast_moments(x, yo, tk))
-        got = select_single_target(method, tk, inputs=x, outputs=yo,
+        got = select_single_target(method, tk, samples=ols_fit(x, yo),
                                    truth=sigma_o)
         want = solve_quadratic_2d(m, constrained=method.endswith("constrained"))
         assert got == want, method
@@ -561,10 +561,11 @@ def test_select_constrained_requires_trace_preserving_target():
     yo = random_samples(4, 12, rng, False)
     y = gaussian_samples(ar_covariance(4, 0.6), 12, rng)
     truth = ar_covariance(4, 0.3)
-    for data in ({"inputs": x, "outputs": yo}, {"samples": y}):
+    for data in (ols_fit(x, yo), y):
         for method in ("cv_constrained", "oracle_constrained"):
             with pytest.raises(ValueError, match="trace-preserving"):
-                select_single_target(method, np.eye(4), truth=truth, **data)
+                select_single_target(method, np.eye(4), samples=data,
+                                     truth=truth)
 
 
 def test_select_argument_guards():
@@ -617,3 +618,11 @@ def test_shrink_dtype_values_and_inputs_unmodified():
         assert est.dtype == want.dtype
         assert np.array_equal(est, want)
         assert np.array_equal(base, saved[0]) and np.array_equal(target, saved[1])
+
+
+def test_scm_constrained_applies_the_trace_guard():
+    # tr R = 4/3 but tr I = 2, so a convex combination of R and I cannot
+    # keep tr R; the SCM selector applies the facade's guard
+    y = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    with pytest.raises(ValueError, match="trace-preserving"):
+        scm_solution_constrained(y, np.eye(2))
