@@ -48,8 +48,9 @@ __all__ = [
 def scm(y: np.ndarray) -> np.ndarray:
     """Sample covariance matrix (1/T) sum_t y_t y_t^H of an N x T block."""
     y = validate_samples(y)
-    t = y.shape[1]
-    return y @ y.conj().T / t
+    r = y @ y.conj().T
+    r /= y.shape[1]  # in place: one N x N array
+    return r
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,8 +64,11 @@ class _Owner:
         m.flags.writeable = False
         return self._owned.setdefault(id(m), m)
 
+    def owns(self, m) -> bool:
+        return self._owned.get(id(m)) is m
+
     def checked(self, m) -> np.ndarray:
-        return m if self._owned.get(id(m)) is m else require_hermitian(m)
+        return m if self.owns(m) else require_hermitian(m)
 
     def trace(self, a: np.ndarray, b: np.ndarray) -> float:
         if self._owned.get(id(a)) is not a or self._owned.get(id(b)) is not b:
@@ -109,12 +113,11 @@ def sample_block(samples, min_count: int = 1,
 
 
 def _base(base) -> tuple:
-    """(R, own, check, trace) of a block or fit; a raw R is checked, trusts
-    nothing and memoizes nothing."""
+    """(R, own, check, owner) of a block or fit; a raw R is checked, has no
+    owner and trusts nothing."""
     if isinstance(base, _Owner):
-        return base.r, base.own, base.checked, base.trace
-    return (require_hermitian(base), (lambda m: m), require_hermitian,
-            real_trace_product)
+        return base.r, base.own, base.checked, base
+    return require_hermitian(base), (lambda m: m), require_hermitian, None
 
 
 # ---------------------------------------------------------------------------

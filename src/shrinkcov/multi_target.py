@@ -32,8 +32,8 @@ from itertools import chain
 import numpy as np
 
 from .estimators import OlsFit, _base, sample_block
-from .hermitian import (frobenius_norm_sq, is_psd, outer_product,
-                        real_trace_product)
+from .hermitian import (_trace_products, frobenius_norm_sq, is_psd,
+                        outer_product)
 
 __all__ = [
     "MultiMoments",
@@ -273,14 +273,27 @@ def solve_nonneg_qp_simplex(m: MultiMoments) -> tuple[np.ndarray, float]:
 # moment accumulation
 
 
-def _gram(mats, trace=real_trace_product) -> np.ndarray:
-    """Symmetric matrix of the real trace products tr(M_i M_j), each taken
-    by ``trace`` (a block's memo, or :func:`real_trace_product`)."""
+def _gram(mats, owner=None, rows=None) -> np.ndarray:
+    """Symmetric matrix of the real trace products tr(M_i M_j) of Hermitian
+    matrices: those of the first ``rows`` (all by default) with every one,
+    the others left 0.
+
+    A pair that ``owner`` (a block or a fit) owns both of comes from its
+    memo; every other pair is taken in one sweep over the operands
+    (:func:`hermitian._trace_products`).
+    """
     k = len(mats)
-    g = np.zeros((k, k))
-    for i in range(k):
+    owned = [False] * k if owner is None else list(map(owner.owns, mats))
+    g, rest = np.zeros((k, k)), []
+    for i in range(k if rows is None else rows):
         for j in range(i, k):
-            g[i, j] = g[j, i] = trace(mats[i], mats[j])
+            if owned[i] and owned[j]:
+                g[i, j] = g[j, i] = owner.trace(mats[i], mats[j])
+            else:
+                rest.append((i, j))
+    if rest:
+        for (i, j), v in zip(rest, _trace_products(mats, rest)):
+            g[i, j] = g[j, i] = v
     return g
 
 
@@ -321,7 +334,7 @@ def mt_scm_loocv_moments(samples: np.ndarray, targets) -> MultiMoments:
 def _scm_loocv_moments(block, targets) -> MultiMoments:
     """:func:`mt_scm_loocv_moments` of a block of T >= 2 samples."""
     count, quart = block.y.shape[1], block.quart
-    a = _gram([block.r, *map(block.checked, targets)], block.trace)
+    a = _gram([block.r, *map(block.checked, targets)], block)
     b = a[0].copy()
     tr_r2 = float(a[0, 0])
     a[0, 0] = (count * (count - 2) / (count - 1) ** 2 * tr_r2
@@ -349,7 +362,7 @@ def mt_ols_loocv_moments(fit: OlsFit, targets) -> MultiMoments:
     mats = [fit.r, *map(fit.checked, targets)]
     e, _, delta, phi, psi = fit.loo_blocks
     n, count = y.shape
-    a = _gram(mats, fit.trace)
+    a = _gram(mats, fit)
 
     def update_trace(m):  # tr(D_t M) for every t
         me = m @ e
@@ -388,12 +401,12 @@ def mt_oracle_moments(base: np.ndarray, targets, truth: np.ndarray) -> MultiMome
     own, and the products of the matrices it owns (R, its targets and a
     registered truth) come from its memo.
     """
-    r, _, check, trace = _base(base)
-    mats = [r, *map(check, targets)]
-    sigma = check(truth)
-    a = _gram(mats, trace)
-    b = np.array([trace(m, sigma) for m in mats])
-    return MultiMoments(a=a, b=b, const=frobenius_norm_sq(sigma))
+    r, _, check, owner = _base(base)
+    mats = [r, *map(check, targets), check(truth)]
+    k = len(mats) - 1
+    g = _gram(mats, owner, rows=k)
+    return MultiMoments(a=g[:k, :k], b=g[:k, k],
+                        const=frobenius_norm_sq(mats[k]))
 
 
 def _require_trace(targets, tr_r: float) -> None:

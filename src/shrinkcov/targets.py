@@ -28,7 +28,9 @@ def scaled_identity_target(r: np.ndarray) -> np.ndarray:
     """Identity scaled to match the trace of ``r``: (tr r / n) I."""
     r, own, *_ = _base(r)
     n = r.shape[0]
-    return own((float(np.trace(r).real) / n) * np.eye(n))
+    t0 = np.zeros((n, n))  # filled in place: one N x N array
+    np.fill_diagonal(t0, float(np.trace(r).real) / n)
+    return own(t0)
 
 
 def diagonal_target(r: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -8,6 +9,7 @@ from shrinkcov.baselines import glc_coefficients, lw_coefficients, oas_coefficie
 from shrinkcov.estimators import ols_fit, scm
 from shrinkcov.hermitian import (
     _tile_rows,
+    _tile_side,
     frobenius_norm_sq,
     hermitize,
     is_psd,
@@ -24,6 +26,7 @@ from oracles import (
     hermitian_check_dense,
     random_hermitian,
     random_psd,
+    random_samples,
     trace_product_dense,
 )
 
@@ -170,27 +173,42 @@ def _flip_tolerances(a):
     return tol, np.nextafter(tol, np.inf)
 
 
-def _planted_positions(n):
-    """Below-diagonal (row, col) pairs on either side of the first tile
-    edge and in the last row, plus the last diagonal entry."""
-    edge = [p for p in (_tile_rows(n) - 1, _tile_rows(n)) if p < n]
-    rows = {(p, q) for p in edge for q in (0, p - 1) if 0 <= q < p}
-    cols = {(n - 1, q) for q in edge if q < n - 1}
+def _planted_positions(n, itemsize):
+    """Below-diagonal (row, col) pairs on either side of the first edge of
+    the exact-symmetry test's square tiles and of the formula's row tiles,
+    and in the last row, plus the last diagonal entry."""
+    edges = {p for edge in (_tile_side(itemsize), _tile_rows(n, itemsize))
+             for p in (edge - 1, edge) if p < n}
+    rows = {(p, q) for p in edges for q in (0, p - 1) if 0 <= q < p}
+    cols = {(n - 1, q) for q in edges if q < n - 1}
     return sorted(rows | cols | {(n - 1, n - 1)})
 
 
+def _assert_dense_decision(a, tol):
+    """require_hermitian(a, tol) accepts exactly when the dense formula
+    does, and otherwise reports its deviation."""
+    dev, scale = hermitian_check_dense(a)
+    if dev > tol * scale:
+        with pytest.raises(ValueError, match=re.escape(f"deviation {dev:.3e}")):
+            require_hermitian(a, tol=tol)
+    else:
+        assert require_hermitian(a, tol=tol) is a
+
+
 @pytest.mark.parametrize("cplx", [False, True])
-@pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 128, 129, 300, 511, 512, 513])
+@pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 89, 90, 91, 128, 129, 181,
+                               256, 257, 300, 511, 512, 513])
 def test_require_hermitian_tiled_equals_dense_formula(n, cplx):
     rng = np.random.default_rng(1000 + n)
     h = 1e-3 * random_hermitian(n, rng, cplx)
     assert hermitian_check_dense(h)[0] == 0.0
-    require_hermitian(h, tol=0.0)
+    for tol in (0.0, -0.0, -1e-300, math.nan, math.inf):
+        _assert_dense_decision(h, tol)
     # a small bump keeps the scale at 1, so the flip tolerance pins the
     # deviation; a large one makes the planted entry the peak, so it pins
     # the scale too
     for bump in (2.5e-4, 10.0):
-        for p, q in _planted_positions(n) if n else []:
+        for p, q in _planted_positions(n, h.itemsize) if n else []:
             a = h.copy()
             a[p, q] += bump * (1 + 0.5j if cplx else 1.0)
             if p == q and not cplx:
@@ -204,6 +222,7 @@ def test_require_hermitian_tiled_equals_dense_formula(n, cplx):
             if hermitian_check_dense(a)[1] == 1.0:
                 # scale 1: the tolerance pins the deviation to the bit
                 assert accept == dev
+            _assert_dense_decision(a, 0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 1.0)])
@@ -218,6 +237,54 @@ def test_require_hermitian_rejects_non_finite(n, bad):
             a[q, p] = bad
             with pytest.raises(ValueError, match="non-finite"):
                 require_hermitian(a)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("n", [3, 91, 129, 300])
+def test_require_hermitian_exact_symmetry_rejects_non_finite(n, cplx):
+    # each matrix equals its conjugate transpose entry by entry, so it
+    # passes every mirrored-tile comparison; the finiteness test must
+    # reject it
+    side = _tile_side(16 if cplx else 8)
+    far = min(side, n - 1)  # in another tile than entry 0 when n > side
+
+    def hermitian_with(entries):
+        a = np.eye(n, dtype=complex if cplx else float)
+        for (p, q), v in entries.items():
+            a[p, q], a[q, p] = v, np.conj(v)
+        return a
+
+    for bad in (np.nan, np.inf, -np.inf):
+        pair = complex(bad, 1.0) if cplx else bad
+        for entries in ({(0, 0): bad}, {(n - 1, n - 1): bad},
+                        {(0, n - 1): pair}, {(far, 0): pair},
+                        {(0, 1): pair, (far, 0): pair}):
+            with pytest.raises(ValueError, match="non-finite"):
+                require_hermitian(hermitian_with(entries), tol=0.0)
+    # +inf with -inf, in one tile and in two
+    for q in (1, far):
+        for entries in ({(0, 0): np.inf, (q, q): -np.inf},
+                        {(0, q): np.inf, (q, 0): -np.inf}):
+            with pytest.raises(ValueError, match="non-finite"):
+                require_hermitian(hermitian_with(entries), tol=0.0)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("n", [3, 300])
+def test_require_hermitian_accepts_finite_entries_whose_sum_overflows(n, cplx):
+    big = np.full((n, n), 1e308)
+    if cplx:  # a Hermitian imaginary part, as large
+        big = big + 1e308j * (np.triu(np.ones((n, n)), 1)
+                              - np.tril(np.ones((n, n)), -1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(big.sum())
+    for tol in (0.0, 1e-10):
+        _assert_dense_decision(big, tol)
+        assert require_hermitian(big, tol=tol) is big
+    bent = big.copy()
+    bent[n - 1, 0] = 0.0
+    for tol in (0.0, 1e-10, -1.0):
+        _assert_dense_decision(bent, tol)
 
 
 def _traced_peak(fn, *args):
@@ -237,12 +304,20 @@ def test_selection_path_allocates_no_dense_temporary(cplx):
     rng = np.random.default_rng(76)
     a = random_hermitian(n, rng, cplx)
     b = random_hermitian(n, rng, cplx)
+    y = random_samples(n, 8, rng, cplx)
     assert _traced_peak(require_hermitian, a) < a.nbytes / 4
     assert _traced_peak(real_trace_product, a, b) < a.nbytes / 4
     # the real N x N output plus O(N * tile) from the Hermitian check
     out_bytes = n * n * 8
-    assert (_traced_peak(toeplitz_average_target, a)
-            < out_bytes + 64 * n * a.itemsize + 65536)
+    tiles = 64 * n * a.itemsize + 65536
+    assert _traced_peak(toeplitz_average_target, a) < out_bytes + tiles
+    assert _traced_peak(scaled_identity_target, a) < out_bytes + tiles
+    # R scaled in place: one N x N output plus O(N * T)
+    assert _traced_peak(scm, y) < a.nbytes + 4 * y.nbytes + 65536
+    # raw targets are checked and swept in tiles: nothing N x N but the
+    # block's R
+    assert (_traced_peak(mt_select, "cv", [a, b], y)
+            < a.nbytes + 4 * y.nbytes + tiles)
 
 
 def test_validate_samples():

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -7,8 +8,18 @@ from hypothesis import strategies as st
 
 from shrinkcov import multi_target
 from shrinkcov.datagen import ar_covariance, gaussian_samples
-from shrinkcov.estimators import ols_fit, ols_loo_covariances, scm
-from shrinkcov.hermitian import frobenius_norm_sq
+from shrinkcov.estimators import (
+    ols_fit,
+    ols_loo_covariances,
+    sample_block,
+    scm,
+)
+from shrinkcov.hermitian import (
+    _SWEEP_BYTES,
+    _tile_rows,
+    frobenius_norm_sq,
+    real_trace_product,
+)
 from shrinkcov.multi_target import (
     MultiMoments,
     _solve_face,
@@ -388,6 +399,47 @@ def test_mt_oracle_moments_frozen():
     assert m.const == pytest.approx(5.0)
     x, obj = solve_nonneg_qp(m)
     assert obj == pytest.approx(0.0, abs=1e-10)  # exact reconstruction
+
+
+def _sweep_size(name, cplx):
+    """N for a size named relative to the largest one-tile trace sweep."""
+    itemsize = 16 if cplx else 8
+    tile = math.isqrt(_SWEEP_BYTES // itemsize)
+    assert _tile_rows(tile, itemsize, _SWEEP_BYTES) >= tile
+    assert _tile_rows(tile + 1, itemsize, _SWEEP_BYTES) < tile + 1
+    return {"1": 1, "tile-1": tile - 1, "tile": tile, "tile+1": tile + 1,
+            "300": 300, "513": 513}[name], tile
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("size", ["1", "tile-1", "tile", "tile+1", "300", "513"])
+def test_gram_sweep_matches_pairwise_trace_products(size, cplx):
+    n, tile = _sweep_size(size, cplx)
+    rng = np.random.default_rng(n)
+    y = random_samples(n, 6, rng, cplx)
+    block, raw_r = sample_block(y), scm(y)
+    # owned and raw targets mixed; the raw ones go through the sweep
+    targets = [scaled_identity_target(block), toeplitz_average_target(raw_r),
+               diagonal_target(block), random_psd(n, rng, cplx, rank=3)]
+    truth = random_psd(n, rng, cplx)
+    k = len(targets) + 1
+
+    def pairwise(r):
+        mats = [r, *targets, truth]
+        return np.array([[real_trace_product(p, q) for q in mats] for p in mats])
+
+    g, g_raw = pairwise(block.r), pairwise(raw_r)
+    m = mt_scm_loocv_moments(block, targets)
+    oracle = mt_oracle_moments(block, targets, truth)
+    raw = mt_oracle_moments(raw_r, targets, truth)
+    pairs = [(m.a[1:, 1:], g[1:k, 1:k]), (m.a[0, 1:], g[0, 1:k]),
+             (m.b[1:], g[0, 1:k]), (oracle.a, g[:k, :k]), (oracle.b, g[:k, k]),
+             (raw.a, g_raw[:k, :k]), (raw.b, g_raw[:k, k])]
+    for got, want in pairs:
+        if n <= tile:  # one tile: real_trace_product's einsum, bit for bit
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def test_mt_loocv_fast_matches_naive():
