@@ -68,11 +68,15 @@ def _pinv_solve(cov: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def mvdr_weights(cov: np.ndarray, steering: np.ndarray) -> np.ndarray:
     """Distortionless minimum-variance weights cov^-1 s / (s^H cov^-1 s).
 
-    Requires a positive definite covariance; use
+    Requires a positive definite covariance and a finite steering vector
+    with s^H cov^-1 s finite and positive; use
     :func:`mvdr_weights_pseudo` for rank-deficient estimates.
     """
+    steering = _require_finite(steering, "steering vector")
     q = _solve_pd(cov, steering)
     denom = float(np.vdot(steering, q).real)
+    if not (math.isfinite(denom) and denom > 0.0):
+        raise ValueError(f"s^H cov^-1 s must be finite and positive, got {denom!r}")
     return q / denom
 
 
@@ -192,6 +196,8 @@ def lmmse_detect(channel: np.ndarray, cov: np.ndarray,
     """Linear MMSE-style detection statistic H^H cov^-1 y.
 
     ``cov`` is the observation covariance estimate and must be positive
-    definite.
+    definite.  A non-finite channel or observation is rejected.
     """
+    channel = _require_finite(channel, "channel")
+    observation = _require_finite(observation, "observation")
     return channel.conj().T @ _solve_pd(cov, observation)

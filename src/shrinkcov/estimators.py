@@ -113,11 +113,14 @@ def sample_block(samples, min_count: int = 1,
 
 
 def _base(base) -> tuple:
-    """(R, own, check, owner) of a block or fit; a raw R is checked, has no
-    owner and trusts nothing."""
+    """(R, own, check, owner) of a block or fit; a raw R is checked, must
+    have a row, has no owner and trusts nothing."""
     if isinstance(base, _Owner):
         return base.r, base.own, base.checked, base
-    return require_hermitian(base), (lambda m: m), require_hermitian, None
+    r = require_hermitian(base)
+    if r.shape[0] == 0:
+        raise ValueError(f"covariance has no rows (shape {r.shape})")
+    return r, (lambda m: m), require_hermitian, None
 
 
 # ---------------------------------------------------------------------------

@@ -694,6 +694,9 @@ def read_csv(path) -> list:
         if header is not None and tuple(header) != _HEADER:
             raise ValueError(f"unexpected CSV header {header!r}")
         for rec in reader:
+            if len(rec) != len(_HEADER):
+                raise ValueError(f"CSV line {reader.line_num} has {len(rec)} "
+                                 f"fields, expected {len(_HEADER)}")
             rows.append(ResultRow(experiment=rec[0], method=rec[1],
                                   t=int(rec[2]), metric=rec[3],
                                   mean=float(rec[4]), stderr=float(rec[5]),

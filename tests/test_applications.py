@@ -54,6 +54,13 @@ def test_mvdr_requires_positive_definite():
         mvdr_weights(np.outer(s, s.conj()), s)
 
 
+@pytest.mark.parametrize("steering", [np.zeros(3), np.array([1.0, np.nan, 0.0]),
+                                      np.array([np.inf, 0.0, 0.0])])
+def test_mvdr_rejects_zero_or_non_finite_steering(steering):
+    with pytest.raises(ValueError, match="steering vector|finite and positive"):
+        mvdr_weights(np.eye(3), steering)
+
+
 def test_mvdr_pseudo_rank_one():
     s = ula_steering(0.4, 5)
     w = mvdr_weights_pseudo(np.outer(s, s.conj()), s)
@@ -238,6 +245,17 @@ def test_lmmse_detect_matches_formula():
     y = random_samples(5, 1, rng, True)[:, 0]
     want = h.conj().T @ np.linalg.inv(cov) @ y
     assert np.allclose(lmmse_detect(h, cov, y), want, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lmmse_detect_rejects_non_finite_inputs(bad):
+    y = np.array([1.0, bad, 0.0])
+    with pytest.raises(ValueError, match="observation contains non-finite"):
+        lmmse_detect(np.eye(3), np.eye(3), y)
+    h = np.eye(3)
+    h[1, 2] = bad
+    with pytest.raises(ValueError, match="channel contains non-finite"):
+        lmmse_detect(h, np.eye(3), np.ones(3))
 
 
 def test_lmmse_detect_guard():

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +9,7 @@ import pytest
 from shrinkcov.baselines import glc_coefficients, lw_coefficients, oas_coefficient
 from shrinkcov.estimators import ols_fit, scm
 from shrinkcov.hermitian import (
-    _tile_rows,
-    _tile_side,
+    _tiles,
     frobenius_norm_sq,
     hermitize,
     is_psd,
@@ -173,12 +173,17 @@ def _flip_tolerances(a):
     return tol, np.nextafter(tol, np.inf)
 
 
+def _tile_side(itemsize):
+    """Side of the square tiles that require_hermitian walks."""
+    rows, _ = next(_tiles(1, itemsize))
+    return rows.stop
+
+
 def _planted_positions(n, itemsize):
-    """Below-diagonal (row, col) pairs on either side of the first edge of
-    the exact-symmetry test's square tiles and of the formula's row tiles,
-    and in the last row, plus the last diagonal entry."""
-    edges = {p for edge in (_tile_side(itemsize), _tile_rows(n, itemsize))
-             for p in (edge - 1, edge) if p < n}
+    """Below-diagonal (row, col) pairs on either side of the first tile
+    edge, and in the last row, plus the last diagonal entry."""
+    side = _tile_side(itemsize)
+    edges = {p for p in (side - 1, side) if p < n}
     rows = {(p, q) for p in edges for q in (0, p - 1) if 0 <= q < p}
     cols = {(n - 1, q) for q in edges if q < n - 1}
     return sorted(rows | cols | {(n - 1, n - 1)})
@@ -228,11 +233,21 @@ def test_require_hermitian_tiled_equals_dense_formula(n, cplx):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 1.0)])
 @pytest.mark.parametrize("n", [3, 300])
 def test_require_hermitian_rejects_non_finite(n, bad):
-    for p, q in ((0, 0), (0, n - 1), (n - 1, 0), (n - 1, n // 2), (n - 1, n - 2)):
+    # at n = 300, (n - 1, 0) and the entry below the first tile edge are in
+    # other tiles than their finite mirrors: such a pair must be rejected
+    # before anything subtracts it
+    side = _tile_side(16 if isinstance(bad, complex) else 8)
+    for p, q in ((0, 0), (0, n - 1), (n - 1, 0), (n - 1, n // 2), (n - 1, n - 2),
+                 (side, side - 1)):
+        if p >= n:
+            continue
         a = np.eye(n, dtype=complex if isinstance(bad, complex) else float)
         a[p, q] = bad
-        with pytest.raises(ValueError, match="non-finite"):
-            require_hermitian(a)
+        for tol in (1e-10, 0.0, -1.0, math.nan):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="non-finite"):
+                    require_hermitian(a, tol=tol)
         if p != q:  # the mirrored entry too, so the deviation is NaN
             a[q, p] = bad
             with pytest.raises(ValueError, match="non-finite"):
@@ -242,9 +257,9 @@ def test_require_hermitian_rejects_non_finite(n, bad):
 @pytest.mark.parametrize("cplx", [False, True])
 @pytest.mark.parametrize("n", [3, 91, 129, 300])
 def test_require_hermitian_exact_symmetry_rejects_non_finite(n, cplx):
-    # each matrix equals its conjugate transpose entry by entry, so it
-    # passes every mirrored-tile comparison; the finiteness test must
-    # reject it
+    # each matrix is its conjugate transpose entry by entry, so its
+    # mirrored tiles compare equal wherever no NaN is; the finiteness
+    # test must reject it
     side = _tile_side(16 if cplx else 8)
     far = min(side, n - 1)  # in another tile than entry 0 when n > side
 
@@ -318,6 +333,17 @@ def test_selection_path_allocates_no_dense_temporary(cplx):
     # block's R
     assert (_traced_peak(mt_select, "cv", [a, b], y)
             < a.nbytes + 4 * y.nbytes + tiles)
+
+
+def test_require_hermitian_on_inexact_matrix_allocates_no_dense_temporary():
+    # every off-diagonal tile pair differs, so each is subtracted and
+    # the peak is formed
+    n = 512
+    rng = np.random.default_rng(77)
+    a = random_hermitian(n, rng, True)
+    a += 1e-12 * np.tril(rng.standard_normal((n, n)), -1)
+    assert 0.0 < hermitian_check_dense(a)[0] <= 1e-10
+    assert _traced_peak(require_hermitian, a) < a.nbytes / 4
 
 
 def test_validate_samples():

@@ -130,6 +130,19 @@ def test_csv_round_trip(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize("cut", [slice(0, 6), slice(0, 8)])
+def test_read_csv_rejects_rows_of_the_wrong_width(tmp_path, cut):
+    path = tmp_path / "bad.csv"
+    emit_csv(FROZEN_ROWS, path)
+    lines = path.read_text().splitlines()
+    fields = (lines[2] + ",9").split(",")[cut]
+    lines[2] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError,
+                       match=f"CSV line 3 has {len(fields)} fields, expected 7"):
+        read_csv(path)
+
+
 # ---------------------------------------------------------------------------
 # registry and config parsing
 

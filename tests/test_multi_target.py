@@ -1,4 +1,3 @@
-import math
 from unittest import mock
 
 import numpy as np
@@ -15,8 +14,7 @@ from shrinkcov.estimators import (
     scm,
 )
 from shrinkcov.hermitian import (
-    _SWEEP_BYTES,
-    _tile_rows,
+    _tiles,
     frobenius_norm_sq,
     real_trace_product,
 )
@@ -401,12 +399,16 @@ def test_mt_oracle_moments_frozen():
     assert obj == pytest.approx(0.0, abs=1e-10)  # exact reconstruction
 
 
+def test_mt_oracle_moments_rejects_empty_raw_base():
+    e = np.zeros((0, 0))
+    with pytest.raises(ValueError, match="has no rows"):
+        mt_oracle_moments(e, [e], e)
+
+
 def _sweep_size(name, cplx):
     """N for a size named relative to the largest one-tile trace sweep."""
-    itemsize = 16 if cplx else 8
-    tile = math.isqrt(_SWEEP_BYTES // itemsize)
-    assert _tile_rows(tile, itemsize, _SWEEP_BYTES) >= tile
-    assert _tile_rows(tile + 1, itemsize, _SWEEP_BYTES) < tile + 1
+    rows, _ = next(_tiles(1, 16 if cplx else 8))
+    tile = rows.stop
     return {"1": 1, "tile-1": tile - 1, "tile": tile, "tile+1": tile + 1,
             "300": 300, "513": 513}[name], tile
 

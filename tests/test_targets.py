@@ -120,6 +120,13 @@ def test_scaled_identity_rejects_non_finite_input():
         scaled_identity_target(r)
 
 
+@pytest.mark.parametrize("target", [scaled_identity_target, diagonal_target,
+                                    toeplitz_average_target])
+def test_targets_reject_empty_raw_matrix(target):
+    with pytest.raises(ValueError, match="has no rows"):
+        target(np.zeros((0, 0)))
+
+
 def test_targets_preserve_trace_and_psd():
     rng = np.random.default_rng(22)
     sigma = ar_covariance(12, 0.6)
