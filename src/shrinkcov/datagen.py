@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
-import scipy.linalg
 
 from .applications import ula_steering
-from .hermitian import _psd_spectrum, hermitize, require_hermitian
+from .hermitian import _psd_spectrum, _toeplitz, hermitize, require_hermitian
 
 __all__ = [
     "RngStream",
@@ -81,7 +80,7 @@ def ar_covariance(n: int, r) -> np.ndarray:
     if abs(r) >= 1.0:
         raise ValueError("autoregressive coefficient must satisfy |r| < 1")
     first_row = np.asarray(r) ** np.arange(n)
-    return scipy.linalg.toeplitz(np.conj(first_row), first_row)
+    return _toeplitz(np.conj(first_row), first_row)
 
 
 def _covariance_factor(sigma: np.ndarray) -> np.ndarray:

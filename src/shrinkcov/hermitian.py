@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "real_trace_product",
@@ -117,6 +118,21 @@ def _trace_products(mats, pairs) -> list[float]:
     return [float(s) for s in sums]
 
 
+def _toeplitz(first_col: np.ndarray, first_row: np.ndarray) -> np.ndarray:
+    """Toeplitz matrix with first column ``first_col`` and first row
+    ``first_row`` (whose entry 0 is ignored), of shape (len(first_col),
+    len(first_row)).
+
+    Row i is a window of ``vals``, ``first_col`` reversed followed by
+    ``first_row[1:]``, starting i entries before ``first_col[0]``: the
+    layout of ``scipy.linalg.toeplitz``, so the entries are its bit for
+    bit.  Two empty inputs give a 0 x 0 matrix.
+    """
+    vals = np.concatenate((first_col[::-1], first_row[1:]))
+    rows = sliding_window_view(vals, len(first_row))[::-1]
+    return rows[:len(first_col)].copy()
+
+
 def frobenius_norm_sq(a: np.ndarray) -> float:
     """Squared Frobenius norm sum |a_ij|^2 of any shape, reduced by einsum."""
     a = np.ravel(a, order="K")  # a view of any contiguous input
@@ -161,10 +177,12 @@ def require_hermitian(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     side is rejected, and any other adds max|x - conj(y^T)| to the
     deviation.  The pairs cover every entry, and |a_pq - conj(a_qp)|
     equals |a_qp - conj(a_pq)| bit for bit, so the deviation is the
-    dense formula's.  A deviation of 0 passes at any ``tol`` >= 0, so
-    only a failing matrix, or a negative or NaN ``tol``, takes max|a|,
-    over row strips one tile high.  A max does not depend on the order
-    it is taken in, so the decision is the dense formula's too.
+    dense formula's.  Finite entries whose difference overflows give an
+    infinite deviation, which rejects the matrix.  A deviation of 0
+    passes at any ``tol`` >= 0, so only a failing matrix, or a negative
+    or NaN ``tol``, takes max|a|, over each tile and its mirror.  A max
+    does not depend on the order it is taken in, so the decision is the
+    dense formula's too.
 
     Returns ``a`` unchanged so the call can be chained.
     """
@@ -179,15 +197,29 @@ def require_hermitian(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
             continue
         if not (finite and np.isfinite(y).all()):
             raise ValueError("matrix is non-finite (NaN or infinite entries)")
-        dev = max(dev, np.abs(x - y).max())
+        dev = max(dev, _max_abs_difference(x, y))
     if dev == 0.0 and tol >= 0.0:
         return a
-    peak = max((np.abs(a[rows]).max()
+    peak = max((np.abs(m).max()
                 for rows, cols in _tiles(a.shape[0], a.itemsize)
-                if rows == cols), default=0.0)
+                for m in (a[rows, cols], a[cols, rows])), default=0.0)
     if dev > tol * max(1.0, peak):
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     return a
+
+
+def _max_abs_difference(x: np.ndarray, y: np.ndarray) -> float:
+    """max|x - y| of two finite tiles; inf where a difference overflows.
+
+    numpy buffers each strided operand of a ufunc, so the difference is
+    formed in a copy of ``x`` and a real one takes |.| in place: one
+    tile-sized temporary beside a buffer for ``y``.
+    """
+    d = x.copy()
+    with np.errstate(over="ignore"):
+        d -= y
+        return float((np.abs(d) if np.iscomplexobj(d)
+                      else np.abs(d, out=d)).max())
 
 
 def validate_samples(y: np.ndarray, min_count: int = 1,

@@ -10,9 +10,9 @@ unchecked and is registered on it.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .estimators import _base, sample_block
+from .hermitian import _toeplitz
 from .multi_target import _scm_loocv_moments
 from .single_target import _quad, shrink, solve_quadratic_2d
 
@@ -64,7 +64,7 @@ def toeplitz_average_target(r: np.ndarray) -> np.ndarray:
     first_row = np.empty(n)
     for i in range(n):
         first_row[i] = flat[i:(n - i) * (n + 1):n + 1].real.sum() / (n - i)
-    return own(scipy.linalg.toeplitz(first_row))
+    return own(_toeplitz(first_row, first_row))
 
 
 def knowledge_aided_target(past_samples: np.ndarray) -> np.ndarray:

@@ -49,6 +49,16 @@ def hermitian_check_dense(a):
     return dev, scale
 
 
+def toeplitz_dense(c, r):
+    """Toeplitz matrix entry by entry: T[i, j] = c[i - j] for i >= j and
+    r[j - i] for j > i."""
+    t = np.empty((len(c), len(r)), dtype=np.result_type(c, r))
+    for i in range(len(c)):
+        for j in range(len(r)):
+            t[i, j] = c[i - j] if i >= j else r[j - i]
+    return t
+
+
 def toeplitz_first_row_loop(r):
     """Band means of ``r``: the mean real part of each superdiagonal."""
     n = r.shape[0]

@@ -8,8 +8,10 @@ import pytest
 
 from shrinkcov.baselines import glc_coefficients, lw_coefficients, oas_coefficient
 from shrinkcov.estimators import ols_fit, scm
+from shrinkcov.datagen import ar_covariance
 from shrinkcov.hermitian import (
     _tiles,
+    _toeplitz,
     frobenius_norm_sq,
     hermitize,
     is_psd,
@@ -27,6 +29,7 @@ from oracles import (
     random_hermitian,
     random_psd,
     random_samples,
+    toeplitz_dense,
     trace_product_dense,
 )
 
@@ -302,6 +305,25 @@ def test_require_hermitian_accepts_finite_entries_whose_sum_overflows(n, cplx):
         _assert_dense_decision(bent, tol)
 
 
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("n", [3, 300])
+def test_require_hermitian_rejects_a_deviation_that_overflows(n, cplx):
+    # finite mirrored entries whose difference is not: the deviation is
+    # infinite, which rejects the matrix without an overflow warning
+    pairs = [(1e308, -1e308)]
+    if cplx:
+        pairs.append((1e308j, 1e308j))  # conj(a_qp) = -1e308j
+    for big, mirror in pairs:
+        a = np.eye(n, dtype=complex if cplx else float)
+        a[0, n - 1], a[n - 1, 0] = big, mirror
+        for tol in (1e-10, 0.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError,
+                                   match=r"not Hermitian \(max deviation inf\)"):
+                    require_hermitian(a, tol=tol)
+
+
 def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
@@ -343,7 +365,56 @@ def test_require_hermitian_on_inexact_matrix_allocates_no_dense_temporary():
     a = random_hermitian(n, rng, True)
     a += 1e-12 * np.tril(rng.standard_normal((n, n)), -1)
     assert 0.0 < hermitian_check_dense(a)[0] <= 1e-10
-    assert _traced_peak(require_hermitian, a) < a.nbytes / 4
+    assert _traced_peak(require_hermitian, a) < a.nbytes / 8
+    # a real symmetric matrix with one entry moved: its peak is taken
+    # over tiles, not over row strips
+    s = random_hermitian(n, rng, False)
+    s[n - 1, 0] += 1e-3
+    with pytest.raises(ValueError, match="not Hermitian"):
+        require_hermitian(s)
+    assert _traced_peak(lambda: require_hermitian(s, tol=1.0)) < s.nbytes / 8
+
+
+def _toeplitz_pair(n, m, rng, cplx):
+    c, r = rng.standard_normal(n), rng.standard_normal(m)
+    if cplx:
+        c, r = c + 1j * rng.standard_normal(n), r + 1j * rng.standard_normal(m)
+    return c, r
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 300])
+def test_toeplitz_matches_the_dense_definition(n, cplx):
+    rng = np.random.default_rng(78 + n)
+    shapes = [(n, n)] + ([(n, n + 3), (n + 3, n)] if n else [])
+    for rows, cols in shapes:
+        c, r = _toeplitz_pair(rows, cols, rng, cplx)
+        got = _toeplitz(c, r)
+        want = toeplitz_dense(c, r)
+        assert got.shape == (rows, cols) and got.dtype == want.dtype
+        assert got.flags.c_contiguous and got.flags.writeable
+        assert np.array_equal(got, want)
+    assert ar_covariance(0, 0.5).shape == (0, 0)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 300])
+def test_toeplitz_equals_scipy_byte_for_byte(n, cplx):
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(79 + n)
+    c, r = _toeplitz_pair(n, n, rng, cplx)
+    # the pairs the package builds: one real first row for both sides,
+    # and a conjugated first column
+    for got, want in ((_toeplitz(c, r), linalg.toeplitz(c, r)),
+                      (_toeplitz(c.real, c.real), linalg.toeplitz(c.real)),
+                      (_toeplitz(np.conj(c), c), linalg.toeplitz(np.conj(c), c))):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    for coef in (0.5, 0.9, 0.3 + 0.4j):
+        first_row = np.asarray(coef) ** np.arange(n)
+        want = linalg.toeplitz(np.conj(first_row), first_row)
+        got = ar_covariance(n, coef)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_validate_samples():

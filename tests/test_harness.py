@@ -1,12 +1,15 @@
 import dataclasses
 import inspect
 import json
+import os
+import subprocess
 import sys
 import time
 
 import numpy as np
 import pytest
 
+import shrinkcov
 from shrinkcov import (
     estimators,
     experiments,
@@ -966,6 +969,17 @@ def test_cli_list_methods(capsys):
     for name in EXPERIMENTS:
         assert name in text
     assert "cv" in text and "scm" in text
+
+
+def test_cold_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(shrinkcov.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = ("import shrinkcov, shrinkcov.cli, sys; print(sorted(m for m in "
+            "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.strip() == "[]"
 
 
 def test_classify_error():
