@@ -46,6 +46,7 @@ def test_ar_covariance_frozen_real():
                      [0.25, 0.5, 1.0]])
     assert np.allclose(got, want, atol=1e-15)
     assert not np.iscomplexobj(got)
+    assert ar_covariance(0, 0.5).shape == (0, 0)
 
 
 def test_ar_covariance_frozen_complex():
