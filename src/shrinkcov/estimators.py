@@ -22,6 +22,12 @@ exactly those objects, matched by identity, and memoizes their pairwise
 trace products: an owned matrix cannot change, and its id is not reused
 while the owner lives.  Every other matrix is checked, and its products
 are taken again, on every call: its caller may change it in place.
+
+A sample block forms R on first use, and a selection on the block does
+not use it for matrices the block does not own: the products of R with
+them, tr R^2 included, come from tiles of R formed from ``y`` one at a
+time in the trace sweep (:func:`shrinkcov.hermitian._trace_products`),
+so raw samples and raw targets are selected on without an N x N R.
 """
 
 from __future__ import annotations
@@ -31,7 +37,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .hermitian import real_trace_product, require_hermitian, validate_samples
+from .hermitian import (_SampleFactor, real_trace_product, require_hermitian,
+                        validate_samples)
 
 __all__ = [
     "SampleBlock",
@@ -86,7 +93,9 @@ class SampleBlock(_Owner):
 
     ``y`` is a read-only view; the block owns ``r``.  It also keeps the
     fourth-moment sum ``quart`` = sum_t ||y_t||^4, which every SCM
-    selector of one draw reads.  Both are formed on first use.
+    selector of one draw reads.  Both are formed on first use.  A
+    selection with a matrix the block does not own reads R from ``y`` a
+    tile at a time (:func:`_operands`) and does not form ``r``.
     """
 
     y: np.ndarray
@@ -113,14 +122,31 @@ def sample_block(samples, min_count: int = 1,
 
 
 def _base(base) -> tuple:
-    """(R, own, check, owner) of a block or fit; a raw R is checked, must
-    have a row, has no owner and trusts nothing."""
+    """(R, own) of a block or fit; a raw R is checked, must have a row and
+    has no owner."""
     if isinstance(base, _Owner):
-        return base.r, base.own, base.checked, base
+        return base.r, base.own
     r = require_hermitian(base)
     if r.shape[0] == 0:
         raise ValueError(f"covariance has no rows (shape {r.shape})")
-    return r, (lambda m: m), require_hermitian, None
+    return r, (lambda m: m)
+
+
+def _operands(base, mats) -> tuple[list, _Owner | None]:
+    """([R, *mats], owner) of a block, fit or raw R (:func:`_base`), for
+    trace products: each matrix checked unless an owner owns it.
+
+    A block that does not own every one of ``mats`` gives R as its
+    sample factor, which the trace sweep forms a tile at a time, so its
+    ``r`` is not formed; an owner of them all gives its ``r``, whose
+    products with them come from its memo.
+    """
+    if not isinstance(base, _Owner):
+        return [_base(base)[0], *map(require_hermitian, mats)], None
+    mats = list(map(base.checked, mats))
+    if isinstance(base, SampleBlock) and not all(map(base.owns, mats)):
+        return [_SampleFactor(base.y), *mats], base
+    return [base.r, *mats], base
 
 
 # ---------------------------------------------------------------------------

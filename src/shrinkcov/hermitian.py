@@ -15,7 +15,12 @@ it forms max|a| only for a matrix that is not exactly Hermitian, and
 every real matrix the package builds is.  :func:`real_trace_product` is
 one contiguous inner product, and the Gram matrix of the selection
 moments takes its products in one sweep over the tiles, the diagonal
-ones once and the others twice.  All of them and
+ones once and the others twice.  One operand of that sweep may be the
+sample covariance R = Y Y^H / T of an N x T block Y given as its
+:class:`_SampleFactor`: the sweep forms each tile of R from two row
+blocks of Y when it reaches the tile and drops it, so a selection on
+raw samples never holds R (those tiles are BLAS products, as the R of
+:func:`shrinkcov.estimators.scm` is).  All the passes and
 :func:`frobenius_norm_sq` reduce in numpy without BLAS, so they do not
 depend on the BLAS thread count.
 """
@@ -81,6 +86,23 @@ def _tiles(n: int, itemsize: int):
             yield slice(i, i + side), slice(j, j + side)
 
 
+class _SampleFactor:
+    """R = y y^H / T of an N x T sample block ``y``, as an operand of
+    :func:`_trace_products`, which forms R one tile at a time."""
+
+    def __init__(self, y: np.ndarray):
+        self.y = y
+        self.shape = (y.shape[0], y.shape[0])
+        self.dtype, self.itemsize = y.dtype, y.itemsize
+
+    def tile(self, rows: slice, cols: slice) -> np.ndarray:
+        """R[rows, cols], scaled in place; when it is all of R, the
+        product that :func:`shrinkcov.estimators.scm` forms, bit for bit."""
+        t = self.y[rows] @ self.y[cols].conj().T
+        t /= self.y.shape[1]
+        return t
+
+
 def _trace_products(mats, pairs) -> list[float]:
     """:func:`real_trace_product` of mats[i] and mats[j] for each (i, j) of
     ``pairs``, all in one sweep over the square tiles of the upper triangle.
@@ -89,8 +111,10 @@ def _trace_products(mats, pairs) -> list[float]:
     :func:`require_hermitian`): a product is then that of the diagonal
     tiles plus twice that of the others.  So each operand is read once,
     a tile at a time, and none is copied unless it is complex and not
-    C-contiguous.  When one tile is the whole matrix each product is
-    :func:`real_trace_product`'s einsum, bit for bit.
+    C-contiguous.  An operand may be a :class:`_SampleFactor`, whose tile
+    is formed when the sweep reaches it and dropped after it.  When one
+    tile is the whole matrix each product is :func:`real_trace_product`'s
+    einsum, bit for bit.
     """
     if not pairs:
         return []
@@ -101,20 +125,25 @@ def _trace_products(mats, pairs) -> list[float]:
                              f"and {m.shape}; expected square operands of "
                              "equal shape")
     cplx = [np.iscomplexobj(m) for m in mats]
-    parts, ops = {}, []
-    for i, j in pairs:
-        both = cplx[i] and cplx[j]
-        for k in (i, j):
-            if (k, both) not in parts:
-                parts[k, both] = _parts(mats[k], both)
-        ops.append((parts[i, both], parts[j, both], 1 + both))
+    ops = [(i, j, cplx[i] and cplx[j]) for i, j in pairs]
+    used = {(k, both) for i, j, both in ops for k in (i, j)}
+    factors = {k for k, _ in used if isinstance(mats[k], _SampleFactor)}
+    parts = {(k, both): _parts(mats[k], both) for k, both in used
+             if k not in factors}
     sums = [0.0] * len(ops)
     for rows, cols in _tiles(n, max(m.itemsize for m in mats)):
         weight = 1.0 if rows == cols else 2.0
-        for p, (a, b, w) in enumerate(ops):  # w: floats per entry
-            span = slice(w * cols.start, w * cols.stop)
-            sums[p] += weight * np.einsum("ij,ij->", a[rows, span],
-                                          b[rows, span])
+        formed = {k: mats[k].tile(rows, cols) for k in factors}
+        view = {}
+        for k, both in used:
+            if k in formed:
+                view[k, both] = _parts(formed[k], both)
+            else:  # parts of 1 + both floats per entry
+                span = slice((1 + both) * cols.start, (1 + both) * cols.stop)
+                view[k, both] = parts[k, both][rows, span]
+        for p, (i, j, both) in enumerate(ops):
+            sums[p] += weight * np.einsum("ij,ij->", view[i, both],
+                                          view[j, both])
     return [float(s) for s in sums]
 
 
@@ -182,7 +211,9 @@ def require_hermitian(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     passes at any ``tol`` >= 0, so only a failing matrix, or a negative
     or NaN ``tol``, takes max|a|, over each tile and its mirror.  A max
     does not depend on the order it is taken in, so the decision is the
-    dense formula's too.
+    dense formula's too, except where tol * max(1, max|a|) is NaN (a NaN
+    ``tol``, or 0 times an infinite |a_ij|): the dense comparison is then
+    false, but only a deviation of 0 passes here.
 
     Returns ``a`` unchanged so the call can be chained.
     """
@@ -200,10 +231,13 @@ def require_hermitian(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         dev = max(dev, _max_abs_difference(x, y))
     if dev == 0.0 and tol >= 0.0:
         return a
-    peak = max((np.abs(m).max()
+    peak = max((float(np.abs(m).max())
                 for rows, cols in _tiles(a.shape[0], a.itemsize)
                 for m in (a[rows, cols], a[cols, rows])), default=0.0)
-    if dev > tol * max(1.0, peak):
+    # on Python floats, 0 * inf is NaN without a warning; a NaN limit
+    # (NaN tol, or tol 0 and an overflowing |a_ij|) accepts no deviation
+    limit = float(tol) * max(1.0, peak)
+    if dev > limit or (dev > 0.0 and math.isnan(limit)):
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     return a
 

@@ -31,7 +31,7 @@ from itertools import chain
 
 import numpy as np
 
-from .estimators import OlsFit, _base, sample_block
+from .estimators import OlsFit, _operands, sample_block
 from .hermitian import (_trace_products, frobenius_norm_sq, is_psd,
                         outer_product)
 
@@ -280,7 +280,8 @@ def _gram(mats, owner=None, rows=None) -> np.ndarray:
 
     A pair that ``owner`` (a block or a fit) owns both of comes from its
     memo; every other pair is taken in one sweep over the operands
-    (:func:`hermitian._trace_products`).
+    (:func:`hermitian._trace_products`), in which R may be a sample
+    factor (:func:`shrinkcov.estimators._operands`).
     """
     k = len(mats)
     owned = [False] * k if owner is None else list(map(owner.owns, mats))
@@ -326,7 +327,8 @@ def mt_scm_loocv_moments(samples: np.ndarray, targets) -> MultiMoments:
     sum_t ||y_t||^4 alone, so no R_t is ever formed.  The mean R_t is R,
     so a_0k = b_k = tr(R T_k); a_jk = tr(T_j T_k).  Requires T >= 3, the
     floor of every cross-validated selector; the closed form holds from
-    T = 2 (:func:`_scm_loocv_moments`).  ``samples`` may be a block.
+    T = 2 (:func:`_scm_loocv_moments`).  ``samples`` may be a block; R
+    is formed only if the block owns every target.
     """
     return _scm_loocv_moments(sample_block(samples, min_count=3), targets)
 
@@ -334,7 +336,7 @@ def mt_scm_loocv_moments(samples: np.ndarray, targets) -> MultiMoments:
 def _scm_loocv_moments(block, targets) -> MultiMoments:
     """:func:`mt_scm_loocv_moments` of a block of T >= 2 samples."""
     count, quart = block.y.shape[1], block.quart
-    a = _gram([block.r, *map(block.checked, targets)], block)
+    a = _gram(_operands(block, targets)[0], block)
     b = a[0].copy()
     tr_r2 = float(a[0, 0])
     a[0, 0] = (count * (count - 2) / (count - 1) ** 2 * tr_r2
@@ -359,7 +361,7 @@ def mt_ols_loocv_moments(fit: OlsFit, targets) -> MultiMoments:
     again, and their products come from its memo.
     """
     y = fit.y
-    mats = [fit.r, *map(fit.checked, targets)]
+    mats = _operands(fit, targets)[0]
     e, _, delta, phi, psi = fit.loo_blocks
     n, count = y.shape
     a = _gram(mats, fit)
@@ -399,10 +401,10 @@ def mt_oracle_moments(base: np.ndarray, targets, truth: np.ndarray) -> MultiMome
 
     ``base`` may be a sample block or a least-squares fit; R is then its
     own, and the products of the matrices it owns (R, its targets and a
-    registered truth) come from its memo.
+    registered truth) come from its memo.  A block that does not own
+    them all does not form R (:func:`shrinkcov.estimators._operands`).
     """
-    r, _, check, owner = _base(base)
-    mats = [r, *map(check, targets), check(truth)]
+    mats, owner = _operands(base, [*targets, truth])
     k = len(mats) - 1
     g = _gram(mats, owner, rows=k)
     return MultiMoments(a=g[:k, :k], b=g[:k, k],
@@ -445,8 +447,10 @@ def _selection_moments(method: str, targets, samples, truth=None):
          else mt_ols_loocv_moments(base, targets) if isinstance(base, OlsFit)
          else mt_scm_loocv_moments(base, targets))
     convex = method.endswith("constrained")
-    if convex:
-        _require_trace(targets, float(np.trace(base.r).real))
+    if convex:  # a block's tr R is ||Y||_F^2 / T, without forming R
+        _require_trace(targets, float(np.trace(base.r).real)
+                       if isinstance(base, OlsFit)
+                       else frobenius_norm_sq(base.y) / base.y.shape[1])
     return m, convex
 
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import ols_fit
+from .hermitian import _TILE_BYTES
 from .multi_target import (
     MultiMoments,
     _minimize,
@@ -209,8 +210,19 @@ def shrink(base: np.ndarray, target: np.ndarray,
     """Form the shrinkage estimate rho * base + tau * target.
 
     Nonnegative coefficients combined with PSD inputs keep the result
-    PSD; negative coefficients are rejected.
+    PSD; negative coefficients are rejected.  For operands of one shape,
+    tau * target is added into rho * base a row strip of about one
+    trace-sweep tile at a time, so the output is the one N x N array,
+    and each entry is still rho * b + tau * t, bit for bit.
     """
-    if solution.rho < 0.0 or solution.tau < 0.0:
+    rho, tau = solution.rho, solution.tau
+    if rho < 0.0 or tau < 0.0:
         raise ValueError("shrinkage coefficients must be nonnegative")
-    return solution.rho * base + solution.tau * target
+    if not np.ndim(base) or np.shape(base) != np.shape(target):  # broadcast
+        return rho * base + tau * target
+    out = np.empty(np.shape(base), np.result_type(rho, base, tau, target))
+    np.multiply(rho, base, out=out)
+    step = max(1, _TILE_BYTES // max(1, out[:1].nbytes))
+    for i in range(0, len(out), step):
+        out[i:i + step] += tau * target[i:i + step]
+    return out

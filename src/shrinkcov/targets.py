@@ -26,7 +26,7 @@ __all__ = [
 
 def scaled_identity_target(r: np.ndarray) -> np.ndarray:
     """Identity scaled to match the trace of ``r``: (tr r / n) I."""
-    r, own, *_ = _base(r)
+    r, own = _base(r)
     n = r.shape[0]
     t0 = np.zeros((n, n))  # filled in place: one N x N array
     np.fill_diagonal(t0, float(np.trace(r).real) / n)
@@ -40,7 +40,7 @@ def diagonal_target(r: np.ndarray) -> np.ndarray:
     is clipped to zero; genuinely negative diagonal entries are rejected
     at any scale.
     """
-    r, own, *_ = _base(r)
+    r, own = _base(r)
     d = np.diag(r).real.copy()
     if np.any(d < -1e-12 * np.max(np.abs(d), initial=0.0)):
         raise ValueError("diagonal target requires nonnegative diagonal entries")
@@ -58,7 +58,7 @@ def toeplitz_average_target(r: np.ndarray) -> np.ndarray:
     a contiguous ``r``); its sum over the band length is what
     ``np.mean`` of the diagonal computes, bit for bit.
     """
-    r, own, *_ = _base(r)
+    r, own = _base(r)
     n = r.shape[0]
     flat = r.ravel()
     first_row = np.empty(n)

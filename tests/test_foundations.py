@@ -10,6 +10,7 @@ from shrinkcov.baselines import glc_coefficients, lw_coefficients, oas_coefficie
 from shrinkcov.estimators import ols_fit, scm
 from shrinkcov.datagen import ar_covariance
 from shrinkcov.hermitian import (
+    _TILE_BYTES,
     _tiles,
     _toeplitz,
     frobenius_norm_sq,
@@ -21,8 +22,16 @@ from shrinkcov.hermitian import (
     validate_samples,
 )
 from shrinkcov.multi_target import mt_select
-from shrinkcov.single_target import select_single_target
-from shrinkcov.targets import scaled_identity_target, toeplitz_average_target
+from shrinkcov.single_target import (
+    ShrinkageSolution,
+    select_single_target,
+    shrink,
+)
+from shrinkcov.targets import (
+    diagonal_target,
+    scaled_identity_target,
+    toeplitz_average_target,
+)
 
 from oracles import (
     hermitian_check_dense,
@@ -324,6 +333,32 @@ def test_require_hermitian_rejects_a_deviation_that_overflows(n, cplx):
                     require_hermitian(a, tol=tol)
 
 
+def test_require_hermitian_rejects_a_deviation_beside_an_overflowing_modulus():
+    # |a_01| overflows, so the peak is inf and tol * peak is NaN at tol 0;
+    # the deviation 0.5 of the (0, 2) pair still rejects, with no warning
+    # (the suite turns RuntimeWarning into an error)
+    a = np.eye(3, dtype=complex)
+    a[0, 1] = 1.5e308 + 1.5e308j
+    a[1, 0] = np.conj(a[0, 1])
+    a[0, 2], a[2, 0] = 1.0, 0.5
+    with pytest.raises(ValueError, match=r"max deviation 5\.000e-01"):
+        require_hermitian(a, tol=0.0)
+    a[2, 0] = 1.0  # Hermitian again: a deviation of 0 passes
+    assert require_hermitian(a, tol=0.0) is a
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_require_hermitian_nan_tol_accepts_no_deviation(cplx):
+    rng = np.random.default_rng(79)
+    h = random_hermitian(5, rng, cplx)
+    assert require_hermitian(h, tol=math.nan) is h  # exact, as before
+    h[4, 1] += 1e-15
+    with pytest.raises(ValueError, match="not Hermitian"):
+        require_hermitian(h, tol=math.nan)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        require_hermitian(h, tol=np.float64(math.nan))
+
+
 def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
@@ -351,10 +386,44 @@ def test_selection_path_allocates_no_dense_temporary(cplx):
     assert _traced_peak(scaled_identity_target, a) < out_bytes + tiles
     # R scaled in place: one N x N output plus O(N * T)
     assert _traced_peak(scm, y) < a.nbytes + 4 * y.nbytes + 65536
-    # raw targets are checked and swept in tiles: nothing N x N but the
-    # block's R
-    assert (_traced_peak(mt_select, "cv", [a, b], y)
-            < a.nbytes + 4 * y.nbytes + tiles)
+    # raw targets are checked and swept in tiles, and R is formed a tile
+    # at a time from y: nothing N x N
+    assert _traced_peak(mt_select, "cv", [a, b], y) < a.nbytes / 4
+    assert _traced_peak(select_single_target, "cv", a, y) < a.nbytes / 4
+    r = scm(y)
+    convex = [scaled_identity_target(r), diagonal_target(r)]
+    assert (_traced_peak(mt_select, "cv_constrained", convex, y)
+            < a.nbytes / 4)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_shrink_allocates_its_output_and_one_strip(cplx):
+    n = 512
+    rng = np.random.default_rng(78)
+    a = random_hermitian(n, rng, cplx)
+    b = random_psd(n, rng, False)
+    sol = ShrinkageSolution(0.75, 0.5)
+    # a real strip added into a complex output is cast through numpy's
+    # ufunc buffer
+    cast = np.getbufsize() * a.itemsize if cplx else 0
+    assert (_traced_peak(shrink, a, b, sol)
+            < a.nbytes + _TILE_BYTES + cast + 16384)
+
+
+@pytest.mark.parametrize("n", [1, 5, 16, 17, 300])
+def test_shrink_by_strips_keeps_the_bits_of_the_dense_formula(n):
+    rng = np.random.default_rng(n)
+    real, cplx = random_hermitian(n, rng, False), random_hermitian(n, rng)
+    for base, target in ((real, cplx), (cplx, real), (cplx, cplx),
+                         (real.astype(np.float32), real)):
+        for rho, tau in ((0.3, 0.7), (np.float64(1.5), 1e-300), (0.0, 2.0)):
+            want = rho * base + tau * target
+            got = shrink(base, target, ShrinkageSolution(rho, tau))
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    # eigenvalues and a scalar broadcast as before
+    w = np.arange(1.0, n + 1.0)
+    assert np.array_equal(shrink(w, 2.5, ShrinkageSolution(0.5, 0.25)),
+                          0.5 * w + 0.25 * 2.5)
 
 
 def test_require_hermitian_on_inexact_matrix_allocates_no_dense_temporary():

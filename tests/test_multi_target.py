@@ -14,7 +14,9 @@ from shrinkcov.estimators import (
     scm,
 )
 from shrinkcov.hermitian import (
+    _SampleFactor,
     _tiles,
+    _trace_products,
     frobenius_norm_sq,
     real_trace_product,
 )
@@ -442,6 +444,35 @@ def test_gram_sweep_matches_pairwise_trace_products(size, cplx):
             assert np.array_equal(got, want)
         else:
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("t", [3, 5, 50])
+@pytest.mark.parametrize("n", [1, 2, 7, 90, 91, 128, 129, 300])
+def test_sample_factor_sweep_matches_products_of_the_scm(n, t, cplx):
+    # R given as its sample factor: each tile formed from two row blocks
+    # of y agrees with the products of scm(y); real operands mixed in
+    rng = np.random.default_rng(7 * n + t)
+    y = random_samples(n, t, rng, cplx)
+    r = scm(y)
+    mats = [_SampleFactor(y), random_psd(n, rng, cplx, rank=3),
+            random_psd(n, rng, False), r]
+    pairs = [(i, j) for i in range(4) for j in range(i, 4)]
+    for (i, j), got in zip(pairs, _trace_products(mats, pairs)):
+        p, q = (r if k == 0 else mats[k] for k in (i, j))
+        want = real_trace_product(p, q)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), (i, j)
+        if n <= _sweep_size("tile", cplx)[1]:  # one tile: scm's R exactly
+            assert got == _trace_products([p, q], [(0, 1)])[0]
+
+
+def test_sample_factor_tile_is_the_scm_product_at_one_tile():
+    rng = np.random.default_rng(17)
+    for cplx, n in ((False, 128), (True, 90), (False, 5), (True, 1)):
+        y = random_samples(n, 4, rng, cplx)
+        rows, cols = next(_tiles(n, y.itemsize))
+        assert rows.stop >= n
+        assert np.array_equal(_SampleFactor(y).tile(rows, cols), scm(y))
 
 
 def test_mt_loocv_fast_matches_naive():

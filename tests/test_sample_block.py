@@ -1,4 +1,6 @@
 """The validated sample block: same numbers as the raw path, trust per object."""
+import sys
+
 import numpy as np
 import pytest
 
@@ -359,3 +361,94 @@ def test_matrices_the_block_does_not_own_are_never_memoized(complex_field):
     fresh = sample_block(y)
     assert _same(after[0], mt_scm_loocv_moments(fresh, [scaled_identity_target(
         fresh), raw]))
+
+
+# ---------------------------------------------------------------------------
+# a selection with matrices the block does not own forms no R
+
+
+def _count_scm(monkeypatch):
+    """Calls of estimators.scm, wrapped wherever the package binds it."""
+    real, calls = estimators.scm, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("shrinkcov")
+                and getattr(module, "scm", None) is real):
+            monkeypatch.setattr(module, "scm", counted)
+    return calls
+
+
+@pytest.mark.parametrize("complex_field, n", [
+    (False, 1), (False, 7), (False, 90), (False, 128),  # one real tile
+    (True, 1), (True, 7), (True, 90)])                  # one complex tile
+def test_raw_selection_at_one_tile_matches_the_memo_path(complex_field, n):
+    # at one tile, R's sample-factor tile is scm's product, so raw samples
+    # and raw targets select as a block that owns copies of the targets
+    # (R formed, products memoized) does, bit for bit
+    y, truth = _data(complex_field, n=n, t=5, seed=n)
+    r = scm(y)
+    raw = [build(r) for build in BUILDERS]
+    block = sample_block(y)
+    owned = [block.own(m.copy()) for m in raw]
+    truth_copy = block.own(truth.copy())
+    assert _same(mt_scm_loocv_moments(y, raw),
+                 mt_scm_loocv_moments(block, owned))
+    for method in METHODS:
+        assert _same(mt_select(method, raw, samples=y, truth=truth),
+                     mt_select(method, owned, samples=block, truth=truth_copy))
+        assert _same(select_single_target(method, raw[0], samples=y,
+                                          truth=truth),
+                     select_single_target(method, owned[0], samples=block,
+                                          truth=truth_copy))
+
+
+@pytest.mark.parametrize("complex_field", (False, True))
+def test_raw_samples_a_block_and_a_block_with_r_select_alike(complex_field):
+    y, truth = _data(complex_field, n=300, t=20, seed=3)
+    r = scm(y)
+    targets = [build(r) for build in BUILDERS]
+    read_first = sample_block(y)
+    read_first.r
+    for method in METHODS:
+        got = [mt_select(method, targets, samples=s, truth=truth)
+               for s in (y, sample_block(y), read_first)]
+        assert _same(got[0], got[1]) and _same(got[0], got[2]), method
+        single = [select_single_target(method, targets[0], samples=s,
+                                       truth=truth)
+                  for s in (y, sample_block(y), read_first)]
+        assert _same(single[0], single[1]) and _same(single[0], single[2])
+
+
+def test_a_high_dimensional_selection_op_forms_r_once(monkeypatch):
+    # the op of the N >> T benchmark: the caller's R and its targets, two
+    # selections on the raw samples and the shrunk estimate
+    import shrinkcov as sc
+    y, _ = _data(False, n=300, t=20, seed=5)
+    calls = _count_scm(monkeypatch)
+    r = sc.scm(y)
+    targets = [sc.scaled_identity_target(r), sc.diagonal_target(r),
+               sc.toeplitz_average_target(r)]
+    sol = sc.select_single_target("cv", targets[0], samples=y)
+    sc.shrink(r, targets[0], sol)
+    sc.mt_select("cv", targets, samples=y)
+    assert len(calls) == 1 and calls[0] is y
+
+
+@pytest.mark.parametrize("complex_field", (False, True))
+def test_convex_selection_on_raw_samples_forms_no_r(complex_field,
+                                                    monkeypatch):
+    y, _ = _data(complex_field, n=200, t=10, seed=8)
+    targets = [build(scm(y)) for build in BUILDERS]
+    block = sample_block(y)
+    calls = _count_scm(monkeypatch)
+    mt_select("cv_constrained", targets, samples=y)
+    mt_select("cv_constrained", targets, samples=block)
+    select_single_target("cv_constrained", targets[0], samples=block)
+    assert not calls and "r" not in vars(block)
+    # the trace guard reads tr R as ||Y||_F^2 / T
+    with pytest.raises(ValueError, match="trace"):
+        mt_select("cv_constrained", [1.01 * targets[0]], samples=block)
+    assert not calls and "r" not in vars(block)
