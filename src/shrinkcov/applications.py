@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .hermitian import hermitize, require_hermitian
+from .hermitian import frobenius_norm_sq, hermitize, require_hermitian
 
 __all__ = [
     "ula_steering",
@@ -56,13 +56,20 @@ def _solve_pd(cov: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _pinv_solve(cov: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve cov @ x = rhs, inverting only eigenvalues above the rank cutoff."""
+    v, w, coords = _pinv_terms(cov, rhs)
+    return v @ (coords / w)
+
+
+def _pinv_terms(cov: np.ndarray, rhs: np.ndarray) -> tuple:
+    """(V, w, V^H rhs) of the eigenpairs (w, V) of ``cov`` above the rank
+    cutoff, which :func:`_pinv_solve` inverts."""
     w, v = np.linalg.eigh(hermitize(cov))
     cutoff = cov.shape[0] * np.finfo(float).eps * max(float(w[-1]), 0.0)
     keep = w > cutoff
     if not np.any(keep):
         raise ValueError("covariance has no positive eigenvalues")
-    coords = v[:, keep].conj().T @ rhs
-    return v[:, keep] @ (coords / w[keep])
+    v = v[:, keep]
+    return v, w[keep], v.conj().T @ rhs
 
 
 def mvdr_weights(cov: np.ndarray, steering: np.ndarray) -> np.ndarray:
@@ -85,15 +92,20 @@ def mvdr_weights_pseudo(cov: np.ndarray, steering: np.ndarray) -> np.ndarray:
 
     Eigenvalues below the usual rank cutoff are dropped rather than
     inverted, so sample covariances with T < N remain usable.  Raises if
-    the steering vector is orthogonal to the retained subspace (the
-    distortionless constraint is then unsatisfiable).
+    the steering vector is not finite, or orthogonal to the retained
+    subspace (the distortionless constraint is then unsatisfiable): when
+    its energy there is at most 1e-14 of ||s||^2, a test that does not
+    depend on the scale of ``cov``.
     """
-    q = _pinv_solve(require_hermitian(cov), steering)
-    denom = float(np.vdot(steering, q).real)
-    if denom <= 1e-14:
+    energy = frobenius_norm_sq(steering)
+    if not math.isfinite(energy):
+        raise ValueError("steering vector contains non-finite entries")
+    v, w, coords = _pinv_terms(require_hermitian(cov), steering)
+    if not frobenius_norm_sq(coords) > 1e-14 * energy:
         raise ValueError("steering vector is orthogonal to the covariance "
                          "range; distortionless weights do not exist")
-    return q / denom
+    q = v @ (coords / w)
+    return q / float(np.vdot(steering, q).real)
 
 
 def output_sinr(weights: np.ndarray, steering: np.ndarray, signal_power: float,
@@ -101,13 +113,19 @@ def output_sinr(weights: np.ndarray, steering: np.ndarray, signal_power: float,
     """Output SINR of a beamformer in dB.
 
     SINR = signal_power |w^H s|^2 / (w^H Sigma_in w) with Sigma_in the
-    interference-plus-noise covariance.
+    interference-plus-noise covariance.  A NaN or infinite entry of any
+    input makes the power ratio non-finite, which is rejected.
     """
-    denom = float(np.vdot(weights, interference_cov @ weights).real)
+    with np.errstate(invalid="ignore", over="ignore"):  # rejected below
+        denom = float(np.vdot(weights, interference_cov @ weights).real)
+        num = signal_power * abs(np.vdot(weights, steering)) ** 2
+    if not (math.isfinite(num) and math.isfinite(denom)):
+        raise ValueError("output SINR is not finite: weights, steering "
+                         "vector, signal power and interference covariance "
+                         "must be finite")
     if denom <= 0.0:
         raise ValueError("interference-plus-noise power at the beamformer "
                          "output must be positive")
-    num = signal_power * abs(np.vdot(weights, steering)) ** 2
     return float(10.0 * np.log10(num / denom))
 
 

@@ -77,7 +77,7 @@ def ar_covariance(n: int, r) -> np.ndarray:
     Entry (i, j) is r**(j-i) above the diagonal and the conjugate below;
     requires |r| < 1.  Real coefficients give a real matrix.
     """
-    if abs(r) >= 1.0:
+    if not abs(r) < 1.0:  # NaN too
         raise ValueError("autoregressive coefficient must satisfy |r| < 1")
     first_row = np.asarray(r) ** np.arange(n)
     return _toeplitz(np.conj(first_row), first_row)

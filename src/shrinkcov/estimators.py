@@ -24,10 +24,12 @@ while the owner lives.  Every other matrix is checked, and its products
 are taken again, on every call: its caller may change it in place.
 
 A sample block forms R on first use, and a selection on the block does
-not use it for matrices the block does not own: the products of R with
-them, tr R^2 included, come from tiles of R formed from ``y`` one at a
-time in the trace sweep (:func:`shrinkcov.hermitian._trace_products`),
-so raw samples and raw targets are selected on without an N x N R.
+not use it for matrices the block does not own.  :func:`_operands`
+decides how R is read: for those matrices it hands the trace sweep
+(:func:`shrinkcov.hermitian._trace_products`) R as its
+:class:`_SampleFactor`, whose tiles are formed from two row blocks of
+``y`` when the sweep reaches them and dropped after, so raw samples and
+raw targets are selected on without an N x N R, tr R^2 included.
 """
 
 from __future__ import annotations
@@ -37,8 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hermitian import (_SampleFactor, real_trace_product, require_hermitian,
-                        validate_samples)
+from .hermitian import real_trace_product, require_hermitian, validate_samples
 
 __all__ = [
     "SampleBlock",
@@ -119,6 +120,24 @@ def sample_block(samples, min_count: int = 1,
     y = validate_samples(samples, min_count, name).view()
     y.flags.writeable = False
     return SampleBlock(y)
+
+
+class _SampleFactor:
+    """R = y y^H / T of an N x T sample block ``y``, as an operand of the
+    trace sweep (:func:`shrinkcov.hermitian._trace_products`), which
+    forms R one tile at a time."""
+
+    def __init__(self, y: np.ndarray):
+        self.y = y
+        self.shape = (y.shape[0], y.shape[0])
+        self.dtype, self.itemsize = y.dtype, y.itemsize
+
+    def tile(self, rows: slice, cols: slice) -> np.ndarray:
+        """R[rows, cols], scaled in place; when it is all of R, the
+        product that :func:`scm` forms, bit for bit."""
+        t = self.y[rows] @ self.y[cols].conj().T
+        t /= self.y.shape[1]
+        return t
 
 
 def _base(base) -> tuple:

@@ -15,14 +15,9 @@ it forms max|a| only for a matrix that is not exactly Hermitian, and
 every real matrix the package builds is.  :func:`real_trace_product` is
 one contiguous inner product, and the Gram matrix of the selection
 moments takes its products in one sweep over the tiles, the diagonal
-ones once and the others twice.  One operand of that sweep may be the
-sample covariance R = Y Y^H / T of an N x T block Y given as its
-:class:`_SampleFactor`: the sweep forms each tile of R from two row
-blocks of Y when it reaches the tile and drops it, so a selection on
-raw samples never holds R (those tiles are BLAS products, as the R of
-:func:`shrinkcov.estimators.scm` is).  All the passes and
-:func:`frobenius_norm_sq` reduce in numpy without BLAS, so they do not
-depend on the BLAS thread count.
+ones once and the others twice, reading each operand's tile as it
+reaches it.  All the passes and :func:`frobenius_norm_sq` reduce in
+numpy without BLAS, so they do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -35,7 +30,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 __all__ = [
     "real_trace_product",
     "frobenius_norm_sq",
-    "outer_product",
     "is_psd",
     "hermitize",
     "require_hermitian",
@@ -86,35 +80,18 @@ def _tiles(n: int, itemsize: int):
             yield slice(i, i + side), slice(j, j + side)
 
 
-class _SampleFactor:
-    """R = y y^H / T of an N x T sample block ``y``, as an operand of
-    :func:`_trace_products`, which forms R one tile at a time."""
-
-    def __init__(self, y: np.ndarray):
-        self.y = y
-        self.shape = (y.shape[0], y.shape[0])
-        self.dtype, self.itemsize = y.dtype, y.itemsize
-
-    def tile(self, rows: slice, cols: slice) -> np.ndarray:
-        """R[rows, cols], scaled in place; when it is all of R, the
-        product that :func:`shrinkcov.estimators.scm` forms, bit for bit."""
-        t = self.y[rows] @ self.y[cols].conj().T
-        t /= self.y.shape[1]
-        return t
-
-
 def _trace_products(mats, pairs) -> list[float]:
     """:func:`real_trace_product` of mats[i] and mats[j] for each (i, j) of
     ``pairs``, all in one sweep over the square tiles of the upper triangle.
 
     The operands must be Hermitian (to the tolerance of
     :func:`require_hermitian`): a product is then that of the diagonal
-    tiles plus twice that of the others.  So each operand is read once,
-    a tile at a time, and none is copied unless it is complex and not
-    C-contiguous.  An operand may be a :class:`_SampleFactor`, whose tile
-    is formed when the sweep reaches it and dropped after it.  When one
-    tile is the whole matrix each product is :func:`real_trace_product`'s
-    einsum, bit for bit.
+    tiles plus twice that of the others.  Each operand is read once, a
+    tile at a time: ``m[rows, cols]`` of an array, ``m.tile(rows, cols)``
+    of any other operand (one with ``shape``, ``dtype`` and ``itemsize``,
+    which may form its tile when the sweep reaches it), and no operand is
+    copied whole.  When one tile is the whole matrix each product is
+    :func:`real_trace_product`'s einsum, bit for bit.
     """
     if not pairs:
         return []
@@ -127,20 +104,12 @@ def _trace_products(mats, pairs) -> list[float]:
     cplx = [np.iscomplexobj(m) for m in mats]
     ops = [(i, j, cplx[i] and cplx[j]) for i, j in pairs]
     used = {(k, both) for i, j, both in ops for k in (i, j)}
-    factors = {k for k, _ in used if isinstance(mats[k], _SampleFactor)}
-    parts = {(k, both): _parts(mats[k], both) for k, both in used
-             if k not in factors}
     sums = [0.0] * len(ops)
     for rows, cols in _tiles(n, max(m.itemsize for m in mats)):
         weight = 1.0 if rows == cols else 2.0
-        formed = {k: mats[k].tile(rows, cols) for k in factors}
-        view = {}
-        for k, both in used:
-            if k in formed:
-                view[k, both] = _parts(formed[k], both)
-            else:  # parts of 1 + both floats per entry
-                span = slice((1 + both) * cols.start, (1 + both) * cols.stop)
-                view[k, both] = parts[k, both][rows, span]
+        tile = {k: mats[k][rows, cols] if isinstance(mats[k], np.ndarray)
+                else mats[k].tile(rows, cols) for k in {k for k, _ in used}}
+        view = {(k, both): _parts(tile[k], both) for k, both in used}
         for p, (i, j, both) in enumerate(ops):
             sums[p] += weight * np.einsum("ij,ij->", view[i, both],
                                           view[j, both])
@@ -168,12 +137,6 @@ def frobenius_norm_sq(a: np.ndarray) -> float:
     if np.iscomplexobj(a):
         a = a.astype(np.complex128, copy=False).view(np.float64)
     return float(np.einsum("i,i->", a, a))
-
-
-def outer_product(y: np.ndarray) -> np.ndarray:
-    """Rank-one Hermitian outer product y y^H of a single sample."""
-    y = np.asarray(y)
-    return np.outer(y, y.conj())
 
 
 def is_psd(a: np.ndarray, tol: float = 1e-8) -> bool:
@@ -258,8 +221,15 @@ def _max_abs_difference(x: np.ndarray, y: np.ndarray) -> float:
 
 def validate_samples(y: np.ndarray, min_count: int = 1,
                      name: str = "samples") -> np.ndarray:
-    """Validate an N x T sample block: 2-d, N >= 1, finite, min_count columns."""
+    """Validate an N x T sample block: 2-d, N >= 1, finite, min_count columns.
+
+    Integer and bool samples come back as float64, so the estimates
+    formed from them can be scaled in place; inexact ones are returned
+    as they are.
+    """
     y = np.asarray(y)
+    if y.dtype.kind in "biu":
+        y = y.astype(np.float64)
     if y.ndim != 2:
         raise ValueError(f"{name} must be a 2-d (N, T) array, got ndim {y.ndim}")
     if y.shape[0] == 0:

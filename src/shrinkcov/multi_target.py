@@ -32,8 +32,7 @@ from itertools import chain
 import numpy as np
 
 from .estimators import OlsFit, _operands, sample_block
-from .hermitian import (_trace_products, frobenius_norm_sq, is_psd,
-                        outer_product)
+from .hermitian import _trace_products, frobenius_norm_sq, is_psd
 
 __all__ = [
     "MultiMoments",
@@ -311,7 +310,7 @@ def mt_loocv_moments(loo_covs, samples: np.ndarray, targets) -> MultiMoments:
     targets = list(targets)
     if len(loo_covs) != y.shape[1]:
         raise ValueError("need one leave-one-out estimate per sample")
-    folds = [mt_oracle_moments(r_i, targets, outer_product(y_i))
+    folds = [mt_oracle_moments(r_i, targets, np.outer(y_i, y_i.conj()))
              for r_i, y_i in zip(loo_covs, y.T)]
     return MultiMoments(a=np.mean([f.a for f in folds], axis=0),
                         b=np.mean([f.b for f in folds], axis=0),

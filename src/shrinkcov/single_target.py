@@ -210,14 +210,15 @@ def shrink(base: np.ndarray, target: np.ndarray,
     """Form the shrinkage estimate rho * base + tau * target.
 
     Nonnegative coefficients combined with PSD inputs keep the result
-    PSD; negative coefficients are rejected.  For operands of one shape,
-    tau * target is added into rho * base a row strip of about one
-    trace-sweep tile at a time, so the output is the one N x N array,
-    and each entry is still rho * b + tau * t, bit for bit.
+    PSD; negative or non-finite coefficients are rejected.  For operands
+    of one shape, tau * target is added into rho * base a row strip of
+    about one trace-sweep tile at a time, so the output is the one N x N
+    array, and each entry is still rho * b + tau * t, bit for bit.
     """
     rho, tau = solution.rho, solution.tau
-    if rho < 0.0 or tau < 0.0:
-        raise ValueError("shrinkage coefficients must be nonnegative")
+    if not (0.0 <= rho < math.inf and 0.0 <= tau < math.inf):  # NaN too
+        raise ValueError("shrinkage coefficients must be finite and "
+                         f"nonnegative, got {rho!r} and {tau!r}")
     if not np.ndim(base) or np.shape(base) != np.shape(target):  # broadcast
         return rho * base + tau * target
     out = np.empty(np.shape(base), np.result_type(rho, base, tau, target))

@@ -41,7 +41,7 @@ def diagonal_target(r: np.ndarray) -> np.ndarray:
     at any scale.
     """
     r, own = _base(r)
-    d = np.diag(r).real.copy()
+    d = np.diag(r).real.astype(np.float64)
     if np.any(d < -1e-12 * np.max(np.abs(d), initial=0.0)):
         raise ValueError("diagonal target requires nonnegative diagonal entries")
     d[d < 0.0] = 0.0

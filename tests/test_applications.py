@@ -85,6 +85,33 @@ def test_mvdr_pseudo_orthogonal_steering_raises():
         mvdr_weights_pseudo(np.outer(u, u.conj()), s)
 
 
+@pytest.mark.parametrize("c", [1e-8, 1e-3, 1.0, 1e3, 1e8, 1e15, 1e16])
+def test_mvdr_pseudo_orthogonality_test_is_scale_free(c):
+    # the decision for c * cov is the decision for cov: a steering vector
+    # in the range gets distortionless weights at every scale, and one
+    # orthogonal to it is rejected at every scale
+    s = ula_steering(0.2, 4)
+    w = mvdr_weights_pseudo(c * np.eye(4), s)
+    assert np.vdot(w, s) == pytest.approx(1.0, abs=1e-12)
+    rank_one = c * np.outer(s, s.conj())
+    assert np.vdot(mvdr_weights_pseudo(rank_one, s), s) == pytest.approx(1.0)
+    u = np.zeros(4, dtype=complex)
+    u[0] = 1.0
+    s_perp = np.zeros(4, dtype=complex)
+    s_perp[1] = 1.0
+    for cov in (c * np.outer(u, u.conj()), c * np.diag([1.0, 0.0, 2.0, 3.0])):
+        with pytest.raises(ValueError, match="orthogonal"):
+            mvdr_weights_pseudo(cov, s_perp)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_mvdr_pseudo_rejects_non_finite_steering(bad):
+    s = ula_steering(0.2, 4)
+    s[1] = bad
+    with pytest.raises(ValueError, match="steering vector"):
+        mvdr_weights_pseudo(np.eye(4), s)
+
+
 def test_output_sinr_frozen_db():
     n, sigma2 = 10, 0.1
     s = ula_steering(0.0, n)
@@ -97,6 +124,18 @@ def test_output_sinr_guard():
     s = ula_steering(0.0, 3)
     with pytest.raises(ValueError):
         output_sinr(s, s, 1.0, np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_output_sinr_rejects_non_finite_inputs(bad):
+    good, w = np.ones(2), np.array([bad, 1.0])
+    cov = np.eye(2)
+    cov[0, 1] = cov[1, 0] = bad
+    for args in ((w, good, 1.0, np.eye(2)), (good, w, 1.0, np.eye(2)),
+                 (np.array([0.0, 1.0]), w, 1.0, np.eye(2)),
+                 (good, good, bad, np.eye(2)), (good, good, 1.0, cov)):
+        with pytest.raises(ValueError, match="SINR is not finite"):
+            output_sinr(*args)
 
 
 def test_mmse_channel_estimate_frozen():

@@ -61,6 +61,9 @@ def test_ar_covariance_guards_and_psd():
         ar_covariance(4, 1.0)
     with pytest.raises(ValueError):
         ar_covariance(4, 1.2j)
+    for r in (math.nan, complex(math.nan, 0.0), math.inf):
+        with pytest.raises(ValueError, match=r"\|r\| < 1"):
+            ar_covariance(3, r)
     for r in (0.0, 0.9, -0.7, 0.7 * np.exp(-1j * 0.9349 * np.pi)):
         assert is_psd(ar_covariance(12, r), tol=1e-10)
 

@@ -1,14 +1,27 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from shrinkcov.baselines import glc_coefficients, lw_coefficients, oas_coefficient
+from shrinkcov.datagen import ar_covariance
 from shrinkcov.estimators import (
     ols_covariance,
     ols_fit,
     ols_loo_blocks,
     ols_loo_covariances,
+    sample_block,
     scm,
 )
-from shrinkcov.hermitian import is_psd
+from shrinkcov.hermitian import is_psd, validate_samples
+from shrinkcov.multi_target import mt_select
+from shrinkcov.single_target import select_single_target
+from shrinkcov.targets import (
+    diagonal_target,
+    knowledge_aided_target,
+    scaled_identity_target,
+    toeplitz_average_target,
+)
 
 from oracles import (
     loo_scm_naive,
@@ -45,6 +58,62 @@ def test_scm_matches_naive_accumulation():
 def test_scm_empty_raises():
     with pytest.raises(ValueError):
         scm(np.zeros((3, 0)))
+
+
+def _sample_results(y):
+    """Every estimate and selection of samples ``y`` as a flat list:
+    scm, the three targets of a raw R, both facades on owned and on raw
+    targets by every method, the three baselines and the knowledge-aided
+    target."""
+    n = y.shape[0]
+    truth = ar_covariance(n, 0.5)
+    out = [scm(y)]
+    raw = [f(scm(y)) for f in (scaled_identity_target, diagonal_target,
+                               toeplitz_average_target)]
+    out += raw
+    for owned in (True, False):
+        block = sample_block(y)
+        samples = block if owned else y
+        targets = [f(block) for f in (scaled_identity_target, diagonal_target,
+                                      toeplitz_average_target)] if owned else raw
+        for method in ("cv", "cv_constrained", "oracle", "oracle_constrained"):
+            out += dataclasses.astuple(select_single_target(
+                method, targets[0], samples=samples, truth=truth))
+            out += dataclasses.astuple(mt_select(method, targets,
+                                                 samples=samples, truth=truth))
+    out += [dataclasses.astuple(f(y)) for f in (lw_coefficients,
+                                                oas_coefficient)]
+    out += dataclasses.astuple(glc_coefficients(y, raw[2]))
+    out.append(knowledge_aided_target(y))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["int64", "int8", "uint8", "bool"])
+def test_integer_and_bool_samples_give_the_results_of_their_float_cast(kind):
+    rng = np.random.default_rng(5)
+    y = (rng.integers(-3, 4, (4, 9)) if kind == "int64"
+         else rng.integers(-3, 4, (4, 9)).astype(kind) if kind == "int8"
+         else rng.integers(0, 6, (4, 9)).astype(kind) if kind == "uint8"
+         else rng.integers(0, 2, (4, 9)).astype(bool))
+    y[:, 0] = 1  # no zero row
+    assert validate_samples(y).dtype == np.float64
+    np.testing.assert_equal(_sample_results(y),
+                            _sample_results(y.astype(np.float64)))
+
+
+def test_inexact_samples_are_validated_without_a_copy():
+    for dtype in (np.float32, np.float64, np.complex64, np.complex128):
+        y = np.ones((3, 4), dtype)
+        assert validate_samples(y) is y
+
+
+def test_diagonal_target_of_an_integer_covariance_is_float():
+    r = np.array([[2, 1], [1, 3]])
+    got = diagonal_target(r)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, np.diag([2.0, 3.0]))
+    assert scaled_identity_target(r).dtype == np.float64
+    assert toeplitz_average_target(r).dtype == np.float64
 
 
 def test_scm_leave_one_out_frozen():

@@ -16,7 +16,6 @@ from shrinkcov.hermitian import (
     frobenius_norm_sq,
     hermitize,
     is_psd,
-    outer_product,
     real_trace_product,
     require_hermitian,
     validate_samples,
@@ -126,16 +125,6 @@ def test_frobenius_norm_sq_any_shape_and_layout(shape, cplx, order):
     assert frobenius_norm_sq(a) == pytest.approx(want, rel=1e-13)
     assert frobenius_norm_sq(a[::-2]) == pytest.approx(
         np.linalg.norm(a[::-2]) ** 2, rel=1e-13)
-
-
-def test_outer_product_frozen():
-    y = np.array([1 + 1j, 2.0])
-    want = np.array([[2.0, 2 + 2j], [2 - 2j, 4.0]])
-    got = outer_product(y)
-    assert np.allclose(got, want, atol=1e-14)
-    assert np.allclose(got, got.conj().T, atol=1e-14)
-    assert np.linalg.matrix_rank(got) == 1
-    assert is_psd(got)
 
 
 def test_is_psd():

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from shrinkcov import multi_target
 from shrinkcov.datagen import ar_covariance, gaussian_samples
 from shrinkcov.estimators import (
+    _SampleFactor,
     ols_fit,
     ols_loo_covariances,
     sample_block,
     scm,
 )
 from shrinkcov.hermitian import (
-    _SampleFactor,
     _tiles,
     _trace_products,
     frobenius_norm_sq,

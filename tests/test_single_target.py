@@ -604,6 +604,14 @@ def test_shrink_nonneg_guard_and_psd():
         shrink(r, t0, ShrinkageSolution(rho=-0.1, tau=0.5))
 
 
+@pytest.mark.parametrize("rho, tau", [(np.nan, 0.5), (0.5, np.nan),
+                                      (np.inf, 0.5), (0.5, np.inf)])
+def test_shrink_rejects_non_finite_coefficients(rho, tau):
+    from shrinkcov.single_target import ShrinkageSolution
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        shrink(np.eye(2), np.eye(2), ShrinkageSolution(rho=rho, tau=tau))
+
+
 def test_shrink_dtype_values_and_inputs_unmodified():
     from shrinkcov.single_target import ShrinkageSolution
     rng = np.random.default_rng(45)
