@@ -11,8 +11,10 @@ Two estimation paths are supported:
 
 The Gram matrix of the regressors is factorized once; the rank-one
 updates of all T samples are computed together as column blocks (sample
-t is column t), which the least-squares moment accumulator of
-:mod:`shrinkcov.multi_target` reads directly without a loop over samples.
+t is column t), and so are the per-sample terms that depend on the fit
+alone (:func:`ols_loo_terms`).  The fit keeps both, and the
+least-squares moment accumulator of :mod:`shrinkcov.multi_target`
+reads them directly without a loop over samples.
 
 Both base estimates, :class:`SampleBlock` and :class:`OlsFit`, are owners:
 each holds its samples ``y`` (a fit, its outputs), R, the targets built
@@ -20,7 +22,9 @@ from R and a truth registered on it (``own``) read-only: all a selection
 needs.  A function given the owner skips :func:`require_hermitian` for
 exactly those objects, matched by identity, and memoizes their pairwise
 trace products: an owned matrix cannot change, and its id is not reused
-while the owner lives.  Every other matrix is checked, and its products
+while the owner lives.  A scaled identity mu I is registered with mu,
+so a product with it can be read as mu times a sum the owner keeps
+(:func:`ols_loo_terms`).  Every other matrix is checked, and its products
 are taken again, on every call: its caller may change it in place.
 
 A sample block forms R on first use, and a selection on the block does
@@ -49,6 +53,7 @@ __all__ = [
     "ols_fit",
     "ols_covariance",
     "ols_loo_blocks",
+    "ols_loo_terms",
     "ols_loo_covariances",
 ]
 
@@ -67,13 +72,21 @@ class _Owner:
 
     _owned: dict = field(default_factory=dict, init=False, repr=False)
     _traces: dict = field(default_factory=dict, init=False, repr=False)
+    _scales: dict = field(default_factory=dict, init=False, repr=False)
 
-    def own(self, m: np.ndarray) -> np.ndarray:
+    def own(self, m: np.ndarray, scale: float | None = None) -> np.ndarray:
+        """Register ``m``; a ``scale`` mu says that ``m`` is mu I."""
         m.flags.writeable = False
+        if scale is not None:
+            self._scales[id(m)] = scale
         return self._owned.setdefault(id(m), m)
 
     def owns(self, m) -> bool:
         return self._owned.get(id(m)) is m
+
+    def scale(self, m) -> float | None:
+        """mu of an owned ``m`` registered as mu I, else None."""
+        return self._scales.get(id(m)) if self.owns(m) else None
 
     def checked(self, m) -> np.ndarray:
         return m if self.owns(m) else require_hermitian(m)
@@ -148,7 +161,7 @@ def _base(base) -> tuple:
     r = require_hermitian(base)
     if r.shape[0] == 0:
         raise ValueError(f"covariance has no rows (shape {r.shape})")
-    return r, (lambda m: m)
+    return r, (lambda m, scale=None: m)
 
 
 def _operands(base, mats) -> tuple[list, _Owner | None]:
@@ -192,8 +205,12 @@ class OlsFit(_Owner):
     y : ndarray
         The N x T outputs it was fitted to, a read-only view.
 
-    ``r`` = coef coef^H + noise_var I, which the fit owns, and
-    ``loo_blocks`` (:func:`ols_loo_blocks`) are formed on first use.
+    ``r`` = coef coef^H + noise_var I, which the fit owns, the
+    leave-one-out blocks ``loo_blocks`` (:func:`ols_loo_blocks`) and the
+    per-sample terms of the fit alone ``loo_terms``
+    (:func:`ols_loo_terms`) are formed on first use, so every selection
+    on the fit shares them.  ``loo_products(m)`` forms a target's own
+    per-sample terms on each call.
     """
 
     coef: np.ndarray
@@ -212,6 +229,20 @@ class OlsFit(_Owner):
     @cached_property
     def loo_blocks(self) -> tuple[np.ndarray, ...]:
         return ols_loo_blocks(self)
+
+    @cached_property
+    def loo_terms(self) -> tuple[np.ndarray, ...]:
+        return ols_loo_terms(self)
+
+    def loo_products(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(tr(D_t M), y_t^H M y_t) for every t of a Hermitian N x N ``m``,
+        D_t = R - R_t (:func:`ols_loo_blocks`): two N x N by N x T
+        products, one N x T temporary at a time."""
+        e, _, delta, phi, psi = self.loo_blocks
+        quad = _col_inner(self.y, m @ self.y).real
+        me = m @ e
+        return (delta * float(np.trace(m).real) + _col_inner(phi, me).real
+                + _col_inner(me, psi).real, quad)
 
 
 def ols_fit(x: np.ndarray, y: np.ndarray) -> OlsFit:
@@ -268,6 +299,39 @@ def ols_loo_blocks(fit: OlsFit) -> tuple[np.ndarray, ...]:
     phi = fit.coef @ f
     psi = phi - np.einsum("ij,ij->j", f.conj(), f).real * e
     return e, f, delta, phi, psi
+
+
+def _col_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Column-wise inner products a[:, j]^H b[:, j] of equal-shape blocks."""
+    return np.einsum("ij,ij->j", a.conj(), b)
+
+
+def ols_loo_terms(fit: OlsFit) -> tuple[np.ndarray, ...]:
+    """Per-sample terms ``(tr_dr, tr_d2, quad_r, ny2, tr_d)`` of the fit
+    alone, entry t for the refit without sample t.
+
+    With R_t = R - D_t (:func:`ols_loo_blocks`) and y_t the output: tr(D_t
+    R), tr(D_t^2), y_t^H R_t y_t, ||y_t||^2 and tr D_t.  They are column
+    inner products of the blocks, and R's two products with them
+    (:meth:`OlsFit.loo_products`); a target adds only its own.
+    """
+    e, _, delta, phi, psi = fit.loo_blocks
+    y = fit.y
+    n = y.shape[0]
+    tr_dr, quad_r = fit.loo_products(fit.r)
+    # tr(D_t^2) via scalar products of the update vectors
+    pe = _col_inner(phi, e)     # phi^H e
+    ep = _col_inner(e, psi)     # e^H psi
+    ee = _col_inner(e, e).real
+    pp = _col_inner(phi, psi)   # phi^H psi
+    tr_d2 = (n * delta * delta + 2.0 * delta * (pe + ep).real
+             + (pe * pe + ep * ep + 2.0 * ee * pp).real)
+    ny2 = _col_inner(y, y).real
+    ye = _col_inner(y, e)       # y^H e; e^H y is its conjugate
+    py = _col_inner(phi, y)     # phi^H y
+    ys = _col_inner(y, psi)     # y^H psi
+    quad_r = quad_r - (delta * ny2 + (ye * py).real + (ys * ye.conj()).real)
+    return tr_dr, tr_d2, quad_r, ny2, n * delta + (pe + ep).real
 
 
 def ols_loo_covariances(x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:

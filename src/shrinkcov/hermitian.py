@@ -59,9 +59,12 @@ def _parts(a: np.ndarray, interleaved: bool) -> np.ndarray:
     """The real array whose entrywise products with another operand's sum
     to Re <a, b>_F: the interleaved (real, imag) parts when both operands
     are complex, as Re(conj(x) y) = Re x Re y + Im x Im y, else the real
-    part."""
+    part; integer and bool entries as float64, so that a sum of their
+    products neither wraps nor saturates."""
     if interleaved:
         return np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+    if a.dtype.kind in "biu":
+        return a.astype(np.float64)
     return a.real
 
 
@@ -132,10 +135,10 @@ def _toeplitz(first_col: np.ndarray, first_row: np.ndarray) -> np.ndarray:
 
 
 def frobenius_norm_sq(a: np.ndarray) -> float:
-    """Squared Frobenius norm sum |a_ij|^2 of any shape, reduced by einsum."""
+    """Squared Frobenius norm sum |a_ij|^2 of any shape, reduced by einsum
+    (in float64 for integer and bool entries)."""
     a = np.ravel(a, order="K")  # a view of any contiguous input
-    if np.iscomplexobj(a):
-        a = a.astype(np.complex128, copy=False).view(np.float64)
+    a = _parts(a, np.iscomplexobj(a))
     return float(np.einsum("i,i->", a, a))
 
 

@@ -344,11 +344,6 @@ def _scm_loocv_moments(block, targets) -> MultiMoments:
     return MultiMoments(a=a, b=b, const=quart / count)
 
 
-def _col_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Column-wise inner products a[:, j]^H b[:, j] of equal-shape blocks."""
-    return np.einsum("ij,ij->j", a.conj(), b)
-
-
 def mt_ols_loocv_moments(fit: OlsFit, targets) -> MultiMoments:
     """Cross-validation quadratic on the least-squares path, from one fit.
 
@@ -356,40 +351,26 @@ def mt_ols_loocv_moments(fit: OlsFit, targets) -> MultiMoments:
     + psi_t e_t^H (column t of :func:`ols_loo_blocks`), so each M of
     (R, T_1..T_K) needs only tr(D_t M) and y_t^H M y_t, column inner
     products of N x T blocks of the fit and its outputs ``fit.y``: no R_t
-    or refit is formed.  The fit's own R and targets are not checked
-    again, and their products come from its memo.
+    or refit is formed.  The terms of R, tr(D_t^2), ||y_t||^2 and tr D_t
+    depend on the fit alone, which keeps them (``fit.loo_terms``); a
+    call forms those of each of its targets (``fit.loo_products``), but
+    of a scaled identity mu I the fit built, they are mu tr D_t and
+    mu ||y_t||^2.  The fit's own R and targets are not checked again,
+    and their products come from its memo.
     """
-    y = fit.y
     mats = _operands(fit, targets)[0]
-    e, _, delta, phi, psi = fit.loo_blocks
-    n, count = y.shape
+    tr_dr, tr_d2, quad_r, ny2, tr_d = fit.loo_terms
     a = _gram(mats, fit)
-
-    def update_trace(m):  # tr(D_t M) for every t
-        me = m @ e
-        return (delta * float(np.trace(m).real) + _col_inner(phi, me).real
-                + _col_inner(me, psi).real)
-
-    # tr(D_t^2) via scalar products of the update vectors
-    pe = _col_inner(phi, e)     # phi^H e
-    ep = _col_inner(e, psi)     # e^H psi
-    ee = _col_inner(e, e).real
-    pp = _col_inner(phi, psi)   # phi^H psi
-    tr_d2 = (n * delta * delta + 2.0 * delta * (pe + ep).real
-             + (pe * pe + ep * ep + 2.0 * ee * pp).real)
-    tr_dm = [update_trace(m) for m in mats]
-    row = [a[0, 0] - 2.0 * tr_dm[0] + tr_d2]    # tr(R_t^2)
-    row += [a[0, k] - tr_dm[k] for k in range(1, len(mats))]  # tr(R_t T_k)
-
-    ny2 = _col_inner(y, y).real
-    ye = _col_inner(y, e)       # y^H e; e^H y is its conjugate
-    py = _col_inner(phi, y)     # phi^H y
-    ys = _col_inner(y, psi)     # y^H psi
-    quad = [_col_inner(y, m @ y).real for m in mats]   # y_t^H M y_t
-    quad[0] = quad[0] - (delta * ny2 + (ye * py).real + (ys * ye.conj()).real)
+    row, quad = [a[0, 0] - 2.0 * tr_dr + tr_d2], [quad_r]  # tr(R_t^2)
+    for k, m in enumerate(mats[1:], 1):
+        mu = fit.scale(m)
+        tr_dm, quad_m = (fit.loo_products(m) if mu is None
+                         else (mu * tr_d, mu * ny2))
+        row.append(a[0, k] - tr_dm)     # tr(R_t T_k)
+        quad.append(quad_m)             # y_t^H T_k y_t
 
     def mean(v):  # correctly rounded, whatever the summation order
-        return math.fsum(v.tolist()) / count
+        return math.fsum(v.tolist()) / ny2.size
     a[0] = a[:, 0] = [mean(v) for v in row]
     return MultiMoments(a=a, b=np.array([mean(v) for v in quad]),
                         const=mean(ny2 * ny2))

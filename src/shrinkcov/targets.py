@@ -25,12 +25,16 @@ __all__ = [
 
 
 def scaled_identity_target(r: np.ndarray) -> np.ndarray:
-    """Identity scaled to match the trace of ``r``: (tr r / n) I."""
+    """Identity scaled to match the trace of ``r``: (tr r / n) I.
+
+    An owner given as ``r`` registers the target with its scale.
+    """
     r, own = _base(r)
     n = r.shape[0]
+    mu = float(np.trace(r).real) / n
     t0 = np.zeros((n, n))  # filled in place: one N x N array
-    np.fill_diagonal(t0, float(np.trace(r).real) / n)
-    return own(t0)
+    np.fill_diagonal(t0, mu)
+    return own(t0, scale=mu)
 
 
 def diagonal_target(r: np.ndarray) -> np.ndarray:

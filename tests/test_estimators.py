@@ -13,8 +13,13 @@ from shrinkcov.estimators import (
     sample_block,
     scm,
 )
-from shrinkcov.hermitian import is_psd, validate_samples
-from shrinkcov.multi_target import mt_select
+from shrinkcov.hermitian import (
+    frobenius_norm_sq,
+    is_psd,
+    real_trace_product,
+    validate_samples,
+)
+from shrinkcov.multi_target import mt_oracle_moments, mt_select
 from shrinkcov.single_target import select_single_target
 from shrinkcov.targets import (
     diagonal_target,
@@ -114,6 +119,18 @@ def test_diagonal_target_of_an_integer_covariance_is_float():
     assert np.array_equal(got, np.diag([2.0, 3.0]))
     assert scaled_identity_target(r).dtype == np.float64
     assert toeplitz_average_target(r).dtype == np.float64
+
+
+@pytest.mark.parametrize("kind", ["int64", "bool"])
+def test_integer_and_bool_matrices_are_reduced_in_float64(kind):
+    # in int64, (2^32)^2 wraps to 0; a bool einsum ORs its products
+    m = (2 ** 32 * np.eye(2, dtype=np.int64) if kind == "int64"
+         else np.eye(3, dtype=bool))
+    f = m.astype(np.float64)
+    assert real_trace_product(m, m) == real_trace_product(f, f) > 1.0
+    assert frobenius_norm_sq(m) == frobenius_norm_sq(f)
+    np.testing.assert_equal(dataclasses.astuple(mt_oracle_moments(m, [m], m)),
+                            dataclasses.astuple(mt_oracle_moments(f, [f], f)))
 
 
 def test_scm_leave_one_out_frozen():

@@ -660,15 +660,25 @@ def test_least_squares_replication_checks_and_reduces_once(monkeypatch):
     # the fit owns R, its scaled identity and the truth, so only the
     # knowledge-aided target, which the past block built, is checked; both
     # cross-validated methods read the fit's one set of leave-one-out
-    # blocks; the Gram guard takes eigenvalues (np.linalg.cond would call
-    # the svd of numpy's private module, not np.linalg.svd)
-    svd, blocks, checked = [], [], []
+    # blocks and fit-side terms; the N x N products behind the terms are
+    # taken with R, once, and with the knowledge-aided target, never with
+    # the scaled identity, whose scale gives its terms; the Gram guard
+    # takes eigenvalues (np.linalg.cond would call the svd of numpy's
+    # private module, not np.linalg.svd)
+    svd, blocks, terms, products, checked = [], [], [], [], []
     real_svd, real_blocks = np.linalg._linalg.svd, estimators.ols_loo_blocks
+    real_terms = estimators.ols_loo_terms
+    real_products = estimators.OlsFit.loo_products
     real_check = hermitian.require_hermitian
     monkeypatch.setattr(np.linalg._linalg, "svd",
                         lambda *a, **k: svd.append(a) or real_svd(*a, **k))
     monkeypatch.setattr(estimators, "ols_loo_blocks",
                         lambda fit: blocks.append(fit) or real_blocks(fit))
+    monkeypatch.setattr(estimators, "ols_loo_terms",
+                        lambda fit: terms.append(fit) or real_terms(fit))
+    monkeypatch.setattr(
+        estimators.OlsFit, "loo_products",
+        lambda fit, m: products.append((fit, m)) or real_products(fit, m))
     for layer in BLOCK_LAYERS:
         module = sys.modules[f"shrinkcov.{layer}"]
         if getattr(module, "require_hermitian", None) is real_check:
@@ -680,7 +690,10 @@ def test_least_squares_replication_checks_and_reduces_once(monkeypatch):
                          spec.methods, RngStream(7, 0))
     assert set(out) == set(spec.methods)
     assert not svd
-    assert len(blocks) == 1 and len(checked) == 1
+    (fit,) = terms
+    assert blocks == [fit] and [f for f, _ in products] == [fit, fit]
+    r, past = (m for _, m in products)
+    assert r is fit.r and checked == [past]  # the knowledge-aided target
 
 
 @pytest.mark.parametrize("t", (10, 40, 80))

@@ -517,15 +517,25 @@ def test_mt_scm_moments_property_match_explicit_folds(n, t, k, cplx,
 def test_mt_ols_moments_property_match_explicit_refits(n, m_in, extra, k,
                                                        cplx, seed):
     # at T = M + 2 the leverages average M / (M + 2), the regime where
-    # the 1/(1 - h_t) updates are largest
+    # the 1/(1 - h_t) updates are largest.  The fit's own scaled identity
+    # takes the mu I shortcut, and a second call on the same fit, with its
+    # kept terms and the targets reversed, must agree too
     rng = np.random.default_rng(seed)
     t = m_in + extra
     x = random_samples(m_in, t, rng, cplx)
     y = random_samples(n, t, rng, cplx)
-    targets = [random_psd(n, rng, cplx) for _ in range(k)]
+    fit = ols_fit(x, y)
+    targets = [scaled_identity_target(fit),
+               *(random_psd(n, rng, cplx) for _ in range(k))]
     refits = [ols_loo_cov_refit(x, y, i) for i in range(t)]
-    assert_moments_close(mt_ols_loocv_moments(ols_fit(x, y), targets),
-                         mt_loocv_moments(refits, y, targets), 1e-8)
+    first = mt_ols_loocv_moments(fit, targets)
+    again = mt_ols_loocv_moments(fit, targets[::-1])
+    for got, order in ((first, targets), (again, targets[::-1])):
+        assert_moments_close(got, mt_loocv_moments(refits, y, order), 1e-8)
+    back = [0, *range(k + 1, 0, -1)]  # (rho, reversed taus) -> first's order
+    assert np.array_equal(again.a[np.ix_(back, back)], first.a)
+    assert np.array_equal(again.b[back], first.b)
+    assert again.const == first.const
 
 
 @pytest.mark.parametrize("cplx", [False, True])
