@@ -43,7 +43,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .hermitian import real_trace_product, require_hermitian, validate_samples
+from .hermitian import (
+    frobenius_norm_sq,
+    real_trace_product,
+    require_hermitian,
+    validate_samples,
+)
 
 __all__ = [
     "SampleBlock",
@@ -92,13 +97,15 @@ class _Owner:
         return m if self.owns(m) else require_hermitian(m)
 
     def trace(self, a: np.ndarray, b: np.ndarray) -> float:
-        if self._owned.get(id(a)) is not a or self._owned.get(id(b)) is not b:
-            return real_trace_product(a, b)
-        # the product is symmetric in its operands, bit for bit
+        # the product is symmetric in its operands, bit for bit; a key held
+        # is one of two owned matrices, whose ids no other object has
         key = (id(a), id(b)) if id(a) <= id(b) else (id(b), id(a))
-        if key not in self._traces:
-            self._traces[key] = real_trace_product(a, b)
-        return self._traces[key]
+        value = self._traces.get(key)
+        if value is None:
+            value = real_trace_product(a, b)
+            if self.owns(a) and self.owns(b):
+                self._traces[key] = value
+        return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +114,8 @@ class SampleBlock(_Owner):
 
     ``y`` is a read-only view; the block owns ``r``.  It also keeps the
     fourth-moment sum ``quart`` = sum_t ||y_t||^4, which every SCM
-    selector of one draw reads.  Both are formed on first use.  A
+    selector of one draw reads, and ``tr_r`` = ||Y||_F^2 / T, the trace
+    the convex selectors' guard reads.  Each is formed on first use.  A
     selection with a matrix the block does not own reads R from ``y`` a
     tile at a time (:func:`_operands`) and does not form ``r``.
     """
@@ -121,6 +129,10 @@ class SampleBlock(_Owner):
     @cached_property
     def quart(self) -> float:
         return float(np.sum(np.sum(np.abs(self.y) ** 2, axis=0) ** 2))
+
+    @cached_property
+    def tr_r(self) -> float:
+        return frobenius_norm_sq(self.y) / self.y.shape[1]
 
 
 def sample_block(samples, min_count: int = 1,
@@ -155,10 +167,15 @@ class _SampleFactor:
 
 def _base(base) -> tuple:
     """(R, own) of a block or fit; a raw R is checked, must have a row and
-    has no owner."""
+    has no owner.  An integer or bool R comes back as float64, as
+    :func:`validate_samples` returns samples, so that its sums neither
+    wrap nor saturate."""
     if isinstance(base, _Owner):
         return base.r, base.own
-    r = require_hermitian(base)
+    r = np.asarray(base)
+    if r.dtype.kind in "biu":
+        r = r.astype(np.float64)
+    r = require_hermitian(r)
     if r.shape[0] == 0:
         raise ValueError(f"covariance has no rows (shape {r.shape})")
     return r, (lambda m, scale=None: m)
@@ -208,9 +225,9 @@ class OlsFit(_Owner):
     ``r`` = coef coef^H + noise_var I, which the fit owns, the
     leave-one-out blocks ``loo_blocks`` (:func:`ols_loo_blocks`) and the
     per-sample terms of the fit alone ``loo_terms``
-    (:func:`ols_loo_terms`) are formed on first use, so every selection
-    on the fit shares them.  ``loo_products(m)`` forms a target's own
-    per-sample terms on each call.
+    (:func:`ols_loo_terms`) and Re tr R ``tr_r`` are formed on first
+    use, so every selection on the fit shares them.  ``loo_products(m)``
+    forms a target's own per-sample terms on each call.
     """
 
     coef: np.ndarray
@@ -225,6 +242,10 @@ class OlsFit(_Owner):
         n = self.coef.shape[0]
         return self.own(self.coef @ self.coef.conj().T
                         + self.noise_var * np.eye(n))
+
+    @cached_property
+    def tr_r(self) -> float:
+        return float(np.trace(self.r).real)
 
     @cached_property
     def loo_blocks(self) -> tuple[np.ndarray, ...]:

@@ -173,13 +173,14 @@ def require_hermitian(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     deviation.  The pairs cover every entry, and |a_pq - conj(a_qp)|
     equals |a_qp - conj(a_pq)| bit for bit, so the deviation is the
     dense formula's.  Finite entries whose difference overflows give an
-    infinite deviation, which rejects the matrix.  A deviation of 0
-    passes at any ``tol`` >= 0, so only a failing matrix, or a negative
-    or NaN ``tol``, takes max|a|, over each tile and its mirror.  A max
-    does not depend on the order it is taken in, so the decision is the
-    dense formula's too, except where tol * max(1, max|a|) is NaN (a NaN
-    ``tol``, or 0 times an infinite |a_ij|): the dense comparison is then
-    false, but only a deviation of 0 passes here.
+    infinite deviation, which rejects the matrix.  A deviation of at most
+    ``tol`` passes at once, since tol * max(1, max|a|) >= tol, so only a
+    deviation above ``tol``, or a NaN ``tol``, takes max|a|, over each
+    tile and its mirror.  A max does not depend on the order it is taken
+    in, so the decision is the dense formula's too, except where
+    tol * max(1, max|a|) is NaN (a NaN ``tol``, or 0 times an infinite
+    |a_ij|): the dense comparison is then false, but only a deviation of
+    0 passes here.
 
     Returns ``a`` unchanged so the call can be chained.
     """
@@ -195,7 +196,7 @@ def require_hermitian(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         if not (finite and np.isfinite(y).all()):
             raise ValueError("matrix is non-finite (NaN or infinite entries)")
         dev = max(dev, _max_abs_difference(x, y))
-    if dev == 0.0 and tol >= 0.0:
+    if dev <= tol:
         return a
     peak = max((float(np.abs(m).max())
                 for rows, cols in _tiles(a.shape[0], a.itemsize)

@@ -17,7 +17,9 @@ all 2^(K+1).  Ties prefer the base estimate: the cone frees rho first,
 and the simplex starts at rho's vertex unless another is better by more
 than the stopping tolerance.  That keeps the selection exactly
 reproducible.  It runs on Python floats, as numpy's per-call cost
-outweighs arithmetic this small: a Cholesky factor solves each face,
+outweighs arithmetic this small: each solve converts its quadratic to
+lists once and evaluates its objective on them, in the order of
+:meth:`MultiMoments.objective`.  A Cholesky factor solves each face,
 and ``lstsq`` (minimum norm) only a face that is not numerically
 positive definite.  Dividing the moments by their largest diagonal
 entry first makes the selection free of the data's units.
@@ -62,8 +64,7 @@ class MultiMoments:
         """The quadratic at x, evaluated on Python floats."""
         a, b = _lists(self)
         x = np.asarray(x, dtype=float).reshape(len(b)).tolist()
-        ax = [_dot(row, x) for row in a]
-        return _dot(x, ax) - 2.0 * _dot(b, x) + self.const
+        return _value(a, b, self.const, x)
 
 
 @dataclass(frozen=True)
@@ -95,6 +96,13 @@ def _dot(u, v) -> float:
     for p, q in zip(u, v):
         total += p * q
     return total
+
+
+def _value(a, b, const, x) -> float:
+    """x^T a x - 2 b . x + const of lists a, b and x: the one evaluation
+    order of :meth:`MultiMoments.objective` and of every solve."""
+    ax = [_dot(row, x) for row in a]
+    return _dot(x, ax) - 2.0 * _dot(b, x) + const
 
 
 def _factor(a, free) -> list:
@@ -172,8 +180,10 @@ def _solve_face(a, b, free, simplex=False, low=None):
         z = [p - lam * q for p, q in zip(u, v)]
     else:
         z = _cholesky_solve(low, rhs)
-    z = dict(zip(free, z))
-    return [z.get(i, 0.0) for i in range(len(b))], lam
+    x = [0.0] * len(b)
+    for i, v in zip(free, z):
+        x[i] = v
+    return x, lam
 
 
 def _ray(a, b, free, j, tol) -> bool:
@@ -210,15 +220,21 @@ def _active_set(a, b, simplex=False, low=()) -> list:
     tol = 1e-12 * max([1.0, *[a[i][i] for i in range(dim)], *map(abs, b)])
     if simplex:
         cost = [a[i][i] - 2.0 * b[i] for i in range(dim)]
-        i = 0 if cost[0] <= min(cost) + tol else cost.index(min(cost))
+        least = min(cost)
+        i = 0 if cost[0] <= least + tol else cost.index(least)
         x[i], free, lam = 1.0, [i], b[i] - a[i][i]
 
     # in exact arithmetic each freeing lowers the objective: no face repeats
     for _ in range(4 * dim * dim + 4):
-        w = {i: b[i] - _dot(a[i], x) - lam for i in range(dim)
-             if i not in free and i not in rejected}
-        j = 0 if w.get(0, 0.0) > tol else max(w, key=w.get, default=None)
-        if j is None or w[j] <= tol:
+        j = None  # the first largest multiplier w_j off the face, or rho's
+        for i in range(dim):
+            if i not in free and i not in rejected:
+                w = b[i] - _dot(a[i], x) - lam
+                if j is None or w > w_j:
+                    j, w_j = i, w
+                if i == 0 and w > tol:
+                    break
+        if j is None or w_j <= tol:
             ray = any(_ray(a, b, free, i, tol) for i in rejected if not simplex)
             return None if ray else x
         grown = sorted(free + [j])
@@ -258,14 +274,16 @@ def _minimize(a, b, const, convex=False) -> list:
 
 def solve_nonneg_qp(m: MultiMoments) -> tuple[np.ndarray, float]:
     """Minimize x^T a x - 2 b . x over x >= 0; returns (x, objective)."""
-    x = np.array(_minimize(*_lists(m), m.const))
-    return x, m.objective(x)
+    a, b = _lists(m)
+    x = _minimize(a, b, m.const)
+    return np.array(x), _value(a, b, m.const, x)
 
 
 def solve_nonneg_qp_simplex(m: MultiMoments) -> tuple[np.ndarray, float]:
     """Minimize the quadratic over x >= 0, sum x <= 1; (x, objective)."""
-    x = np.array(_simplex(*_checked(*_lists(m), m.const)))
-    return x, m.objective(x)
+    a, b = _lists(m)
+    x = _simplex(*_checked(a, b, m.const))
+    return np.array(x), _value(a, b, m.const, x)
 
 
 # ---------------------------------------------------------------------------
@@ -284,17 +302,16 @@ def _gram(mats, owner=None, rows=None) -> np.ndarray:
     """
     k = len(mats)
     owned = [False] * k if owner is None else list(map(owner.owns, mats))
-    g, rest = np.zeros((k, k)), []
+    g, rest = [[0.0] * k for _ in range(k)], []
     for i in range(k if rows is None else rows):
         for j in range(i, k):
             if owned[i] and owned[j]:
-                g[i, j] = g[j, i] = owner.trace(mats[i], mats[j])
+                g[i][j] = g[j][i] = owner.trace(mats[i], mats[j])
             else:
                 rest.append((i, j))
-    if rest:
-        for (i, j), v in zip(rest, _trace_products(mats, rest)):
-            g[i, j] = g[j, i] = v
-    return g
+    for (i, j), v in zip(rest, _trace_products(mats, rest)):
+        g[i][j] = g[j][i] = v
+    return np.array(g)
 
 
 def mt_loocv_moments(loo_covs, samples: np.ndarray, targets) -> MultiMoments:
@@ -392,9 +409,12 @@ def mt_oracle_moments(base: np.ndarray, targets, truth: np.ndarray) -> MultiMome
 
 
 def _require_trace(targets, tr_r: float) -> None:
-    """Check that each target keeps tr R = ``tr_r`` to 1e-8 relative."""
+    """Check that each target keeps tr R = ``tr_r`` to 1e-8 relative; an
+    integer or bool target's trace is summed in float64."""
     for j, t0 in enumerate(targets):
-        if abs(float(np.trace(t0).real) - tr_r) > 1e-8 * abs(tr_r):
+        t0 = np.asarray(t0)
+        exact = np.float64 if t0.dtype.kind in "biu" else None
+        if abs(float(t0.trace(dtype=exact).real) - tr_r) > 1e-8 * abs(tr_r):
             raise ValueError(f"target {j} does not match the base estimate "
                              "trace; the convex-combination design requires "
                              "trace-preserving targets")
@@ -428,9 +448,7 @@ def _selection_moments(method: str, targets, samples, truth=None):
          else mt_scm_loocv_moments(base, targets))
     convex = method.endswith("constrained")
     if convex:  # a block's tr R is ||Y||_F^2 / T, without forming R
-        _require_trace(targets, float(np.trace(base.r).real)
-                       if isinstance(base, OlsFit)
-                       else frobenius_norm_sq(base.y) / base.y.shape[1])
+        _require_trace(targets, base.tr_r)
     return m, convex
 
 
@@ -452,12 +470,14 @@ def mt_select(method: str, targets, samples: np.ndarray | None = None,
         True covariance, required by the oracle methods.
     """
     m, convex = _selection_moments(method, targets, samples, truth)
-    if not convex:
-        x, obj = solve_nonneg_qp(m)
+    if convex:
+        a, b = _lists(m)
+        x = _minimize(a, b, m.const, True)
+        obj = _value(a, b, m.const, x)
     else:
-        x = np.array(_minimize(*_lists(m), m.const, convex=True))
-        obj = m.objective(x)
+        x, obj = solve_nonneg_qp(m)
+        x = x.tolist()
     cutoff = 1e-10 * max(x)
     active = tuple(k for k, tau in enumerate(x[1:]) if tau > cutoff)
-    return MtSolution(rho=float(x[0]), taus=x[1:], active_targets=active,
+    return MtSolution(rho=x[0], taus=np.array(x[1:]), active_targets=active,
                       objective=obj)

@@ -1,10 +1,12 @@
 """Structured shrinkage targets derived from a base covariance estimate.
 
 Every target here preserves the trace of its input, so convex
-combinations of base estimate and target keep the total power; all of
-them are Hermitian PSD whenever the input is.  Given an owner (a sample
-block or a least-squares fit) in place of R, a target reads its R
-unchecked and is registered on it.
+combinations of base estimate and target keep the total power, and
+every one is Hermitian.  The scaled identity and diagonal targets are
+PSD whenever the input is; the Toeplitz band average need not be (see
+:func:`toeplitz_average_target`).  Given an owner (a sample block or a
+least-squares fit) in place of R, a target reads its R unchecked and is
+registered on it; a raw integer or bool R is read as float64.
 """
 
 from __future__ import annotations
@@ -57,17 +59,19 @@ def toeplitz_average_target(r: np.ndarray) -> np.ndarray:
 
     Band ``i`` of the result carries the mean real part of the i-th
     super/sub-diagonal of ``r``; band 0 is tr(r)/n, so the trace is
-    preserved exactly.  Band i is read as the strided slice
-    ``flat[i:(n - i)(n + 1):n + 1]`` of the raveled matrix (a view for
-    a contiguous ``r``); its sum over the band length is what
-    ``np.mean`` of the diagonal computes, bit for bit.
+    preserved exactly.  Each band's sum is divided by its length n - i,
+    the unbiased autocorrelation, so the target is not PSD in general,
+    even for a PSD ``r``: y = (1, 0, -1) gives the eigenvalue -1/3 for
+    R = y y^T.  Band i is read as the strided slice
+    ``flat[i:(n - i)(n + 1):n + 1]`` of the raveled real part (a view
+    for a contiguous ``r``) and summed by ``np.add.reduce``, the
+    pairwise sum of ``np.mean`` of the diagonal, bit for bit.
     """
     r, own = _base(r)
     n = r.shape[0]
-    flat = r.ravel()
-    first_row = np.empty(n)
-    for i in range(n):
-        first_row[i] = flat[i:(n - i) * (n + 1):n + 1].real.sum() / (n - i)
+    flat, step, add = r.real.reshape(-1), n + 1, np.add.reduce
+    first_row = np.array([add(flat[i:(n - i) * step:step]) / (n - i)
+                          for i in range(n)], dtype=np.float64)
     return own(_toeplitz(first_row, first_row))
 
 

@@ -133,6 +133,35 @@ def test_integer_and_bool_matrices_are_reduced_in_float64(kind):
                             dataclasses.astuple(mt_oracle_moments(f, [f], f)))
 
 
+@pytest.mark.parametrize("kind", ["int64", "bool"])
+def test_targets_of_integer_and_bool_covariances_are_their_float_casts(kind):
+    # in int64, the trace and band sums of 2^62 I (N = 4) wrap to 0
+    r = (2 ** 62 * np.eye(4, dtype=np.int64) if kind == "int64"
+         else np.eye(4, dtype=bool))
+    f = r.astype(np.float64)
+    for target in (scaled_identity_target, diagonal_target,
+                   toeplitz_average_target):
+        got = target(r)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, target(f))
+    assert np.array_equal(toeplitz_average_target(r), f)
+
+
+def test_convex_trace_guard_sums_an_integer_target_in_float64():
+    # tr R = ||Y||_F^2 / T = 4 * 2^62 = 2^64, which the integer target
+    # keeps; summed in int64, its trace wraps to 0 and the guard rejects it
+    y = 2.0 ** 31 * np.array([[1.0, -1.0, 1.0], [1.0, 1.0, -1.0],
+                              [-1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+    t0 = 2 ** 62 * np.eye(4, dtype=np.int64)
+    f0 = t0.astype(np.float64)
+    got = mt_select("cv_constrained", [t0], samples=y)
+    want = mt_select("cv_constrained", [f0], samples=y)
+    assert (got.rho, got.taus.tolist(), got.objective) == \
+        (want.rho, want.taus.tolist(), want.objective)
+    assert (select_single_target("cv_constrained", t0, samples=y)
+            == select_single_target("cv_constrained", f0, samples=y))
+
+
 def test_scm_leave_one_out_frozen():
     y = np.array([[1.0, 0.0], [0.0, 1.0]])
     r = scm(y)

@@ -34,6 +34,7 @@ from shrinkcov.multi_target import (
 from shrinkcov.single_target import (
     Clip,
     QuadMoments,
+    _quad,
     scm_fast_moments,
     scm_solution_constrained,
     select_single_target,
@@ -755,6 +756,31 @@ def test_mt_select_constrained_sums_to_one():
     sol = mt_select("cv_constrained", make_targets(scm(y)), samples=y)
     assert sol.rho + np.sum(sol.taus) == pytest.approx(1.0, abs=1e-12)
     assert sol.rho >= 0 and np.all(sol.taus >= 0)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_selections_report_the_moments_own_objective(cplx):
+    # every solve evaluates its objective on the lists it solved, in the
+    # order of the moments' own objective, so the two agree bit for bit
+    rng = np.random.default_rng(63)
+    truth = random_psd(6, rng, cplx)
+    y = random_samples(6, 12, rng, cplx)
+    targets = make_targets(scm(y))
+    for method in ("cv", "cv_constrained", "oracle", "oracle_constrained"):
+        sol = mt_select(method, targets, samples=y, truth=truth)
+        m, _ = multi_target._selection_moments(method, targets, y, truth)
+        assert sol.objective == m.objective([sol.rho, *sol.taus])
+        for solve in (solve_nonneg_qp, solve_nonneg_qp_simplex):
+            x, obj = solve(m)
+            assert obj == m.objective(x)
+        for t0 in targets:  # the K = 1 views: their own 2 x 2 objective
+            m1, convex = multi_target._selection_moments(method, [t0], y,
+                                                         truth)
+            q = _quad(m1)
+            want = solve_quadratic_2d(q, constrained=convex)
+            assert want.objective == q.objective(want.rho, want.tau)
+            got = select_single_target(method, t0, samples=y, truth=truth)
+            assert got == want
 
 
 def test_mt_oracle_dominates_cv_per_realization():

@@ -138,6 +138,18 @@ def test_targets_preserve_trace_and_psd():
         assert is_psd(t0, tol=1e-8)
 
 
+def test_toeplitz_target_of_a_psd_matrix_need_not_be_psd():
+    # band k's sum over its length N - k: for R = y y^T, y = (1, 0, -1),
+    # the bands are (2/3, 0, -1) and the target has the eigenvalue -1/3
+    r = scm(np.array([[1.0], [0.0], [-1.0]]))
+    assert is_psd(r)
+    t0 = toeplitz_average_target(r)
+    assert np.array_equal(t0, t0.conj().T)
+    assert np.trace(t0) == pytest.approx(np.trace(r), rel=1e-15)
+    assert not is_psd(t0)
+    assert np.linalg.eigvalsh(t0)[0] == pytest.approx(-1.0 / 3.0, rel=1e-12)
+
+
 def test_knowledge_aided_two_samples_finite_psd():
     y = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
     t0 = knowledge_aided_target(y)
