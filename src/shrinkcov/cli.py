@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -34,7 +35,10 @@ def classify_error(exc: BaseException) -> int:
     return 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state
+    on it, and building it costs about as much as a parse."""
     parser = argparse.ArgumentParser(
         prog="shrinkcov",
         description="Monte-Carlo experiments for shrinkage covariance "

@@ -19,21 +19,30 @@ reads them directly without a loop over samples.
 Both base estimates, :class:`SampleBlock` and :class:`OlsFit`, are owners:
 each holds its samples ``y`` (a fit, its outputs), R, the targets built
 from R and a truth registered on it (``own``) read-only: all a selection
-needs.  A function given the owner skips :func:`require_hermitian` for
+needs.  A function given the owner skips the Hermitian check for
 exactly those objects, matched by identity, and memoizes their pairwise
-trace products: an owned matrix cannot change, and its id is not reused
-while the owner lives.  A scaled identity mu I is registered with mu,
-so a product with it can be read as mu times a sum the owner keeps
-(:func:`ols_loo_terms`).  Every other matrix is checked, and its products
-are taken again, on every call: its caller may change it in place.
+trace products and their squared norms: an owned matrix cannot change,
+and its id is not reused while the owner lives.  A scaled identity mu I
+is registered with mu, so a product with it can be read as mu times a
+sum the owner keeps (:func:`ols_loo_terms`).  Every other matrix is
+checked, and its products are taken again, on every call: its caller
+may change it in place.  A selection checks it where it reads it: the
+trace sweep (:func:`shrinkcov.hermitian._trace_products`) validates
+each raw matrix, a raw R included, by the rule and with the errors of
+:func:`require_hermitian`, so :func:`_operands` hands them over
+unchecked.  A target builder given a raw R still checks it
+(:func:`_base`).  A raw R, like raw samples, is read in 64-bit
+precision.
 
 A sample block forms R on first use, and a selection on the block does
 not use it for matrices the block does not own.  :func:`_operands`
-decides how R is read: for those matrices it hands the trace sweep
-(:func:`shrinkcov.hermitian._trace_products`) R as its
-:class:`_SampleFactor`, whose tiles are formed from two row blocks of
-``y`` when the sweep reaches them and dropped after, so raw samples and
-raw targets are selected on without an N x N R, tr R^2 included.
+decides how R is read: for those matrices it hands the trace sweep R as
+its :class:`_SampleFactor`, whose tiles are formed from two row blocks
+of ``y`` when the sweep reaches them and dropped after, so raw samples
+and raw targets are selected on without an N x N R.  A sweep of several
+tiles reads tr R^2 from the T x T Gram of ``y`` when T < N
+(``SampleBlock.tr_r2``), and forms R's tiles only where a target's tile
+is not zero.
 """
 
 from __future__ import annotations
@@ -44,6 +53,8 @@ from functools import cached_property
 import numpy as np
 
 from .hermitian import (
+    _require_square,
+    _widened,
     frobenius_norm_sq,
     real_trace_product,
     require_hermitian,
@@ -78,6 +89,7 @@ class _Owner:
     _owned: dict = field(default_factory=dict, init=False, repr=False)
     _traces: dict = field(default_factory=dict, init=False, repr=False)
     _scales: dict = field(default_factory=dict, init=False, repr=False)
+    _norms: dict = field(default_factory=dict, init=False, repr=False)
 
     def own(self, m: np.ndarray, scale: float | None = None) -> np.ndarray:
         """Register ``m``; a ``scale`` mu says that ``m`` is mu I."""
@@ -107,6 +119,15 @@ class _Owner:
                 self._traces[key] = value
         return value
 
+    def norm_sq(self, m: np.ndarray) -> float:
+        """:func:`frobenius_norm_sq` of ``m``, kept for an owned one."""
+        if not self.owns(m):
+            return frobenius_norm_sq(m)
+        value = self._norms.get(id(m))
+        if value is None:
+            value = self._norms[id(m)] = frobenius_norm_sq(m)
+        return value
+
 
 @dataclass(frozen=True, eq=False)
 class SampleBlock(_Owner):
@@ -114,10 +135,12 @@ class SampleBlock(_Owner):
 
     ``y`` is a read-only view; the block owns ``r``.  It also keeps the
     fourth-moment sum ``quart`` = sum_t ||y_t||^4, which every SCM
-    selector of one draw reads, and ``tr_r`` = ||Y||_F^2 / T, the trace
-    the convex selectors' guard reads.  Each is formed on first use.  A
-    selection with a matrix the block does not own reads R from ``y`` a
-    tile at a time (:func:`_operands`) and does not form ``r``.
+    selector of one draw reads, ``tr_r`` = ||Y||_F^2 / T, the trace the
+    convex selectors' guard reads, and ``tr_r2`` = tr R^2 =
+    ||Y^H Y||_F^2 / T^2 from the T x T Gram of the samples, which a trace
+    sweep of several tiles reads when T < N.  Each is formed on first
+    use.  A selection with a matrix the block does not own reads R from
+    ``y`` a tile at a time (:func:`_operands`) and does not form ``r``.
     """
 
     y: np.ndarray
@@ -134,6 +157,11 @@ class SampleBlock(_Owner):
     def tr_r(self) -> float:
         return frobenius_norm_sq(self.y) / self.y.shape[1]
 
+    @cached_property
+    def tr_r2(self) -> float:
+        gram = self.y.conj().T @ self.y
+        return frobenius_norm_sq(gram) / self.y.shape[1] ** 2
+
 
 def sample_block(samples, min_count: int = 1,
                  name: str = "samples") -> SampleBlock:
@@ -148,14 +176,29 @@ def sample_block(samples, min_count: int = 1,
 
 
 class _SampleFactor:
-    """R = y y^H / T of an N x T sample block ``y``, as an operand of the
+    """R = y y^H / T of a sample block's N x T ``y``, as an operand of the
     trace sweep (:func:`shrinkcov.hermitian._trace_products`), which
-    forms R one tile at a time."""
+    forms R one tile at a time.
 
-    def __init__(self, y: np.ndarray):
-        self.y = y
+    Every tile is ``finite`` when ||Y||_F^2 is at most 1e300: each entry
+    of y[rows] y[cols]^H is then bounded by it, far below overflow.
+    """
+
+    def __init__(self, block: SampleBlock):
+        y = self.y = block.y
+        self.block = block
         self.shape = (y.shape[0], y.shape[0])
         self.dtype, self.itemsize = y.dtype, y.itemsize
+
+    @property
+    def finite(self) -> bool:
+        return self.block.tr_r * self.y.shape[1] <= 1e300
+
+    def norm_sq(self) -> float | None:
+        """tr R^2 from the block's Gram (``SampleBlock.tr_r2``) when
+        T < N, where the Gram is the smaller; None otherwise."""
+        n, t = self.y.shape
+        return self.block.tr_r2 if t < n else None
 
     def tile(self, rows: slice, cols: slice) -> np.ndarray:
         """R[rows, cols], scaled in place; when it is all of R, the
@@ -167,23 +210,26 @@ class _SampleFactor:
 
 def _base(base) -> tuple:
     """(R, own) of a block or fit; a raw R is checked, must have a row and
-    has no owner.  An integer or bool R comes back as float64, as
-    :func:`validate_samples` returns samples, so that its sums neither
-    wrap nor saturate."""
+    has no owner.  A raw R comes back in 64-bit precision, as
+    :func:`validate_samples` returns samples: an integer or bool one as
+    float64, so that its sums neither wrap nor saturate."""
     if isinstance(base, _Owner):
         return base.r, base.own
-    r = np.asarray(base)
-    if r.dtype.kind in "biu":
-        r = r.astype(np.float64)
-    r = require_hermitian(r)
+    return _rows(require_hermitian(_widened(base))), (lambda m, scale=None: m)
+
+
+def _rows(r: np.ndarray) -> np.ndarray:
+    """A square ``r``, which must have a row."""
     if r.shape[0] == 0:
         raise ValueError(f"covariance has no rows (shape {r.shape})")
-    return r, (lambda m, scale=None: m)
+    return r
 
 
 def _operands(base, mats) -> tuple[list, _Owner | None]:
     """([R, *mats], owner) of a block, fit or raw R (:func:`_base`), for
-    trace products: each matrix checked unless an owner owns it.
+    trace products.  Every array in it that no owner owns is raw, and the
+    trace sweep validates it (:func:`shrinkcov.multi_target._gram`); so
+    a raw R here is only widened and checked to be square with a row.
 
     A block that does not own every one of ``mats`` gives R as its
     sample factor, which the trace sweep forms a tile at a time, so its
@@ -191,10 +237,11 @@ def _operands(base, mats) -> tuple[list, _Owner | None]:
     products with them come from its memo.
     """
     if not isinstance(base, _Owner):
-        return [_base(base)[0], *map(require_hermitian, mats)], None
-    mats = list(map(base.checked, mats))
+        r = _rows(_require_square(_widened(base)))
+        return [r, *map(np.asarray, mats)], None
+    mats = [m if base.owns(m) else np.asarray(m) for m in mats]
     if isinstance(base, SampleBlock) and not all(map(base.owns, mats)):
-        return [_SampleFactor(base.y), *mats], base
+        return [_SampleFactor(base), *mats], base
     return [base.r, *mats], base
 
 

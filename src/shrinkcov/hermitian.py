@@ -16,8 +16,15 @@ every real matrix the package builds is.  :func:`real_trace_product` is
 one contiguous inner product, and the Gram matrix of the selection
 moments takes its products in one sweep over the tiles, the diagonal
 ones once and the others twice, reading each operand's tile as it
-reaches it.  All the passes and :func:`frobenius_norm_sq` reduce in
-numpy without BLAS, so they do not depend on the BLAS thread count.
+reaches it.  Over several tiles that sweep also validates the raw
+operands it reads, by the same tile rule and with the same errors as
+:func:`require_hermitian`, skips the products of exactly zero tiles
+(the off-diagonal ones of a diagonal target) and may read tr R^2 of
+raw samples from their T x T Gram.  All the passes and
+:func:`frobenius_norm_sq` reduce in numpy without BLAS, so they do not
+depend on the BLAS thread count.  Every entry point computes in 64-bit
+precision: :func:`validate_samples` widens narrower samples
+(:func:`_widened`).
 """
 
 from __future__ import annotations
@@ -83,40 +90,130 @@ def _tiles(n: int, itemsize: int):
             yield slice(i, i + side), slice(j, j + side)
 
 
-def _trace_products(mats, pairs) -> list[float]:
+def _trace_products(mats, pairs, check=()) -> list[float]:
     """:func:`real_trace_product` of mats[i] and mats[j] for each (i, j) of
-    ``pairs``, all in one sweep over the square tiles of the upper triangle.
+    ``pairs``, all in one sweep over the square tiles of the upper
+    triangle, after validating each mats[k], k in ``check``, as
+    :func:`require_hermitian` does, in that order and with its errors.
 
     The operands must be Hermitian (to the tolerance of
     :func:`require_hermitian`): a product is then that of the diagonal
     tiles plus twice that of the others.  Each operand is read once, a
     tile at a time: ``m[rows, cols]`` of an array, ``m.tile(rows, cols)``
-    of any other operand (one with ``shape``, ``dtype`` and ``itemsize``,
-    which may form its tile when the sweep reaches it), and no operand is
-    copied whole.  When one tile is the whole matrix each product is
-    :func:`real_trace_product`'s einsum, bit for bit.
+    of any other operand (one with ``shape``, ``dtype``, ``itemsize``,
+    ``finite`` and ``norm_sq()``, which may form its tile when the sweep
+    reaches it), and no operand is copied whole.  When one tile is the
+    whole matrix, the checked operands go through
+    :func:`require_hermitian` and each product is
+    :func:`real_trace_product`'s einsum, bit for bit; over several tiles
+    the walk validates them itself (:func:`_checked_walk`).
     """
-    if not pairs:
+    if not (pairs or check):
         return []
     n = mats[0].shape[0]
     for m in mats:
         if m.shape != (n, n):
+            _require_each(mats, check)
             raise ValueError(f"trace of mismatched shapes {mats[0].shape} "
                              f"and {m.shape}; expected square operands of "
                              "equal shape")
+    tiles = list(_tiles(n, max(m.itemsize for m in mats)))
     cplx = [np.iscomplexobj(m) for m in mats]
     ops = [(i, j, cplx[i] and cplx[j]) for i, j in pairs]
+    if len(tiles) > 1:
+        return _checked_walk(mats, ops, check, tiles)
+    _require_each(mats, check)
     used = {(k, both) for i, j, both in ops for k in (i, j)}
     sums = [0.0] * len(ops)
-    for rows, cols in _tiles(n, max(m.itemsize for m in mats)):
-        weight = 1.0 if rows == cols else 2.0
+    for rows, cols in tiles:
         tile = {k: mats[k][rows, cols] if isinstance(mats[k], np.ndarray)
                 else mats[k].tile(rows, cols) for k in {k for k, _ in used}}
         view = {(k, both): _parts(tile[k], both) for k, both in used}
         for p, (i, j, both) in enumerate(ops):
-            sums[p] += weight * np.einsum("ij,ij->", view[i, both],
-                                          view[j, both])
+            sums[p] += np.einsum("ij,ij->", view[i, both], view[j, both])
     return [float(s) for s in sums]
+
+
+def _checked_walk(mats, ops, check, tiles) -> list[float]:
+    """The products ``ops`` (i, j, both complex) of :func:`_trace_products`
+    over several ``tiles``, validating the checked operands in the walk.
+
+    At each tile it compares each checked operand's tile with its mirror
+    once (:func:`_mirror_deviation`; a pair of zero tiles is equal), and
+    at the end it judges each deviation (:func:`_require_deviation`), in
+    ``check`` order.  A checked operand whose tr(M^2) the walk takes skips
+    the finiteness pass of its equal tile pairs: a finite sum of
+    |m_ij|^2 proves every entry finite.  On a non-finite entry or sum,
+    the checked operands go through :func:`require_hermitian` in order,
+    so every error is the one it raises.
+
+    A product in which one tile is exactly zero and the other finite is
+    an exact 0 term, and is skipped; an operand's tile is formed only for
+    a product it enters.  An operand that is not an array may give its
+    tr(M^2) by ``norm_sq()`` (None: the walk takes it).
+    """
+    sums, walk = [0.0] * len(ops), []
+    for p, (i, j, _) in enumerate(ops):
+        given = (mats[i].norm_sq() if i == j
+                 and not isinstance(mats[i], np.ndarray) else None)
+        if given is None:
+            walk.append(p)
+        else:
+            sums[p] = given
+    checked = set(check)
+    selfs = {ops[p][0] for p in walk if ops[p][0] == ops[p][1]} & checked
+    arrays = {k for p in walk for k in ops[p][:2]
+              if isinstance(mats[k], np.ndarray)} | checked
+    dev = dict.fromkeys(check, 0.0)
+    for rows, cols in tiles:
+        tile = {k: mats[k][rows, cols] for k in arrays}
+        zero = {k: not x.any() for k, x in tile.items()}
+        for k in check:
+            mirror = mats[k][cols, rows]
+            if zero[k] and not mirror.any():
+                continue
+            d = _mirror_deviation(tile[k], mirror.T.conj(), k in selfs)
+            if d != d:  # a NaN or infinite entry: raise the first error
+                _require_each(mats, check)
+            dev[k] = max(dev[k], d)
+        weight = 1.0 if rows == cols else 2.0
+        for p in walk:
+            i, j, both = ops[p]
+            if zero.get(i) or zero.get(j):
+                k = j if zero.get(i) else i  # the other operand
+                if zero.get(k) or _finite_tile(mats[k], tile.get(k),
+                                               k in checked):
+                    continue
+            for k in (i, j):
+                if k not in tile:
+                    tile[k] = mats[k].tile(rows, cols)
+            # on Python floats: an infinite term of an operand that the
+            # check rejects at the end adds no RuntimeWarning before it
+            x, y = _parts(tile[i], both), _parts(tile[j], both)
+            sums[p] += weight * float(np.einsum("ij,ij->", x, y))
+    if any(not math.isfinite(sums[p]) for p in walk
+           if ops[p][0] == ops[p][1] and ops[p][0] in selfs):
+        _require_each(mats, check)  # raises, unless |m_ij|^2 overflowed
+    else:
+        for k in check:
+            _require_deviation(mats[k], dev[k], _HERMITIAN_TOL)
+    return sums
+
+
+def _finite_tile(m, tile, checked: bool) -> bool:
+    """Whether the sweep may take the tile of ``m`` as finite: a checked
+    operand's is, or the check raises; another array's tile is tested; an
+    operand formed a tile at a time says so by ``m.finite``."""
+    if checked:
+        return True
+    return (bool(np.isfinite(tile).all()) if isinstance(m, np.ndarray)
+            else m.finite)
+
+
+def _require_each(mats, check) -> None:
+    """:func:`require_hermitian` of each mats[k], k in ``check``, in order."""
+    for k in check:
+        require_hermitian(mats[k])
 
 
 def _toeplitz(first_col: np.ndarray, first_row: np.ndarray) -> np.ndarray:
@@ -163,41 +260,79 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def require_hermitian(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+_HERMITIAN_TOL = 1e-10
+
+
+def require_hermitian(a: np.ndarray,
+                      tol: float = _HERMITIAN_TOL) -> np.ndarray:
     """Validate that ``a`` is square, finite and Hermitian within ``tol``.
 
     The test is max|a - a^H| <= tol * max(1, max|a|).  It walks each
-    pair of mirrored tiles x and conj(y^T) once.  A pair that is equal
-    and finite adds nothing, one with a NaN or infinite entry on either
-    side is rejected, and any other adds max|x - conj(y^T)| to the
-    deviation.  The pairs cover every entry, and |a_pq - conj(a_qp)|
-    equals |a_qp - conj(a_pq)| bit for bit, so the deviation is the
-    dense formula's.  Finite entries whose difference overflows give an
-    infinite deviation, which rejects the matrix.  A deviation of at most
-    ``tol`` passes at once, since tol * max(1, max|a|) >= tol, so only a
-    deviation above ``tol``, or a NaN ``tol``, takes max|a|, over each
-    tile and its mirror.  A max does not depend on the order it is taken
-    in, so the decision is the dense formula's too, except where
+    pair of mirrored tiles x and conj(y^T) once (:func:`_mirror_deviation`).
+    A pair that is equal and finite adds nothing, one with a NaN or
+    infinite entry on either side is rejected, and any other adds
+    max|x - conj(y^T)| to the deviation.  The pairs cover every entry, and
+    |a_pq - conj(a_qp)| equals |a_qp - conj(a_pq)| bit for bit, so the
+    deviation is the dense formula's.  Finite entries whose difference
+    overflows give an infinite deviation, which rejects the matrix.  A
+    deviation of at most ``tol`` passes at once, since tol * max(1,
+    max|a|) >= tol, so only a deviation above ``tol``, or a NaN ``tol``,
+    takes max|a|, over each tile and its mirror
+    (:func:`_require_deviation`).  A max does not depend on the order it
+    is taken in, so the decision is the dense formula's too, except where
     tol * max(1, max|a|) is NaN (a NaN ``tol``, or 0 times an infinite
     |a_ij|): the dense comparison is then false, but only a deviation of
     0 passes here.
 
     Returns ``a`` unchanged so the call can be chained.
     """
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    a = _require_square(np.asarray(a))
     dev = 0.0
     for rows, cols in _tiles(a.shape[0], a.itemsize):
-        x, y = a[rows, cols], a[cols, rows].T.conj()
+        d = _mirror_deviation(a[rows, cols], a[cols, rows].T.conj())
+        if d != d:
+            raise ValueError("matrix is non-finite (NaN or infinite entries)")
+        dev = max(dev, d)
+    _require_deviation(a, dev, tol)
+    return a
+
+
+def _require_square(a: np.ndarray) -> np.ndarray:
+    """``a``, which must be a square matrix."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
+def _mirror_deviation(x: np.ndarray, y: np.ndarray,
+                      finite_later: bool = False) -> float:
+    """The Hermitian rule on one tile ``x`` and its mirror ``y``, the
+    conjugate transpose of the tile across the diagonal: 0 for an equal
+    finite pair, NaN for a pair with a NaN or infinite entry on either
+    side (tested before anything subtracts it), else max|x - y|.
+
+    With ``finite_later``, an equal pair is 0 without the finiteness
+    pass: the caller proves its entries finite another way (an infinite
+    entry equals an infinite mirror).
+    """
+    if finite_later:
+        if (x == y).all():
+            return 0.0
+        finite = np.isfinite(x).all()
+    else:
         finite = np.isfinite(x).all()
         if finite and (x == y).all():
-            continue
-        if not (finite and np.isfinite(y).all()):
-            raise ValueError("matrix is non-finite (NaN or infinite entries)")
-        dev = max(dev, _max_abs_difference(x, y))
+            return 0.0
+    if not (finite and np.isfinite(y).all()):
+        return math.nan
+    return _max_abs_difference(x, y)
+
+
+def _require_deviation(a: np.ndarray, dev: float, tol: float) -> None:
+    """Reject a finite square ``a`` whose deviation max|a - a^H| = ``dev``
+    exceeds tol * max(1, max|a|) (:func:`require_hermitian`)."""
     if dev <= tol:
-        return a
+        return
     peak = max((float(np.abs(m).max())
                 for rows, cols in _tiles(a.shape[0], a.itemsize)
                 for m in (a[rows, cols], a[cols, rows])), default=0.0)
@@ -206,7 +341,6 @@ def require_hermitian(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     limit = float(tol) * max(1.0, peak)
     if dev > limit or (dev > 0.0 and math.isnan(limit)):
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-    return a
 
 
 def _max_abs_difference(x: np.ndarray, y: np.ndarray) -> float:
@@ -227,13 +361,12 @@ def validate_samples(y: np.ndarray, min_count: int = 1,
                      name: str = "samples") -> np.ndarray:
     """Validate an N x T sample block: 2-d, N >= 1, finite, min_count columns.
 
-    Integer and bool samples come back as float64, so the estimates
-    formed from them can be scaled in place; inexact ones are returned
+    Samples come back in 64-bit precision (:func:`_widened`), so the
+    estimates formed from them can be scaled in place and every path
+    computes in one precision; float64 and complex128 ones are returned
     as they are.
     """
-    y = np.asarray(y)
-    if y.dtype.kind in "biu":
-        y = y.astype(np.float64)
+    y = _widened(y)
     if y.ndim != 2:
         raise ValueError(f"{name} must be a 2-d (N, T) array, got ndim {y.ndim}")
     if y.shape[0] == 0:
@@ -244,3 +377,16 @@ def validate_samples(y: np.ndarray, min_count: int = 1,
     if not np.all(np.isfinite(y)):
         raise ValueError(f"{name} contains non-finite entries")
     return y
+
+
+def _widened(a) -> np.ndarray:
+    """``a`` as an array in 64-bit precision: integer, bool and narrower
+    real entries as float64, narrower complex ones as complex128, and any
+    other array as it is."""
+    a = np.asarray(a)
+    kind, size = a.dtype.kind, a.dtype.itemsize
+    if kind in "biu" or (kind == "f" and size < 8):
+        return a.astype(np.float64)
+    if kind == "c" and size < 16:
+        return a.astype(np.complex128)
+    return a

@@ -298,19 +298,24 @@ def _gram(mats, owner=None, rows=None) -> np.ndarray:
     A pair that ``owner`` (a block or a fit) owns both of comes from its
     memo; every other pair is taken in one sweep over the operands
     (:func:`hermitian._trace_products`), in which R may be a sample
-    factor (:func:`shrinkcov.estimators._operands`).
+    factor (:func:`shrinkcov.estimators._operands`).  The sweep first
+    validates every array that ``owner`` does not own, in order, as
+    :func:`hermitian.require_hermitian` would; each is in a pair it
+    takes.
     """
     k = len(mats)
     owned = [False] * k if owner is None else list(map(owner.owns, mats))
-    g, rest = [[0.0] * k for _ in range(k)], []
+    g, rest, memo = [[0.0] * k for _ in range(k)], [], []
     for i in range(k if rows is None else rows):
         for j in range(i, k):
-            if owned[i] and owned[j]:
-                g[i][j] = g[j][i] = owner.trace(mats[i], mats[j])
-            else:
-                rest.append((i, j))
-    for (i, j), v in zip(rest, _trace_products(mats, rest)):
-        g[i][j] = g[j][i] = v
+            (memo if owned[i] and owned[j] else rest).append((i, j))
+    if rest:
+        check = [i for i, m in enumerate(mats)
+                 if not owned[i] and isinstance(m, np.ndarray)]
+        for (i, j), v in zip(rest, _trace_products(mats, rest, check)):
+            g[i][j] = g[j][i] = v
+    for i, j in memo:
+        g[i][j] = g[j][i] = owner.trace(mats[i], mats[j])
     return np.array(g)
 
 
@@ -376,8 +381,8 @@ def mt_ols_loocv_moments(fit: OlsFit, targets) -> MultiMoments:
     and their products come from its memo.
     """
     mats = _operands(fit, targets)[0]
+    a = _gram(mats, fit)  # validates the raw targets first
     tr_dr, tr_d2, quad_r, ny2, tr_d = fit.loo_terms
-    a = _gram(mats, fit)
     row, quad = [a[0, 0] - 2.0 * tr_dr + tr_d2], [quad_r]  # tr(R_t^2)
     for k, m in enumerate(mats[1:], 1):
         mu = fit.scale(m)
@@ -405,7 +410,8 @@ def mt_oracle_moments(base: np.ndarray, targets, truth: np.ndarray) -> MultiMome
     k = len(mats) - 1
     g = _gram(mats, owner, rows=k)
     return MultiMoments(a=g[:k, :k], b=g[:k, k],
-                        const=frobenius_norm_sq(mats[k]))
+                        const=frobenius_norm_sq(mats[k]) if owner is None
+                        else owner.norm_sq(mats[k]))
 
 
 def _require_trace(targets, tr_r: float) -> None:

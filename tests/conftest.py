@@ -1,5 +1,9 @@
 import sys
 
+import pytest
+
+from shrinkcov import multi_target
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Replay acceptance verdict lines after the run.
@@ -15,3 +19,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def swept_checks(monkeypatch):
+    """The matrices each trace sweep of a selection validates, in order.
+
+    A selection validates the arrays that no owner owns inside its trace
+    sweep (``hermitian._trace_products``'s ``check``), not by a separate
+    ``require_hermitian`` call; the fixture records them there.
+    """
+    seen, real = [], multi_target._trace_products
+
+    def sweep(mats, pairs, check=()):
+        seen.extend(mats[k] for k in check)
+        return real(mats, pairs, check)
+    monkeypatch.setattr(multi_target, "_trace_products", sweep)
+    return seen

@@ -49,6 +49,56 @@ def hermitian_check_dense(a):
     return dev, scale
 
 
+def require_hermitian_dense(a, tol=1e-10):
+    """The Hermitian check on dense N x N arrays, with the package's
+    messages: square, then finite, then max|a - a^H| <= tol * max(1,
+    max|a|)."""
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix is non-finite (NaN or infinite entries)")
+    with np.errstate(over="ignore"):
+        dev, scale = hermitian_check_dense(a)
+    if dev > tol * scale:
+        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
+    return a
+
+
+def trace_products_unfused(mats, pairs, check, tiles):
+    """Trace products of array operands as a separate check and a plain
+    sweep take them: each mats[k], k in ``check``, through
+    :func:`require_hermitian_dense` in order, then Re <mats[i], mats[j]>_F
+    for each (i, j) of ``pairs`` summed over the upper-triangle ``tiles``,
+    the diagonal ones once and the others twice, with no tile skipped.
+
+    A tile product is an einsum of the interleaved (real, imag) parts
+    when both operands are complex, else of the real parts, and the sum
+    is taken on Python floats.
+    """
+    for k in check:
+        require_hermitian_dense(mats[k])
+    n = mats[0].shape[0]
+    for m in mats:
+        if m.shape != (n, n):
+            raise ValueError(f"trace of mismatched shapes {mats[0].shape} "
+                             f"and {m.shape}; expected square operands of "
+                             "equal shape")
+
+    def parts(t, both):
+        return (np.ascontiguousarray(t, dtype=np.complex128).view(np.float64)
+                if both else t.real)
+    sums = [0.0] * len(pairs)
+    for rows, cols in tiles:
+        weight = 1.0 if rows == cols else 2.0
+        for p, (i, j) in enumerate(pairs):
+            both = np.iscomplexobj(mats[i]) and np.iscomplexobj(mats[j])
+            x = parts(mats[i][rows, cols], both)
+            y = parts(mats[j][rows, cols], both)
+            sums[p] += weight * float(np.einsum("ij,ij->", x, y))
+    return sums
+
+
 def toeplitz_dense(c, r):
     """Toeplitz matrix entry by entry: T[i, j] = c[i - j] for i >= j and
     r[j - i] for j > i."""

@@ -107,9 +107,14 @@ def test_integer_and_bool_samples_give_the_results_of_their_float_cast(kind):
 
 
 def test_inexact_samples_are_validated_without_a_copy():
-    for dtype in (np.float32, np.float64, np.complex64, np.complex128):
+    # 64-bit samples come back as they are, 32-bit ones as their 64-bit cast
+    for dtype, wide in ((np.float32, np.float64), (np.float64, np.float64),
+                        (np.complex64, np.complex128),
+                        (np.complex128, np.complex128)):
         y = np.ones((3, 4), dtype)
-        assert validate_samples(y) is y
+        got = validate_samples(y)
+        assert got.dtype == wide and np.array_equal(got, y)
+        assert (got is y) == (dtype == wide)
 
 
 def test_diagonal_target_of_an_integer_covariance_is_float():
@@ -160,6 +165,38 @@ def test_convex_trace_guard_sums_an_integer_target_in_float64():
         (want.rho, want.taus.tolist(), want.objective)
     assert (select_single_target("cv_constrained", t0, samples=y)
             == select_single_target("cv_constrained", f0, samples=y))
+
+
+def test_complex64_samples_give_an_scm_the_package_accepts():
+    # scm of the complex64 samples themselves is not Hermitian to 1e-10
+    # (deviation 4.5e-8), and the targets rejected the package's own R
+    rng = np.random.default_rng(0)
+    y = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
+    y32 = y.astype(np.complex64)
+    r = scm(y32)
+    assert r.dtype == np.complex128
+    assert np.array_equal(r, scm(y32.astype(np.complex128)))
+    for target in (scaled_identity_target, diagonal_target,
+                   toeplitz_average_target):
+        assert np.array_equal(target(r), target(sample_block(y32)))
+    got = mt_select("cv", [scaled_identity_target(r)], samples=y32)
+    want = mt_select("cv", [scaled_identity_target(r)],
+                     samples=y32.astype(np.complex128))
+    assert (got.rho, got.taus.tolist()) == (want.rho, want.taus.tolist())
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.complex64])
+def test_targets_of_a_narrow_covariance_are_its_64_bit_casts(dtype):
+    # a float32 R's band means were summed in float32, and its scaled
+    # identity took a float32 trace
+    rng = np.random.default_rng(1)
+    y = random_samples(9, 4, rng, np.dtype(dtype).kind == "c")
+    r = scm(y).astype(dtype)
+    wide = r.astype(np.complex128 if np.iscomplexobj(r) else np.float64)
+    for target in (scaled_identity_target, diagonal_target,
+                   toeplitz_average_target):
+        got = target(r)
+        assert got.dtype == np.float64 and np.array_equal(got, target(wide))
 
 
 def test_scm_leave_one_out_frozen():

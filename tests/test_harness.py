@@ -452,7 +452,7 @@ BLOCK_LAYERS = ("baselines", "estimators", "multi_target", "single_target",
 
 @pytest.mark.parametrize("name", sorted(TINY))
 def test_one_scm_per_replication_and_block_matrices_not_rechecked(
-        name, monkeypatch):
+        name, monkeypatch, swept_checks):
     real = {"scm": estimators.scm, "sample_block": estimators.sample_block,
             "require_hermitian": hermitian.require_hermitian,
             "validate_samples": hermitian.validate_samples}
@@ -486,8 +486,8 @@ def test_one_scm_per_replication_and_block_matrices_not_rechecked(
         assert len(calls["validate_samples"]) == 5 * replications
     owned = {id(m) for block in calls["sample_block"]
              for m in block._owned.values()}
-    assert owned and not any(id(a) in owned
-                             for a in calls["require_hermitian"])
+    assert owned and not any(id(a) in owned for a in
+                             calls["require_hermitian"] + swept_checks)
 
 
 def test_one_trace_product_per_pair_in_a_multi_target_replication(
@@ -656,7 +656,8 @@ def test_mimo_replication_makes_no_svd(monkeypatch):
     assert not svd
 
 
-def test_least_squares_replication_checks_and_reduces_once(monkeypatch):
+def test_least_squares_replication_checks_and_reduces_once(monkeypatch,
+                                                          swept_checks):
     # the fit owns R, its scaled identity and the truth, so only the
     # knowledge-aided target, which the past block built, is checked; both
     # cross-validated methods read the fit's one set of leave-one-out
@@ -693,6 +694,7 @@ def test_least_squares_replication_checks_and_reduces_once(monkeypatch):
     (fit,) = terms
     assert blocks == [fit] and [f for f, _ in products] == [fit, fit]
     r, past = (m for _, m in products)
+    checked += swept_checks  # the selections validate inside their sweeps
     assert r is fit.r and checked == [past]  # the knowledge-aided target
 
 
@@ -982,6 +984,35 @@ def test_cli_list_methods(capsys):
     for name in EXPERIMENTS:
         assert name in text
     assert "cv" in text and "scm" in text
+
+
+def test_cli_builds_its_parser_once_and_repeated_calls_agree(tmp_path, capsys):
+    # each call used to build the parser again; the kept one must give
+    # what a fresh process gives, call after call
+    from shrinkcov import cli
+    cfg = cli_config(tmp_path, GOOD_DOC)
+    argvs = (["run", "--config", cfg], ["list-methods"],
+             ["run", "--config", cfg, "--reps", "x"], ["nope"])
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own exit on a bad argument
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+    runs = [[call(argv) for argv in argvs] for _ in range(3)]
+    assert runs[0] == runs[1] == runs[2]
+    assert [code for code, _, _ in runs[0]] == [0, 0, 2, 2]
+    assert cli._build_parser() is cli._build_parser()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(shrinkcov.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    for argv, (code, out, err) in zip(argvs, runs[0]):
+        fresh = subprocess.run([sys.executable, "-m", "shrinkcov.cli", *argv],
+                               capture_output=True, text=True,
+                               env=dict(os.environ, PYTHONPATH=path))
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == (
+            code, out, err)
 
 
 def test_cold_import_loads_no_scipy():

@@ -456,7 +456,7 @@ def test_sample_factor_sweep_matches_products_of_the_scm(n, t, cplx):
     rng = np.random.default_rng(7 * n + t)
     y = random_samples(n, t, rng, cplx)
     r = scm(y)
-    mats = [_SampleFactor(y), random_psd(n, rng, cplx, rank=3),
+    mats = [_SampleFactor(sample_block(y)), random_psd(n, rng, cplx, rank=3),
             random_psd(n, rng, False), r]
     pairs = [(i, j) for i in range(4) for j in range(i, 4)]
     for (i, j), got in zip(pairs, _trace_products(mats, pairs)):
@@ -473,7 +473,8 @@ def test_sample_factor_tile_is_the_scm_product_at_one_tile():
         y = random_samples(n, 4, rng, cplx)
         rows, cols = next(_tiles(n, y.itemsize))
         assert rows.stop >= n
-        assert np.array_equal(_SampleFactor(y).tile(rows, cols), scm(y))
+        factor = _SampleFactor(sample_block(y))
+        assert np.array_equal(factor.tile(rows, cols), scm(y))
 
 
 def test_mt_loocv_fast_matches_naive():

@@ -215,18 +215,13 @@ def test_block_still_checks_truth(complex_field):
                 call()
 
 
-def test_only_the_blocks_own_matrices_skip_the_check(monkeypatch):
+def test_only_the_blocks_own_matrices_skip_the_check(swept_checks):
     y, truth = _data(True)
     block, other = sample_block(y), sample_block(y.copy())
     own = [build(block) for build in BUILDERS]
     foreign = scaled_identity_target(other)  # valid, but not block's
     copy = own[1].copy()                      # equal values, another object
-    seen = []
-
-    def counted(a, *args, **kwargs):
-        seen.append(a)
-        return hermitian.require_hermitian(a, *args, **kwargs)
-    monkeypatch.setattr(estimators, "require_hermitian", counted)
+    seen = swept_checks
 
     mt_scm_loocv_moments(block, [*own, foreign, copy])
     assert len(seen) == 2
@@ -241,7 +236,7 @@ def test_only_the_blocks_own_matrices_skip_the_check(monkeypatch):
 
 @pytest.mark.parametrize("complex_field", (False, True))
 def test_the_fit_owns_its_r_targets_and_a_registered_truth(complex_field,
-                                                           monkeypatch):
+                                                           swept_checks):
     rng = np.random.default_rng(11 + complex_field)
     x = random_samples(3, 12, rng, complex_field)
     y = random_samples(5, 12, rng, complex_field)
@@ -256,12 +251,7 @@ def test_the_fit_owns_its_r_targets_and_a_registered_truth(complex_field,
     assert fresh.flags.writeable and np.array_equal(fresh, fit.r)
     foreign = scaled_identity_target(other)
     copies = [m.copy() for m in own]
-    seen = []
-
-    def counted(a, *args, **kwargs):
-        seen.append(a)
-        return hermitian.require_hermitian(a, *args, **kwargs)
-    monkeypatch.setattr(estimators, "require_hermitian", counted)
+    seen = swept_checks
 
     assert _same(mt_ols_loocv_moments(fit, own),
                  mt_ols_loocv_moments(other, copies))
@@ -279,6 +269,33 @@ def test_the_fit_owns_its_r_targets_and_a_registered_truth(complex_field,
     seen.clear()
     mt_oracle_moments(other, own, truth)  # another fit trusts none of them
     assert len(seen) == 4
+
+
+@pytest.mark.parametrize("owner", ["block", "fit"])
+def test_the_owner_keeps_the_norm_of_a_registered_truth(owner, monkeypatch):
+    # every oracle selection used to take ||Sigma||_F^2 again
+    rng = np.random.default_rng(5)
+    y, truth = _data(True)
+    base = (sample_block(y) if owner == "block"
+            else ols_fit(random_samples(2, 9, rng, True), y))
+    own = [build(base) for build in BUILDERS]
+    base.own(truth)
+    real, norms = hermitian.frobenius_norm_sq, []
+    for module in (estimators, multi_target):
+        monkeypatch.setattr(module, "frobenius_norm_sq",
+                            lambda a: norms.append(a) or real(a))
+    consts = [mt_oracle_moments(base, own, truth).const,
+              oracle_moments(base, own[0], truth).const]
+    for method in ("oracle", "oracle_constrained"):
+        mt_select(method, own, samples=base, truth=truth)
+        select_single_target(method, own[2], samples=base, truth=truth)
+    assert sum(a is truth for a in norms) == 1
+    assert consts == [real(truth)] * 2
+    norms.clear()  # a truth the owner does not own is normed on each call
+    copy = truth.copy()
+    assert mt_oracle_moments(base, own, copy).const == real(truth)
+    mt_oracle_moments(base, own, copy)
+    assert sum(a is copy for a in norms) == 2
 
 
 def test_block_matrices_are_read_only_and_scm_stays_writable():
