@@ -72,7 +72,7 @@ def glc_coefficients(y: np.ndarray, target: np.ndarray) -> ShrinkageSolution:
     """
     block = sample_block(y)
     r, t0 = block.r, block.checked(target)
-    norm_t0 = frobenius_norm_sq(t0)
+    norm_t0 = block.trace(t0, t0)
     if norm_t0 <= 0.0:
         raise ValueError("target must be nonzero")
     nu = block.trace(t0, r) / norm_t0

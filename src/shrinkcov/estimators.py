@@ -21,18 +21,19 @@ each holds its samples ``y`` (a fit, its outputs), R, the targets built
 from R and a truth registered on it (``own``) read-only: all a selection
 needs.  A function given the owner skips the Hermitian check for
 exactly those objects, matched by identity, and memoizes their pairwise
-trace products and their squared norms: an owned matrix cannot change,
-and its id is not reused while the owner lives.  A scaled identity mu I
-is registered with mu, so a product with it can be read as mu times a
-sum the owner keeps (:func:`ols_loo_terms`).  Every other matrix is
-checked, and its products are taken again, on every call: its caller
-may change it in place.  A selection checks it where it reads it: the
-trace sweep (:func:`shrinkcov.hermitian._trace_products`) validates
-each raw matrix, a raw R included, by the rule and with the errors of
+trace products, a squared norm ||M||_F^2 = tr(M M) among them: an owned
+matrix cannot change, and its id is not reused while the owner lives.
+A scaled identity mu I is registered with mu, so a product with it can
+be read as mu times a sum the owner keeps (:func:`ols_loo_terms`).
+Every other matrix is checked, and its products are taken again, on
+every call: its caller may change it in place.  A selection checks it
+where it reads it: the trace sweep
+(:func:`shrinkcov.hermitian._trace_products`) validates each raw
+matrix, a raw R included, by the rule and with the errors of
 :func:`require_hermitian`, so :func:`_operands` hands them over
 unchecked.  A target builder given a raw R still checks it
-(:func:`_base`).  A raw R, like raw samples, is read in 64-bit
-precision.
+(:func:`_base`).  A raw R, target or truth, like raw samples, is read
+in 64-bit precision.
 
 A sample block forms R on first use, and a selection on the block does
 not use it for matrices the block does not own.  :func:`_operands`
@@ -84,12 +85,13 @@ def scm(y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Owner:
-    """Holder of read-only matrices, matched by identity (module docs)."""
+    """Holder of read-only matrices, matched by identity, and memo of
+    their pairwise trace products, ||M||_F^2 = tr(M M) among them (module
+    docs)."""
 
     _owned: dict = field(default_factory=dict, init=False, repr=False)
     _traces: dict = field(default_factory=dict, init=False, repr=False)
     _scales: dict = field(default_factory=dict, init=False, repr=False)
-    _norms: dict = field(default_factory=dict, init=False, repr=False)
 
     def own(self, m: np.ndarray, scale: float | None = None) -> np.ndarray:
         """Register ``m``; a ``scale`` mu says that ``m`` is mu I."""
@@ -106,7 +108,8 @@ class _Owner:
         return self._scales.get(id(m)) if self.owns(m) else None
 
     def checked(self, m) -> np.ndarray:
-        return m if self.owns(m) else require_hermitian(m)
+        """An owned ``m`` as it is; any other checked in 64-bit precision."""
+        return m if self.owns(m) else require_hermitian(_widened(m))
 
     def trace(self, a: np.ndarray, b: np.ndarray) -> float:
         # the product is symmetric in its operands, bit for bit; a key held
@@ -117,15 +120,6 @@ class _Owner:
             value = real_trace_product(a, b)
             if self.owns(a) and self.owns(b):
                 self._traces[key] = value
-        return value
-
-    def norm_sq(self, m: np.ndarray) -> float:
-        """:func:`frobenius_norm_sq` of ``m``, kept for an owned one."""
-        if not self.owns(m):
-            return frobenius_norm_sq(m)
-        value = self._norms.get(id(m))
-        if value is None:
-            value = self._norms[id(m)] = frobenius_norm_sq(m)
         return value
 
 
@@ -229,7 +223,8 @@ def _operands(base, mats) -> tuple[list, _Owner | None]:
     """([R, *mats], owner) of a block, fit or raw R (:func:`_base`), for
     trace products.  Every array in it that no owner owns is raw, and the
     trace sweep validates it (:func:`shrinkcov.multi_target._gram`); so
-    a raw R here is only widened and checked to be square with a row.
+    here each is only widened to 64-bit precision, and a raw R checked to
+    be square with a row.
 
     A block that does not own every one of ``mats`` gives R as its
     sample factor, which the trace sweep forms a tile at a time, so its
@@ -238,8 +233,8 @@ def _operands(base, mats) -> tuple[list, _Owner | None]:
     """
     if not isinstance(base, _Owner):
         r = _rows(_require_square(_widened(base)))
-        return [r, *map(np.asarray, mats)], None
-    mats = [m if base.owns(m) else np.asarray(m) for m in mats]
+        return [r, *map(_widened, mats)], None
+    mats = [m if base.owns(m) else _widened(m) for m in mats]
     if isinstance(base, SampleBlock) and not all(map(base.owns, mats)):
         return [_SampleFactor(base), *mats], base
     return [base.r, *mats], base

@@ -16,14 +16,15 @@ every real matrix the package builds is.  :func:`real_trace_product` is
 one contiguous inner product, and the Gram matrix of the selection
 moments takes its products in one sweep over the tiles, the diagonal
 ones once and the others twice, reading each operand's tile as it
-reaches it.  Over several tiles that sweep also validates the raw
-operands it reads, by the same tile rule and with the same errors as
-:func:`require_hermitian`, skips the products of exactly zero tiles
-(the off-diagonal ones of a diagonal target) and may read tr R^2 of
-raw samples from their T x T Gram.  All the passes and
-:func:`frobenius_norm_sq` reduce in numpy without BLAS, so they do not
-depend on the BLAS thread count.  Every entry point computes in 64-bit
-precision: :func:`validate_samples` widens narrower samples
+reaches it.  At every size, one tile included, that sweep also
+validates the raw operands it reads, by the same tile rule and with the
+same errors as :func:`require_hermitian`, and skips the products of
+exactly zero tiles (the off-diagonal ones of a diagonal target); over
+several tiles it may read tr R^2 of raw samples from their T x T Gram.
+All the passes and :func:`frobenius_norm_sq` reduce in numpy without
+BLAS, so they do not depend on the BLAS thread count.  Every entry point
+computes in 64-bit precision: :func:`validate_samples` widens narrower
+samples, and the estimators widen raw R, targets and truths
 (:func:`_widened`).
 """
 
@@ -93,8 +94,9 @@ def _tiles(n: int, itemsize: int):
 def _trace_products(mats, pairs, check=()) -> list[float]:
     """:func:`real_trace_product` of mats[i] and mats[j] for each (i, j) of
     ``pairs``, all in one sweep over the square tiles of the upper
-    triangle, after validating each mats[k], k in ``check``, as
-    :func:`require_hermitian` does, in that order and with its errors.
+    triangle, validating each mats[k], k in ``check``, as
+    :func:`require_hermitian` does, in that order and with its errors
+    (:func:`_checked_walk`).
 
     The operands must be Hermitian (to the tolerance of
     :func:`require_hermitian`): a product is then that of the diagonal
@@ -103,10 +105,8 @@ def _trace_products(mats, pairs, check=()) -> list[float]:
     of any other operand (one with ``shape``, ``dtype``, ``itemsize``,
     ``finite`` and ``norm_sq()``, which may form its tile when the sweep
     reaches it), and no operand is copied whole.  When one tile is the
-    whole matrix, the checked operands go through
-    :func:`require_hermitian` and each product is
-    :func:`real_trace_product`'s einsum, bit for bit; over several tiles
-    the walk validates them itself (:func:`_checked_walk`).
+    whole matrix, each product is :func:`real_trace_product`'s einsum,
+    bit for bit.
     """
     if not (pairs or check):
         return []
@@ -117,26 +117,14 @@ def _trace_products(mats, pairs, check=()) -> list[float]:
             raise ValueError(f"trace of mismatched shapes {mats[0].shape} "
                              f"and {m.shape}; expected square operands of "
                              "equal shape")
-    tiles = list(_tiles(n, max(m.itemsize for m in mats)))
     cplx = [np.iscomplexobj(m) for m in mats]
-    ops = [(i, j, cplx[i] and cplx[j]) for i, j in pairs]
-    if len(tiles) > 1:
-        return _checked_walk(mats, ops, check, tiles)
-    _require_each(mats, check)
-    used = {(k, both) for i, j, both in ops for k in (i, j)}
-    sums = [0.0] * len(ops)
-    for rows, cols in tiles:
-        tile = {k: mats[k][rows, cols] if isinstance(mats[k], np.ndarray)
-                else mats[k].tile(rows, cols) for k in {k for k, _ in used}}
-        view = {(k, both): _parts(tile[k], both) for k, both in used}
-        for p, (i, j, both) in enumerate(ops):
-            sums[p] += np.einsum("ij,ij->", view[i, both], view[j, both])
-    return [float(s) for s in sums]
+    return _checked_walk(mats, [(i, j, cplx[i] and cplx[j]) for i, j in pairs],
+                         check, list(_tiles(n, max(m.itemsize for m in mats))))
 
 
 def _checked_walk(mats, ops, check, tiles) -> list[float]:
     """The products ``ops`` (i, j, both complex) of :func:`_trace_products`
-    over several ``tiles``, validating the checked operands in the walk.
+    over ``tiles``, validating the checked operands in the walk.
 
     At each tile it compares each checked operand's tile with its mirror
     once (:func:`_mirror_deviation`; a pair of zero tiles is equal), and
@@ -149,12 +137,14 @@ def _checked_walk(mats, ops, check, tiles) -> list[float]:
 
     A product in which one tile is exactly zero and the other finite is
     an exact 0 term, and is skipped; an operand's tile is formed only for
-    a product it enters.  An operand that is not an array may give its
-    tr(M^2) by ``norm_sq()`` (None: the walk takes it).
+    a product it enters.  Over several tiles, an operand that is not an
+    array may give its tr(M^2) by ``norm_sq()`` (None: the walk takes
+    it); over one, the walk takes it, so that it is the einsum of the
+    whole matrix.
     """
     sums, walk = [0.0] * len(ops), []
     for p, (i, j, _) in enumerate(ops):
-        given = (mats[i].norm_sq() if i == j
+        given = (mats[i].norm_sq() if i == j and len(tiles) > 1
                  and not isinstance(mats[i], np.ndarray) else None)
         if given is None:
             walk.append(p)

@@ -34,7 +34,7 @@ from itertools import chain
 import numpy as np
 
 from .estimators import OlsFit, _operands, sample_block
-from .hermitian import _trace_products, frobenius_norm_sq, is_psd
+from .hermitian import _trace_products, _widened, is_psd
 
 __all__ = [
     "MultiMoments",
@@ -290,10 +290,10 @@ def solve_nonneg_qp_simplex(m: MultiMoments) -> tuple[np.ndarray, float]:
 # moment accumulation
 
 
-def _gram(mats, owner=None, rows=None) -> np.ndarray:
+def _gram(mats, owner=None) -> np.ndarray:
     """Symmetric matrix of the real trace products tr(M_i M_j) of Hermitian
-    matrices: those of the first ``rows`` (all by default) with every one,
-    the others left 0.
+    matrices, the coefficients of every selection quadratic; its diagonal
+    holds the squared norms ||M_i||_F^2.
 
     A pair that ``owner`` (a block or a fit) owns both of comes from its
     memo; every other pair is taken in one sweep over the operands
@@ -306,7 +306,7 @@ def _gram(mats, owner=None, rows=None) -> np.ndarray:
     k = len(mats)
     owned = [False] * k if owner is None else list(map(owner.owns, mats))
     g, rest, memo = [[0.0] * k for _ in range(k)], [], []
-    for i in range(k if rows is None else rows):
+    for i in range(k):
         for j in range(i, k):
             (memo if owned[i] and owned[j] else rest).append((i, j))
     if rest:
@@ -405,22 +405,20 @@ def mt_oracle_moments(base: np.ndarray, targets, truth: np.ndarray) -> MultiMome
     own, and the products of the matrices it owns (R, its targets and a
     registered truth) come from its memo.  A block that does not own
     them all does not form R (:func:`shrinkcov.estimators._operands`).
+    The quadratic is read from the Gram of (R, T_1..T_K, Sigma): its
+    constant is tr(Sigma Sigma) = ||Sigma||_F^2.
     """
     mats, owner = _operands(base, [*targets, truth])
     k = len(mats) - 1
-    g = _gram(mats, owner, rows=k)
-    return MultiMoments(a=g[:k, :k], b=g[:k, k],
-                        const=frobenius_norm_sq(mats[k]) if owner is None
-                        else owner.norm_sq(mats[k]))
+    g = _gram(mats, owner)
+    return MultiMoments(a=g[:k, :k], b=g[:k, k], const=float(g[k, k]))
 
 
 def _require_trace(targets, tr_r: float) -> None:
-    """Check that each target keeps tr R = ``tr_r`` to 1e-8 relative; an
-    integer or bool target's trace is summed in float64."""
+    """Check that each target keeps tr R = ``tr_r`` to 1e-8 relative; a
+    target's trace is summed in 64-bit precision (:func:`_widened`)."""
     for j, t0 in enumerate(targets):
-        t0 = np.asarray(t0)
-        exact = np.float64 if t0.dtype.kind in "biu" else None
-        if abs(float(t0.trace(dtype=exact).real) - tr_r) > 1e-8 * abs(tr_r):
+        if abs(float(_widened(t0).trace().real) - tr_r) > 1e-8 * abs(tr_r):
             raise ValueError(f"target {j} does not match the base estimate "
                              "trace; the convex-combination design requires "
                              "trace-preserving targets")

@@ -246,6 +246,24 @@ def ols_loo_moments_loop(x, y, target):
     return out
 
 
+def mt_moments_dense(covs, holdouts, targets):
+    """Mean over folds f of the quadratic in (rho, tau_1..tau_K) of
+    || rho covs[f] + sum_k tau_k T_k - holdouts[f] ||_F^2, from dense
+    Frobenius products of the explicit matrices: the leave-one-out
+    quadratic with covs[f] = R_f and holdouts[f] = y_f y_f^H, the oracle
+    one with a single fold (R, Sigma)."""
+    def dot(p, q):
+        return float(np.vdot(p, q).real)
+    a, b, const = [], [], []
+    for cov, held in zip(covs, holdouts):
+        mats = [cov, *targets]
+        a.append([[dot(p, q) for q in mats] for p in mats])
+        b.append([dot(p, held) for p in mats])
+        const.append(dot(held, held))
+    return MultiMoments(a=np.mean(a, axis=0), b=np.mean(b, axis=0),
+                        const=math.fsum(const) / len(const))
+
+
 def cv_cost_direct(rho, tau, loo_covs, samples, target):
     """(1/T) sum_t || rho R_t + tau T0 - y_t y_t^H ||_F^2, no shortcuts."""
     t = samples.shape[1]

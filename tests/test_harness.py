@@ -494,9 +494,10 @@ def test_one_trace_product_per_pair_in_a_multi_target_replication(
         monkeypatch):
     # cv_single, oracle_single and the three multi-target selectors share
     # the block: 10 products of R and its three targets, each taken once,
-    # plus the 4 products of the truth, which the scene registers on the
-    # block, with R and the targets (oracle_single and oracle_multi_con
-    # share R Sigma and T_0 Sigma)
+    # plus the 5 products of the truth, which the scene registers on the
+    # block, with R, the targets and itself, tr(Sigma Sigma) being the
+    # oracle's constant (oracle_single and oracle_multi_con share R Sigma,
+    # T_0 Sigma and Sigma Sigma)
     real = hermitian.real_trace_product
     calls = []
 
@@ -510,7 +511,7 @@ def test_one_trace_product_per_pair_in_a_multi_target_replication(
     cfg = tiny_config("MultiTargetAr")
     assert cfg.methods == ()  # every method of the default table
     run_experiment(cfg)
-    assert len(calls) == 14 * cfg.reps * len(cfg.sample_counts)
+    assert len(calls) == 15 * cfg.reps * len(cfg.sample_counts)
 
 
 def test_an_ar1_replication_computes_tr_r2_once(monkeypatch):

@@ -273,29 +273,39 @@ def test_the_fit_owns_its_r_targets_and_a_registered_truth(complex_field,
 
 @pytest.mark.parametrize("owner", ["block", "fit"])
 def test_the_owner_keeps_the_norm_of_a_registered_truth(owner, monkeypatch):
-    # every oracle selection used to take ||Sigma||_F^2 again
+    # every oracle selection used to take ||Sigma||_F^2 again; it is the
+    # Gram's tr(Sigma Sigma), which the owner's memo keeps
     rng = np.random.default_rng(5)
     y, truth = _data(True)
     base = (sample_block(y) if owner == "block"
             else ols_fit(random_samples(2, 9, rng, True), y))
     own = [build(base) for build in BUILDERS]
     base.own(truth)
-    real, norms = hermitian.frobenius_norm_sq, []
-    for module in (estimators, multi_target):
-        monkeypatch.setattr(module, "frobenius_norm_sq",
-                            lambda a: norms.append(a) or real(a))
+    memo, swept = [], []
+    real_product = estimators.real_trace_product
+    real_sweep = multi_target._trace_products
+    monkeypatch.setattr(estimators, "real_trace_product",
+                        lambda a, b: memo.append((a, b)) or real_product(a, b))
+
+    def sweep(mats, pairs, check=()):
+        swept.extend((mats[i], mats[j]) for i, j in pairs)
+        return real_sweep(mats, pairs, check)
+    monkeypatch.setattr(multi_target, "_trace_products", sweep)
     consts = [mt_oracle_moments(base, own, truth).const,
               oracle_moments(base, own[0], truth).const]
     for method in ("oracle", "oracle_constrained"):
         mt_select(method, own, samples=base, truth=truth)
         select_single_target(method, own[2], samples=base, truth=truth)
-    assert sum(a is truth for a in norms) == 1
-    assert consts == [real(truth)] * 2
-    norms.clear()  # a truth the owner does not own is normed on each call
+    assert sum(a is truth and b is truth for a, b in memo) == 1
+    assert not any(a is truth or b is truth for a, b in swept)
+    norm = hermitian.frobenius_norm_sq(truth)
+    assert consts == [norm] * 2
+    # a truth the owner does not own is swept with itself on each call
     copy = truth.copy()
-    assert mt_oracle_moments(base, own, copy).const == real(truth)
+    assert mt_oracle_moments(base, own, copy).const == norm
     mt_oracle_moments(base, own, copy)
-    assert sum(a is copy for a in norms) == 2
+    assert sum(a is copy and b is copy for a, b in swept) == 2
+    assert not any(a is copy or b is copy for a, b in memo)
 
 
 def test_block_matrices_are_read_only_and_scm_stays_writable():

@@ -239,3 +239,16 @@ def test_one_tile_raw_selections_keep_the_memo_paths_bits():
         b = mt_oracle_moments(raw, copies, truth.copy())
         assert np.array_equal(a.a, b.a) and np.array_equal(a.b, b.b)
         assert a.const == b.const
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("n", SIZES)
+def test_a_self_product_is_the_squared_norm_bit_for_bit(n, cplx):
+    # the oracle's constant is the Gram's tr(Sigma Sigma), which an owner
+    # memoizes as real_trace_product(Sigma, Sigma): for a C-contiguous
+    # Hermitian matrix it is frobenius_norm_sq, bit for bit
+    rng = np.random.default_rng(n + 1000 * cplx)
+    for m in (random_hermitian(n, rng, cplx), scm(random_samples(n, 7, rng,
+                                                                 cplx))):
+        assert m.flags.c_contiguous
+        assert real_trace_product(m, m) == hermitian.frobenius_norm_sq(m)
