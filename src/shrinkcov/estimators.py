@@ -35,6 +35,15 @@ unchecked.  A target builder given a raw R still checks it
 (:func:`_base`).  A raw R, target or truth, like raw samples, is read
 in 64-bit precision.
 
+A target built from a raw R comes back read-only too, and while it
+lives it is registered in a module-level weak registry, by identity,
+with its structure: its diagonal and, for the Toeplitz target, its
+bands (:func:`_register`; only a finite structure is registered).  A
+selection trusts such a target, without a check, only while it is the
+very object registered and still read-only (:func:`_structure`), as an
+owner trusts what it owns; a copy, or a target its caller made writable
+again, is raw.
+
 A sample block forms R on first use, and a selection on the block does
 not use it for matrices the block does not own.  :func:`_operands`
 decides how R is read: for those matrices it hands the trace sweep R as
@@ -43,17 +52,22 @@ of ``y`` when the sweep reaches them and dropped after, so raw samples
 and raw targets are selected on without an N x N R.  A sweep of several
 tiles reads tr R^2 from the T x T Gram of ``y`` when T < N
 (``SampleBlock.tr_r2``), and forms R's tiles only where a target's tile
-is not zero.
+is not zero.  When every other operand is a registered target there is
+no sweep: the Gram comes in closed form from the block's tr R^2, row
+norms and band sums and the targets' structures
+(:func:`shrinkcov.multi_target._structured_gram`).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .hermitian import (
+    _parts,
     _require_square,
     _widened,
     frobenius_norm_sq,
@@ -132,9 +146,12 @@ class SampleBlock(_Owner):
     selector of one draw reads, ``tr_r`` = ||Y||_F^2 / T, the trace the
     convex selectors' guard reads, and ``tr_r2`` = tr R^2 =
     ||Y^H Y||_F^2 / T^2 from the T x T Gram of the samples, which a trace
-    sweep of several tiles reads when T < N.  Each is formed on first
-    use.  A selection with a matrix the block does not own reads R from
-    ``y`` a tile at a time (:func:`_operands`) and does not form ``r``.
+    sweep of several tiles reads when T < N.  The row norms ``row_norms``
+    ||y_i||^2 (T times R's diagonal) and the band sums ``band_sums`` give
+    R's products with registered targets in closed form.  Each is formed
+    on first use.  A selection with a matrix the block does not own reads
+    R from ``y`` a tile at a time (:func:`_operands`) and does not form
+    ``r``.
     """
 
     y: np.ndarray
@@ -155,6 +172,39 @@ class SampleBlock(_Owner):
     def tr_r2(self) -> float:
         gram = self.y.conj().T @ self.y
         return frobenius_norm_sq(gram) / self.y.shape[1] ** 2
+
+    @cached_property
+    def row_norms(self) -> np.ndarray:
+        y = _parts(self.y, np.iscomplexobj(self.y))
+        return np.einsum("ij,ij->i", y, y)
+
+    @cached_property
+    def band_sums(self) -> np.ndarray:
+        """Re s_k = Re sum_i R[i, i + k] for k = 0..N-1: the real parts'
+        and the imaginary parts' autocorrelations of the columns of ``y``
+        at lag k, summed and divided by T, by one real FFT of a fast
+        length at least 2N - 1, so that no lag wraps around."""
+        n, t = self.y.shape
+        size = _fast_length(2 * n - 1)
+        y = _parts(self.y, np.iscomplexobj(self.y))
+        x = np.fft.rfft(np.ascontiguousarray(y.T), size)
+        power = (np.einsum("ij,ij->j", x.real, x.real)
+                 + np.einsum("ij,ij->j", x.imag, x.imag))
+        return np.fft.irfft(power, size)[:n] / t
+
+
+def _fast_length(n: int) -> int:
+    """The least 5-smooth integer 2^a 3^b 5^c that is at least ``n`` (1
+    for n <= 1): a length that numpy's FFT transforms fast."""
+    best = 1 << max(n - 1, 0).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:  # odd = 3^b 5^c; the least power of two after it
+            best = min(best, odd << max(-(-n // odd) - 1, 0).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
 
 
 def sample_block(samples, min_count: int = 1,
@@ -202,14 +252,50 @@ class _SampleFactor:
         return t
 
 
+# Targets built from a raw R, by id: (a weak reference to the target, its
+# diagonal, and the bands m[0, 1:] of a Toeplitz one or None); see
+# :func:`_register`
+_STRUCTURES: dict = {}
+
+
+def _register(m: np.ndarray, toeplitz: bool) -> np.ndarray:
+    """``m``, a target a builder formed from a raw R, made read-only and,
+    when its structure is finite, registered with it: its diagonal (mu
+    for a scaled identity) and, for a ``toeplitz`` one, its first row's
+    bands.  The entry goes when ``m`` does, and :func:`_structure` reads
+    it only while ``m`` stays read-only."""
+    m.flags.writeable = False
+    diag = m.diagonal().copy()
+    bands = m[0, 1:].copy() if toeplitz else None
+    if np.isfinite(diag).all() and (bands is None or np.isfinite(bands).all()):
+        key = id(m)
+        ref = weakref.ref(m, lambda _, registry=_STRUCTURES:
+                          registry.pop(key, None))
+        _STRUCTURES[key] = (ref, diag, bands)
+    return m
+
+
+def _structure(m) -> tuple | None:
+    """(diagonal, bands or None) of ``m`` if it is a registered target, the
+    very object registered, and still read-only; None otherwise."""
+    entry = _STRUCTURES.get(id(m))
+    if entry is None or entry[0]() is not m or m.flags.writeable:
+        return None
+    return entry[1:]
+
+
 def _base(base) -> tuple:
-    """(R, own) of a block or fit; a raw R is checked, must have a row and
-    has no owner.  A raw R comes back in 64-bit precision, as
+    """(R, own) of a block or fit, where ``own(m, scale=None,
+    toeplitz=False)`` keeps a target built from R: the owner's ``own``
+    registers it with a scale mu of mu I, and for a raw R
+    :func:`_register` registers it with its structure.  A raw R is
+    checked and must have a row.  It comes back in 64-bit precision, as
     :func:`validate_samples` returns samples: an integer or bool one as
     float64, so that its sums neither wrap nor saturate."""
     if isinstance(base, _Owner):
-        return base.r, base.own
-    return _rows(require_hermitian(_widened(base))), (lambda m, scale=None: m)
+        return base.r, lambda m, scale=None, toeplitz=False: base.own(m, scale)
+    return (_rows(require_hermitian(_widened(base))),
+            lambda m, scale=None, toeplitz=False: _register(m, toeplitz))
 
 
 def _rows(r: np.ndarray) -> np.ndarray:
@@ -228,8 +314,9 @@ def _operands(base, mats) -> tuple[list, _Owner | None]:
 
     A block that does not own every one of ``mats`` gives R as its
     sample factor, which the trace sweep forms a tile at a time, so its
-    ``r`` is not formed; an owner of them all gives its ``r``, whose
-    products with them come from its memo.
+    ``r`` is not formed, or which gives its products with registered
+    targets in closed form (:func:`_structure`); an owner of them all
+    gives its ``r``, whose products with them come from its memo.
     """
     if not isinstance(base, _Owner):
         r = _rows(_require_square(_widened(base)))

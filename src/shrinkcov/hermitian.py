@@ -21,6 +21,9 @@ validates the raw operands it reads, by the same tile rule and with the
 same errors as :func:`require_hermitian`, and skips the products of
 exactly zero tiles (the off-diagonal ones of a diagonal target); over
 several tiles it may read tr R^2 of raw samples from their T x T Gram.
+Targets built from a raw R skip the sweep altogether over several tiles
+with T < N: their structure gives every product in closed form
+(:func:`shrinkcov.multi_target._structured_gram`).
 All the passes and :func:`frobenius_norm_sq` reduce in numpy without
 BLAS, so they do not depend on the BLAS thread count.  Every entry point
 computes in 64-bit precision: :func:`validate_samples` widens narrower
@@ -81,11 +84,16 @@ def _parts(a: np.ndarray, interleaved: bool) -> np.ndarray:
 _TILE_BYTES = 131072
 
 
+def _tile_side(itemsize: int) -> int:
+    """The side of a square tile of ``itemsize``-byte entries."""
+    return max(1, math.isqrt(_TILE_BYTES // itemsize))
+
+
 def _tiles(n: int, itemsize: int):
     """(rows, cols) slices of the square tiles on and above the diagonal
     of an n x n matrix with ``itemsize``-byte entries; rows == cols on
     the diagonal."""
-    side = max(1, math.isqrt(_TILE_BYTES // itemsize))
+    side = _tile_side(itemsize)
     for i in range(0, n, side):
         for j in range(i, n, side):
             yield slice(i, i + side), slice(j, j + side)

@@ -33,8 +33,14 @@ from itertools import chain
 
 import numpy as np
 
-from .estimators import OlsFit, _operands, sample_block
-from .hermitian import _trace_products, _widened, is_psd
+from .estimators import (
+    OlsFit,
+    _operands,
+    _SampleFactor,
+    _structure,
+    sample_block,
+)
+from .hermitian import _tile_side, _trace_products, _widened, is_psd
 
 __all__ = [
     "MultiMoments",
@@ -301,8 +307,12 @@ def _gram(mats, owner=None) -> np.ndarray:
     factor (:func:`shrinkcov.estimators._operands`).  The sweep first
     validates every array that ``owner`` does not own, in order, as
     :func:`hermitian.require_hermitian` would; each is in a pair it
-    takes.
+    takes.  When R is a sample factor over several tiles with T < N and
+    every other operand a registered target, the whole Gram comes in
+    closed form instead (:func:`_structured_gram`).
     """
+    if (g := _structured_gram(mats)) is not None:
+        return g
     k = len(mats)
     owned = [False] * k if owner is None else list(map(owner.owns, mats))
     g, rest, memo = [[0.0] * k for _ in range(k)], [], []
@@ -317,6 +327,50 @@ def _gram(mats, owner=None) -> np.ndarray:
     for i, j in memo:
         g[i][j] = g[j][i] = owner.trace(mats[i], mats[j])
     return np.array(g)
+
+
+def _structured_gram(mats) -> np.ndarray | None:
+    """The Gram of :func:`_gram` from Y and the targets' structures, in
+    O(N T log N), when R is a sample factor over several tiles with T < N
+    and every target is registered (:func:`estimators._structure`); None
+    for any other operands.
+
+    A target is its diagonal d plus, if Toeplitz, its bands c_k, k >= 1,
+    so with r_i = ||y_i||^2 / T, R's diagonal, s_k R's band sums
+    (``SampleBlock.band_sums``) and n_k = N - k band k's length:
+    tr R^2 = ``SampleBlock.tr_r2``, tr(R X) = sum_i d_i r_i + 2 sum_k c_k
+    Re s_k, and tr(X X') = sum_i d_i d'_i + 2 sum_k n_k c_k c'_k, the band
+    terms present only where the targets have bands.
+    """
+    r = mats[0]
+    if not isinstance(r, _SampleFactor):
+        return None
+    n, t = r.y.shape
+    if t >= n or n <= _tile_side(max(m.itemsize for m in mats)):
+        return None
+    structs = [_structure(m) for m in mats[1:]]
+    if any(x is None for x in structs):
+        return None
+    block, lengths = r.block, np.arange(n - 1, 0, -1.0)
+    k = len(mats)
+    g = np.empty((k, k))
+    g[0, 0] = block.tr_r2
+    for i, (d, c) in enumerate(structs, 1):
+        v = _inner(d, block.row_norms) / t
+        if c is not None:
+            v += 2.0 * _inner(c, block.band_sums[1:])
+        g[0, i] = g[i, 0] = v
+        for j, (d2, c2) in enumerate(structs[i - 1:], i):
+            v = _inner(d, d2)
+            if c is not None and c2 is not None:
+                v += 2.0 * _inner(lengths * c, c2)
+            g[i, j] = g[j, i] = v
+    return g
+
+
+def _inner(u: np.ndarray, v: np.ndarray) -> float:
+    """sum_i u_i v_i of two real vectors, by einsum rather than BLAS."""
+    return float(np.einsum("i,i->", u, v))
 
 
 def mt_loocv_moments(loo_covs, samples: np.ndarray, targets) -> MultiMoments:

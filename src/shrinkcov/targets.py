@@ -6,7 +6,12 @@ every one is Hermitian.  The scaled identity and diagonal targets are
 PSD whenever the input is; the Toeplitz band average need not be (see
 :func:`toeplitz_average_target`).  Given an owner (a sample block or a
 least-squares fit) in place of R, a target reads its R unchecked and is
-registered on it; a raw integer or bool R is read as float64.
+registered on it.  A raw R is checked, an integer or bool one read as
+float64, and its target comes back read-only and registered with its
+structure, its diagonal and any Toeplitz bands, so that a selection on
+raw samples of N >> T takes its products in closed form
+(:mod:`shrinkcov.estimators`); a copy of the target is an ordinary,
+writable array.
 """
 
 from __future__ import annotations
@@ -72,7 +77,7 @@ def toeplitz_average_target(r: np.ndarray) -> np.ndarray:
     flat, step, add = r.real.reshape(-1), n + 1, np.add.reduce
     first_row = np.array([add(flat[i:(n - i) * step:step]) / (n - i)
                           for i in range(n)], dtype=np.float64)
-    return own(_toeplitz(first_row, first_row))
+    return own(_toeplitz(first_row, first_row), toeplitz=True)
 
 
 def knowledge_aided_target(past_samples: np.ndarray) -> np.ndarray:

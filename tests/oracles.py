@@ -3,8 +3,9 @@
 Everything here is deliberately naive: dense products, explicit refits,
 grid scans, projected gradient, face enumeration, and a 2 x 2 solve by
 case analysis that the package's active set must match. Apart from the
-tau-form of the convex design, the paired MultiTargetAr reference and the
-dense MMSE channel composition at the end, nothing imports from shrinkcov,
+tau-form of the convex design, the paired MultiTargetAr reference, the
+dense MMSE channel composition at the end and the pairwise
+``real_trace_product`` of the dense Gram, nothing imports from shrinkcov,
 so the package and these oracles can only agree by computing the same
 mathematics.
 """
@@ -15,6 +16,7 @@ import numpy as np
 from shrinkcov.applications import ls_to_channel_cov, mmse_channel_estimate
 from shrinkcov.datagen import RngStream, ar_covariance, gaussian_samples
 from shrinkcov.estimators import scm
+from shrinkcov.hermitian import real_trace_product
 from shrinkcov.multi_target import (
     MultiMoments,
     mt_oracle_moments,
@@ -31,6 +33,13 @@ from shrinkcov.targets import (
     scaled_identity_target,
     toeplitz_average_target,
 )
+
+
+def gram_dense(y, targets):
+    """Gram of the trace products of R = y y^H / T and the targets, each a
+    dense N x N copy, pair by pair by ``real_trace_product``."""
+    mats = [y @ y.conj().T / y.shape[1], *[np.array(m) for m in targets]]
+    return np.array([[real_trace_product(a, b) for b in mats] for a in mats])
 
 
 def trace_product_dense(a, b):

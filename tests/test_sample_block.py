@@ -319,9 +319,11 @@ def test_block_matrices_are_read_only_and_scm_stays_writable():
     assert fresh.flags.writeable and fresh is not scm(y)
     fresh[0, 0] = 1.0
     assert block.r[0, 0] != 1.0
-    # a raw R's targets stay the caller's to change
+    # a raw R's targets are read-only too: they are registered with their
+    # structure, which a selection trusts while they cannot change
     for build in BUILDERS:
-        assert build(scm(y)).flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            build(scm(y))[0, 0] = 1.0
     x = random_samples(2, 9, np.random.default_rng(3), True)
     cov = ols_covariance(ols_fit(x, y))
     assert cov.flags.writeable

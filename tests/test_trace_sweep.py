@@ -150,17 +150,26 @@ def test_selection_op_validates_each_raw_target_once_per_selection(
     grid = list(_tiles(y.shape[0], y.itemsize))
     assert len(grid) > 1
 
+    # targets built from a raw R are registered: neither selection checks
+    # or sweeps them, nor forms a tile of R
     sol = select_single_target("cv", targets[0], samples=y)
-    assert [m is targets[0] for m in swept_checks] == [True]
+    shrink(r, targets[0], sol)
+    mt_select("cv", targets, samples=y)
+    assert swept_checks == [] and tiles == []
+
+    # their copies are raw: each is validated once per selection
+    copies = [m.copy() for m in targets]
+    sol = select_single_target("cv", copies[0], samples=y)
+    assert [m is copies[0] for m in swept_checks] == [True]
     # the identity's off-diagonal tiles are zero: R is formed on the diagonal
     assert tiles == [(rows, cols) for rows, cols in grid if rows == cols]
-    shrink(r, targets[0], sol)
+    shrink(r, copies[0], sol)
     swept_checks.clear()
     tiles.clear()
-    mt_select("cv", targets, samples=y)
-    assert list(map(id, swept_checks)) == list(map(id, targets))
+    mt_select("cv", copies, samples=y)
+    assert list(map(id, swept_checks)) == list(map(id, copies))
     assert tiles == grid  # the Toeplitz target needs every tile of R, once
-    # no separate check of a raw target, nor of R, in either selection
+    # no separate check of a raw target, nor of R, in any selection
     assert checks == []
     # an op's only checks: the target builders' checks of the caller's R
     for build in (scaled_identity_target, diagonal_target,
