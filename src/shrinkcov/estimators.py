@@ -23,8 +23,6 @@ needs.  A function given the owner skips the Hermitian check for
 exactly those objects, matched by identity, and memoizes their pairwise
 trace products, a squared norm ||M||_F^2 = tr(M M) among them: an owned
 matrix cannot change, and its id is not reused while the owner lives.
-A scaled identity mu I is registered with mu, so a product with it can
-be read as mu times a sum the owner keeps (:func:`ols_loo_terms`).
 Every other matrix is checked, and its products are taken again, on
 every call: its caller may change it in place.  A selection checks it
 where it reads it: the trace sweep
@@ -35,14 +33,16 @@ unchecked.  A target builder given a raw R still checks it
 (:func:`_base`).  A raw R, target or truth, like raw samples, is read
 in 64-bit precision.
 
-A target built from a raw R comes back read-only too, and while it
-lives it is registered in a module-level weak registry, by identity,
-with its structure: its diagonal and, for the Toeplitz target, its
-bands (:func:`_register`; only a finite structure is registered).  A
-selection trusts such a target, without a check, only while it is the
-very object registered and still read-only (:func:`_structure`), as an
-owner trusts what it owns; a copy, or a target its caller made writable
-again, is raw.
+Every target a builder returns, from a raw R or an owner, is read-only
+for good: numpy refuses to make it writable again.  While it lives it
+is registered in a module-level weak registry, by identity, with its
+kind: scaled identity, diagonal or Toeplitz (:func:`_register`; only a
+target of finite structure is registered).  Its structure, the diagonal
+and a Toeplitz target's bands, is read from it when used
+(:func:`_structure`), and a selection trusts it, without a check, only
+while it is the very object registered, as an owner trusts what it
+owns; a copy is raw.  A scaled identity mu I that a fit built gives its
+products as mu times sums the fit keeps (:func:`ols_loo_terms`).
 
 A sample block forms R on first use, and a selection on the block does
 not use it for matrices the block does not own.  :func:`_operands`
@@ -105,21 +105,14 @@ class _Owner:
 
     _owned: dict = field(default_factory=dict, init=False, repr=False)
     _traces: dict = field(default_factory=dict, init=False, repr=False)
-    _scales: dict = field(default_factory=dict, init=False, repr=False)
 
-    def own(self, m: np.ndarray, scale: float | None = None) -> np.ndarray:
-        """Register ``m``; a ``scale`` mu says that ``m`` is mu I."""
+    def own(self, m: np.ndarray) -> np.ndarray:
+        """``m``, made read-only and registered by identity."""
         m.flags.writeable = False
-        if scale is not None:
-            self._scales[id(m)] = scale
         return self._owned.setdefault(id(m), m)
 
     def owns(self, m) -> bool:
         return self._owned.get(id(m)) is m
-
-    def scale(self, m) -> float | None:
-        """mu of an owned ``m`` registered as mu I, else None."""
-        return self._scales.get(id(m)) if self.owns(m) else None
 
     def checked(self, m) -> np.ndarray:
         """An owned ``m`` as it is; any other checked in 64-bit precision."""
@@ -252,50 +245,55 @@ class _SampleFactor:
         return t
 
 
-# Targets built from a raw R, by id: (a weak reference to the target, its
-# diagonal, and the bands m[0, 1:] of a Toeplitz one or None); see
-# :func:`_register`
+# Targets the builders formed, by id: (a weak reference to the target,
+# its kind: "identity", "diagonal" or "toeplitz"); see :func:`_register`
 _STRUCTURES: dict = {}
 
 
-def _register(m: np.ndarray, toeplitz: bool) -> np.ndarray:
-    """``m``, a target a builder formed from a raw R, made read-only and,
-    when its structure is finite, registered with it: its diagonal (mu
-    for a scaled identity) and, for a ``toeplitz`` one, its first row's
-    bands.  The entry goes when ``m`` does, and :func:`_structure` reads
-    it only while ``m`` stays read-only."""
+def _register(m: np.ndarray, kind: str) -> np.ndarray:
+    """``m``, a target of ``kind`` a builder formed, as a read-only array
+    that numpy refuses to make writable again (a view of a read-only
+    buffer of ``m``), registered with its kind while it lives when its
+    structure is finite: its diagonal and, for a Toeplitz one, its bands
+    m[0, 1:]."""
     m.flags.writeable = False
-    diag = m.diagonal().copy()
-    bands = m[0, 1:].copy() if toeplitz else None
-    if np.isfinite(diag).all() and (bands is None or np.isfinite(bands).all()):
+    m = np.asarray(memoryview(m))
+    if np.isfinite(m.diagonal()).all() and (
+            kind != "toeplitz" or np.isfinite(m[0, 1:]).all()):
         key = id(m)
         ref = weakref.ref(m, lambda _, registry=_STRUCTURES:
                           registry.pop(key, None))
-        _STRUCTURES[key] = (ref, diag, bands)
+        _STRUCTURES[key] = (ref, kind)
     return m
 
 
-def _structure(m) -> tuple | None:
-    """(diagonal, bands or None) of ``m`` if it is a registered target, the
-    very object registered, and still read-only; None otherwise."""
+def _kind(m) -> str | None:
+    """The kind of ``m`` if it is the very target registered under its
+    id; None otherwise."""
     entry = _STRUCTURES.get(id(m))
-    if entry is None or entry[0]() is not m or m.flags.writeable:
+    return entry[1] if entry is not None and entry[0]() is m else None
+
+
+def _structure(m) -> tuple | None:
+    """(diagonal, bands or None) of a registered target ``m``
+    (:func:`_kind`), read from it: the bands m[0, 1:] of a Toeplitz one;
+    None for any other ``m``."""
+    kind = _kind(m)
+    if kind is None:
         return None
-    return entry[1:]
+    return m.diagonal(), (m[0, 1:] if kind == "toeplitz" else None)
 
 
 def _base(base) -> tuple:
-    """(R, own) of a block or fit, where ``own(m, scale=None,
-    toeplitz=False)`` keeps a target built from R: the owner's ``own``
-    registers it with a scale mu of mu I, and for a raw R
-    :func:`_register` registers it with its structure.  A raw R is
-    checked and must have a row.  It comes back in 64-bit precision, as
-    :func:`validate_samples` returns samples: an integer or bool one as
-    float64, so that its sums neither wrap nor saturate."""
+    """(R, own) of a block or fit, where ``own(m, kind)`` registers a
+    target of ``kind`` built from R (:func:`_register`) and, for an
+    owner, has the owner keep it.  A raw R is checked and must have a
+    row.  It comes back in 64-bit precision, as :func:`validate_samples`
+    returns samples: an integer or bool one as float64, so that its sums
+    neither wrap nor saturate."""
     if isinstance(base, _Owner):
-        return base.r, lambda m, scale=None, toeplitz=False: base.own(m, scale)
-    return (_rows(require_hermitian(_widened(base))),
-            lambda m, scale=None, toeplitz=False: _register(m, toeplitz))
+        return base.r, lambda m, kind: base.own(_register(m, kind))
+    return _rows(require_hermitian(_widened(base))), _register
 
 
 def _rows(r: np.ndarray) -> np.ndarray:

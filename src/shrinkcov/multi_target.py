@@ -36,6 +36,7 @@ import numpy as np
 from .estimators import (
     OlsFit,
     _operands,
+    _kind,
     _SampleFactor,
     _structure,
     sample_block,
@@ -332,8 +333,9 @@ def _gram(mats, owner=None) -> np.ndarray:
 def _structured_gram(mats) -> np.ndarray | None:
     """The Gram of :func:`_gram` from Y and the targets' structures, in
     O(N T log N), when R is a sample factor over several tiles with T < N
-    and every target is registered (:func:`estimators._structure`); None
-    for any other operands.
+    and every target is registered (:func:`estimators._structure`) and of
+    R's shape; None for any other operands, so that the sweep raises a
+    mismatched shape's error.
 
     A target is its diagonal d plus, if Toeplitz, its bands c_k, k >= 1,
     so with r_i = ||y_i||^2 / T, R's diagonal, s_k R's band sums
@@ -346,7 +348,8 @@ def _structured_gram(mats) -> np.ndarray | None:
     if not isinstance(r, _SampleFactor):
         return None
     n, t = r.y.shape
-    if t >= n or n <= _tile_side(max(m.itemsize for m in mats)):
+    if (t >= n or n <= _tile_side(max(m.itemsize for m in mats))
+            or any(m.shape != r.shape for m in mats[1:])):
         return None
     structs = [_structure(m) for m in mats[1:]]
     if any(x is None for x in structs):
@@ -439,7 +442,9 @@ def mt_ols_loocv_moments(fit: OlsFit, targets) -> MultiMoments:
     tr_dr, tr_d2, quad_r, ny2, tr_d = fit.loo_terms
     row, quad = [a[0, 0] - 2.0 * tr_dr + tr_d2], [quad_r]  # tr(R_t^2)
     for k, m in enumerate(mats[1:], 1):
-        mu = fit.scale(m)
+        # a scaled identity the fit built is mu I, mu its diagonal
+        mu = (float(m[0, 0]) if fit.owns(m) and _kind(m) == "identity"
+              else None)
         tr_dm, quad_m = (fit.loo_products(m) if mu is None
                          else (mu * tr_d, mu * ny2))
         row.append(a[0, k] - tr_dm)     # tr(R_t T_k)

@@ -7,11 +7,11 @@ PSD whenever the input is; the Toeplitz band average need not be (see
 :func:`toeplitz_average_target`).  Given an owner (a sample block or a
 least-squares fit) in place of R, a target reads its R unchecked and is
 registered on it.  A raw R is checked, an integer or bool one read as
-float64, and its target comes back read-only and registered with its
-structure, its diagonal and any Toeplitz bands, so that a selection on
-raw samples of N >> T takes its products in closed form
-(:mod:`shrinkcov.estimators`); a copy of the target is an ordinary,
-writable array.
+float64.  Either way the target comes back read-only for good and
+registered with its kind, so that a selection on raw samples of N >> T
+takes its products in closed form from its diagonal and any Toeplitz
+bands (:mod:`shrinkcov.estimators`); a copy of the target is an
+ordinary, writable array.
 """
 
 from __future__ import annotations
@@ -32,16 +32,13 @@ __all__ = [
 
 
 def scaled_identity_target(r: np.ndarray) -> np.ndarray:
-    """Identity scaled to match the trace of ``r``: (tr r / n) I.
-
-    An owner given as ``r`` registers the target with its scale.
-    """
+    """Identity scaled to match the trace of ``r``: (tr r / n) I."""
     r, own = _base(r)
     n = r.shape[0]
     mu = float(np.trace(r).real) / n
     t0 = np.zeros((n, n))  # filled in place: one N x N array
     np.fill_diagonal(t0, mu)
-    return own(t0, scale=mu)
+    return own(t0, "identity")
 
 
 def diagonal_target(r: np.ndarray) -> np.ndarray:
@@ -56,7 +53,7 @@ def diagonal_target(r: np.ndarray) -> np.ndarray:
     if np.any(d < -1e-12 * np.max(np.abs(d), initial=0.0)):
         raise ValueError("diagonal target requires nonnegative diagonal entries")
     d[d < 0.0] = 0.0
-    return own(np.diag(d))
+    return own(np.diag(d), "diagonal")
 
 
 def toeplitz_average_target(r: np.ndarray) -> np.ndarray:
@@ -77,7 +74,7 @@ def toeplitz_average_target(r: np.ndarray) -> np.ndarray:
     flat, step, add = r.real.reshape(-1), n + 1, np.add.reduce
     first_row = np.array([add(flat[i:(n - i) * step:step]) / (n - i)
                           for i in range(n)], dtype=np.float64)
-    return own(_toeplitz(first_row, first_row), toeplitz=True)
+    return own(_toeplitz(first_row, first_row), "toeplitz")
 
 
 def knowledge_aided_target(past_samples: np.ndarray) -> np.ndarray:

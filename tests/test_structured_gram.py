@@ -1,7 +1,7 @@
 """Targets built from a raw R carry their structure: over several tiles
 with T < N, a selection on raw samples takes its Gram in closed form
-from Y, and trusts a target only while it is the registered, read-only
-object."""
+from Y, and trusts a target only while it is the very object registered,
+which numpy refuses to make writable again."""
 import gc
 
 import numpy as np
@@ -18,7 +18,7 @@ from shrinkcov.estimators import (
     sample_block,
     scm,
 )
-from shrinkcov.hermitian import require_hermitian
+from shrinkcov.hermitian import real_trace_product, require_hermitian
 from shrinkcov.multi_target import _gram, mt_select
 from shrinkcov.single_target import select_single_target
 from shrinkcov.targets import (
@@ -169,16 +169,34 @@ def test_a_copy_is_writable_and_swept(build, swept_checks):
 
 
 @pytest.mark.parametrize("build", BUILDERS)
-def test_a_target_made_writable_again_is_raw(build, swept_checks):
+@pytest.mark.parametrize("owned", (False, True))
+def test_a_target_cannot_be_made_writable_again(build, owned):
     y, r = _raw()
-    m = build(r)
-    m.flags.writeable = True
-    assert _structure(m) is None
-    mt_select("cv", [m], samples=y)
-    assert len(swept_checks) == 1 and swept_checks[0] is m
-    m[1, 0] -= 1.0
-    with pytest.raises(ValueError, match="not Hermitian"):
-        mt_select("cv", [m], samples=y)
+    block = sample_block(y)
+    m = build(block if owned else r)
+    before = m.copy()
+    with pytest.raises(ValueError, match="WRITEABLE"):
+        m.flags.writeable = True
+    with pytest.raises(ValueError, match="WRITEABLE"):
+        m.setflags(write=True)
+    assert not m.flags.writeable and _structure(m) is not None
+    assert not m.base.obj.flags.writeable  # nor is the array it views
+    np.testing.assert_array_equal(m, before)
+    assert block.owns(m) is owned
+
+
+@pytest.mark.parametrize("n", (1, 200))
+def test_a_registered_target_of_another_size_gets_the_sweeps_error(n):
+    y = _ar_samples(300, 20, 0.5, np.random.default_rng(6), False)
+    for build in BUILDERS:
+        target = build(np.eye(n))
+        assert _structure(target) is not None
+        with pytest.raises(ValueError) as parent:
+            real_trace_product(scm(y), target)
+        with pytest.raises(ValueError) as got:
+            mt_select("cv", [target], samples=y)
+        assert str(got.value) == str(parent.value)
+        assert "trace of mismatched shapes" in str(got.value)
 
 
 def test_the_registry_forgets_a_dead_target_and_its_id():
