@@ -36,12 +36,11 @@ in 64-bit precision.
 Every target a builder returns, from a raw R or an owner, is read-only
 for good: numpy refuses to make it writable again.  While it lives it
 is registered in a module-level weak registry, by identity, with its
-kind: scaled identity, diagonal or Toeplitz (:func:`_register`; only a
-target of finite structure is registered).  Its structure, the diagonal
-and a Toeplitz target's bands, is read from it when used
-(:func:`_structure`), and a selection trusts it, without a check, only
-while it is the very object registered, as an owner trusts what it
-owns; a copy is raw.  A scaled identity mu I that a fit built gives its
+kind: scaled identity, diagonal or Toeplitz (:func:`_register`).  Its
+structure, the diagonal and a Toeplitz target's bands, is read from it
+when used (:func:`_structure`), and a selection trusts a finite one,
+without a check, only while the target is the very object registered,
+as an owner trusts what it owns; a copy is raw.  A scaled identity mu I that a fit built gives its
 products as mu times sums the fit keeps (:func:`ols_loo_terms`).
 
 A sample block forms R on first use, and a selection on the block does
@@ -253,17 +252,13 @@ _STRUCTURES: dict = {}
 def _register(m: np.ndarray, kind: str) -> np.ndarray:
     """``m``, a target of ``kind`` a builder formed, as a read-only array
     that numpy refuses to make writable again (a view of a read-only
-    buffer of ``m``), registered with its kind while it lives when its
-    structure is finite: its diagonal and, for a Toeplitz one, its bands
-    m[0, 1:]."""
+    buffer of ``m``), registered with its kind while it lives."""
     m.flags.writeable = False
     m = np.asarray(memoryview(m))
-    if np.isfinite(m.diagonal()).all() and (
-            kind != "toeplitz" or np.isfinite(m[0, 1:]).all()):
-        key = id(m)
-        ref = weakref.ref(m, lambda _, registry=_STRUCTURES:
-                          registry.pop(key, None))
-        _STRUCTURES[key] = (ref, kind)
+    key = id(m)
+    ref = weakref.ref(m, lambda _, registry=_STRUCTURES:
+                      registry.pop(key, None))
+    _STRUCTURES[key] = (ref, kind)
     return m
 
 
@@ -276,12 +271,16 @@ def _kind(m) -> str | None:
 
 def _structure(m) -> tuple | None:
     """(diagonal, bands or None) of a registered target ``m``
-    (:func:`_kind`), read from it: the bands m[0, 1:] of a Toeplitz one;
-    None for any other ``m``."""
+    (:func:`_kind`), read from it: the bands m[0, 1:] of a Toeplitz one.
+    None for any other ``m``, and for a structure that is not finite,
+    which leaves the target to the trace sweep's check."""
     kind = _kind(m)
     if kind is None:
         return None
-    return m.diagonal(), (m[0, 1:] if kind == "toeplitz" else None)
+    d, c = m.diagonal(), (m[0, 1:] if kind == "toeplitz" else None)
+    if np.isfinite(d).all() and (c is None or np.isfinite(c).all()):
+        return d, c
+    return None
 
 
 def _base(base) -> tuple:

@@ -227,7 +227,7 @@ def test_the_registry_forgets_a_dead_target_and_its_id():
         del estimators._STRUCTURES[id(stranger)]
 
 
-def test_a_target_whose_band_sum_overflows_is_not_registered():
+def test_a_target_whose_band_sum_overflows_has_no_structure():
     y, _ = _raw()
     n = y.shape[0]
     r = np.eye(n)
