@@ -23,7 +23,9 @@ needs.  A function given the owner skips the Hermitian check for
 exactly those objects, matched by identity, and memoizes their pairwise
 trace products, a squared norm ||M||_F^2 = tr(M M) among them: an owned
 matrix cannot change, and its id is not reused while the owner lives.
-Every other matrix is checked, and its products are taken again, on
+It keeps the kind of each target built from its R, so a product with
+its scaled identity mu I can be read as mu times a sum the owner keeps
+(:func:`ols_loo_terms`).  Every other matrix is checked, and its products are taken again, on
 every call: its caller may change it in place.  A selection checks it
 where it reads it: the trace sweep
 (:func:`shrinkcov.hermitian._trace_products`) validates each raw
@@ -33,15 +35,14 @@ unchecked.  A target builder given a raw R still checks it
 (:func:`_base`).  A raw R, target or truth, like raw samples, is read
 in 64-bit precision.
 
-Every target a builder returns, from a raw R or an owner, is read-only
-for good: numpy refuses to make it writable again.  While it lives it
-is registered in a module-level weak registry, by identity, with its
-kind: scaled identity, diagonal or Toeplitz (:func:`_register`).  Its
-structure, the diagonal and a Toeplitz target's bands, is read from it
-when used (:func:`_structure`), and a selection trusts a finite one,
-without a check, only while the target is the very object registered,
-as an owner trusts what it owns; a copy is raw.  A scaled identity mu I that a fit built gives its
-products as mu times sums the fit keeps (:func:`ols_loo_terms`).
+A target built from a raw R comes back read-only for good: numpy
+refuses to make it writable again.  While it lives it is registered in
+a module-level weak registry, by identity, with its kind: scaled
+identity, diagonal or Toeplitz (:func:`_register`).  Its structure, the
+diagonal and a Toeplitz target's bands, is read from it when used
+(:func:`_structure`), and a selection trusts a finite one, without a
+check, only while the target is the very object registered, as an
+owner trusts what it owns; a copy is raw.
 
 A sample block forms R on first use, and a selection on the block does
 not use it for matrices the block does not own.  :func:`_operands`
@@ -104,14 +105,23 @@ class _Owner:
 
     _owned: dict = field(default_factory=dict, init=False, repr=False)
     _traces: dict = field(default_factory=dict, init=False, repr=False)
+    _kinds: dict = field(default_factory=dict, init=False, repr=False)
 
-    def own(self, m: np.ndarray) -> np.ndarray:
-        """``m``, made read-only and registered by identity."""
+    def own(self, m: np.ndarray, kind: str | None = None) -> np.ndarray:
+        """Register ``m``; a target's ``kind`` (:func:`_register`) with it."""
         m.flags.writeable = False
+        if kind is not None:
+            self._kinds[id(m)] = kind
         return self._owned.setdefault(id(m), m)
 
     def owns(self, m) -> bool:
         return self._owned.get(id(m)) is m
+
+    def scale(self, m) -> float | None:
+        """mu of an owned scaled identity target mu I, else None."""
+        if self.owns(m) and self._kinds.get(id(m)) == "identity":
+            return float(m[0, 0])
+        return None
 
     def checked(self, m) -> np.ndarray:
         """An owned ``m`` as it is; any other checked in 64-bit precision."""
@@ -244,15 +254,16 @@ class _SampleFactor:
         return t
 
 
-# Targets the builders formed, by id: (a weak reference to the target,
+# Targets the builders formed from a raw R, by id: (a weak reference to the target,
 # its kind: "identity", "diagonal" or "toeplitz"); see :func:`_register`
 _STRUCTURES: dict = {}
 
 
 def _register(m: np.ndarray, kind: str) -> np.ndarray:
-    """``m``, a target of ``kind`` a builder formed, as a read-only array
-    that numpy refuses to make writable again (a view of a read-only
-    buffer of ``m``), registered with its kind while it lives."""
+    """``m``, a target of ``kind`` a builder formed from a raw R, as a
+    read-only array that numpy refuses to make writable again (a view of
+    a read-only buffer of ``m``), registered with its kind while it
+    lives."""
     m.flags.writeable = False
     m = np.asarray(memoryview(m))
     key = id(m)
@@ -262,22 +273,15 @@ def _register(m: np.ndarray, kind: str) -> np.ndarray:
     return m
 
 
-def _kind(m) -> str | None:
-    """The kind of ``m`` if it is the very target registered under its
-    id; None otherwise."""
-    entry = _STRUCTURES.get(id(m))
-    return entry[1] if entry is not None and entry[0]() is m else None
-
-
 def _structure(m) -> tuple | None:
-    """(diagonal, bands or None) of a registered target ``m``
-    (:func:`_kind`), read from it: the bands m[0, 1:] of a Toeplitz one.
-    None for any other ``m``, and for a structure that is not finite,
-    which leaves the target to the trace sweep's check."""
-    kind = _kind(m)
-    if kind is None:
+    """(diagonal, bands or None) of ``m`` if it is the very target
+    registered under its id, read from it: the bands m[0, 1:] of a
+    Toeplitz one.  None for any other ``m``, and for a structure that is
+    not finite, which leaves the target to the trace sweep's check."""
+    entry = _STRUCTURES.get(id(m))
+    if entry is None or entry[0]() is not m:
         return None
-    d, c = m.diagonal(), (m[0, 1:] if kind == "toeplitz" else None)
+    d, c = m.diagonal(), (m[0, 1:] if entry[1] == "toeplitz" else None)
     if np.isfinite(d).all() and (c is None or np.isfinite(c).all()):
         return d, c
     return None
@@ -285,13 +289,12 @@ def _structure(m) -> tuple | None:
 
 def _base(base) -> tuple:
     """(R, own) of a block or fit, where ``own(m, kind)`` registers a
-    target of ``kind`` built from R (:func:`_register`) and, for an
-    owner, has the owner keep it.  A raw R is checked and must have a
-    row.  It comes back in 64-bit precision, as :func:`validate_samples`
+    target of ``kind`` built from R: the owner's ``own``, or for a raw R
+    :func:`_register`.  A raw R is checked and must have a row.  It comes back in 64-bit precision, as :func:`validate_samples`
     returns samples: an integer or bool one as float64, so that its sums
     neither wrap nor saturate."""
     if isinstance(base, _Owner):
-        return base.r, lambda m, kind: base.own(_register(m, kind))
+        return base.r, base.own
     return _rows(require_hermitian(_widened(base))), _register
 
 

@@ -36,7 +36,6 @@ import numpy as np
 from .estimators import (
     OlsFit,
     _operands,
-    _kind,
     _SampleFactor,
     _structure,
     sample_block,
@@ -442,9 +441,7 @@ def mt_ols_loocv_moments(fit: OlsFit, targets) -> MultiMoments:
     tr_dr, tr_d2, quad_r, ny2, tr_d = fit.loo_terms
     row, quad = [a[0, 0] - 2.0 * tr_dr + tr_d2], [quad_r]  # tr(R_t^2)
     for k, m in enumerate(mats[1:], 1):
-        # a scaled identity the fit built is mu I, mu its diagonal
-        mu = (float(m[0, 0]) if fit.owns(m) and _kind(m) == "identity"
-              else None)
+        mu = fit.scale(m)
         tr_dm, quad_m = (fit.loo_products(m) if mu is None
                          else (mu * tr_d, mu * ny2))
         row.append(a[0, k] - tr_dm)     # tr(R_t T_k)

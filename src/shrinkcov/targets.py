@@ -6,8 +6,8 @@ every one is Hermitian.  The scaled identity and diagonal targets are
 PSD whenever the input is; the Toeplitz band average need not be (see
 :func:`toeplitz_average_target`).  Given an owner (a sample block or a
 least-squares fit) in place of R, a target reads its R unchecked and is
-registered on it.  A raw R is checked, an integer or bool one read as
-float64.  Either way the target comes back read-only for good and
+registered on it with its kind.  A raw R is checked, an integer or bool
+one read as float64, and its target comes back read-only for good and
 registered with its kind, so that a selection on raw samples of N >> T
 takes its products in closed form from its diagonal and any Toeplitz
 bands (:mod:`shrinkcov.estimators`); a copy of the target is an

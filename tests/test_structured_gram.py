@@ -169,11 +169,9 @@ def test_a_copy_is_writable_and_swept(build, swept_checks):
 
 
 @pytest.mark.parametrize("build", BUILDERS)
-@pytest.mark.parametrize("owned", (False, True))
-def test_a_target_cannot_be_made_writable_again(build, owned):
-    y, r = _raw()
-    block = sample_block(y)
-    m = build(block if owned else r)
+def test_a_target_cannot_be_made_writable_again(build):
+    _, r = _raw()
+    m = build(r)
     before = m.copy()
     with pytest.raises(ValueError, match="WRITEABLE"):
         m.flags.writeable = True
@@ -182,7 +180,6 @@ def test_a_target_cannot_be_made_writable_again(build, owned):
     assert not m.flags.writeable and _structure(m) is not None
     assert not m.base.obj.flags.writeable  # nor is the array it views
     np.testing.assert_array_equal(m, before)
-    assert block.owns(m) is owned
 
 
 @pytest.mark.parametrize("n", (1, 200))
