@@ -25,15 +25,14 @@ trace products, a squared norm ||M||_F^2 = tr(M M) among them: an owned
 matrix cannot change, and its id is not reused while the owner lives.
 It keeps the kind of each target built from its R, so a product with
 its scaled identity mu I can be read as mu times a sum the owner keeps
-(:func:`ols_loo_terms`).  Every other matrix is checked, and its products are taken again, on
-every call: its caller may change it in place.  A selection checks it
-where it reads it: the trace sweep
-(:func:`shrinkcov.hermitian._trace_products`) validates each raw
-matrix, a raw R included, by the rule and with the errors of
-:func:`require_hermitian`, so :func:`_operands` hands them over
-unchecked.  A target builder given a raw R still checks it
-(:func:`_base`).  A raw R, target or truth, like raw samples, is read
-in 64-bit precision.
+(:func:`ols_loo_terms`).  Every other matrix is checked, and its
+products are taken again, on every call: its caller may change it in
+place.  A selection checks each raw matrix, a raw R included, in one
+place: :func:`shrinkcov.multi_target._gram` runs
+:func:`require_hermitian` on it just before the trace sweep, so
+:func:`_operands` hands it over unchecked.  A target builder given a
+raw R checks it itself (:func:`_base`).  A raw R, target or truth, like
+raw samples, is read in 64-bit precision.
 
 A target built from a raw R comes back read-only for good: numpy
 refuses to make it writable again.  While it lives it is registered in
@@ -277,7 +276,8 @@ def _structure(m) -> tuple | None:
     """(diagonal, bands or None) of ``m`` if it is the very target
     registered under its id, read from it: the bands m[0, 1:] of a
     Toeplitz one.  None for any other ``m``, and for a structure that is
-    not finite, which leaves the target to the trace sweep's check."""
+    not finite, which leaves the target to the check before the trace
+    sweep (:func:`shrinkcov.multi_target._gram`)."""
     entry = _STRUCTURES.get(id(m))
     if entry is None or entry[0]() is not m:
         return None
@@ -290,9 +290,10 @@ def _structure(m) -> tuple | None:
 def _base(base) -> tuple:
     """(R, own) of a block or fit, where ``own(m, kind)`` registers a
     target of ``kind`` built from R: the owner's ``own``, or for a raw R
-    :func:`_register`.  A raw R is checked and must have a row.  It comes back in 64-bit precision, as :func:`validate_samples`
-    returns samples: an integer or bool one as float64, so that its sums
-    neither wrap nor saturate."""
+    :func:`_register`.  A raw R is checked and must have a row.  It comes
+    back in 64-bit precision, as :func:`validate_samples` returns
+    samples: an integer or bool one as float64, so that its sums neither
+    wrap nor saturate."""
     if isinstance(base, _Owner):
         return base.r, base.own
     return _rows(require_hermitian(_widened(base))), _register
@@ -307,10 +308,10 @@ def _rows(r: np.ndarray) -> np.ndarray:
 
 def _operands(base, mats) -> tuple[list, _Owner | None]:
     """([R, *mats], owner) of a block, fit or raw R (:func:`_base`), for
-    trace products.  Every array in it that no owner owns is raw, and the
-    trace sweep validates it (:func:`shrinkcov.multi_target._gram`); so
-    here each is only widened to 64-bit precision, and a raw R checked to
-    be square with a row.
+    trace products.  Every array in it that no owner owns is raw, and
+    :func:`shrinkcov.multi_target._gram` checks it before the trace
+    sweep; so here each is only widened to 64-bit precision, and a raw R
+    checked to be square with a row.
 
     A block that does not own every one of ``mats`` gives R as its
     sample factor, which the trace sweep forms a tile at a time, so its

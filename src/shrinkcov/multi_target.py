@@ -40,7 +40,13 @@ from .estimators import (
     _structure,
     sample_block,
 )
-from .hermitian import _tile_side, _trace_products, _widened, is_psd
+from .hermitian import (
+    _tile_side,
+    _trace_products,
+    _widened,
+    is_psd,
+    require_hermitian,
+)
 
 __all__ = [
     "MultiMoments",
@@ -304,12 +310,14 @@ def _gram(mats, owner=None) -> np.ndarray:
     A pair that ``owner`` (a block or a fit) owns both of comes from its
     memo; every other pair is taken in one sweep over the operands
     (:func:`hermitian._trace_products`), in which R may be a sample
-    factor (:func:`shrinkcov.estimators._operands`).  The sweep first
-    validates every array that ``owner`` does not own, in order, as
-    :func:`hermitian.require_hermitian` would; each is in a pair it
-    takes.  When R is a sample factor over several tiles with T < N and
-    every other operand a registered target, the whole Gram comes in
-    closed form instead (:func:`_structured_gram`).
+    factor (:func:`shrinkcov.estimators._operands`).  This is where a
+    selection checks its raw operands: just before the sweep, every
+    array that ``owner`` does not own goes through
+    :func:`require_hermitian`, in operand order; each is in a pair the
+    sweep takes.  When R is a sample factor over several tiles with
+    T < N and every other operand a registered target, the whole Gram
+    comes in closed form instead (:func:`_structured_gram`), and nothing
+    is checked.
     """
     if (g := _structured_gram(mats)) is not None:
         return g
@@ -320,9 +328,10 @@ def _gram(mats, owner=None) -> np.ndarray:
         for j in range(i, k):
             (memo if owned[i] and owned[j] else rest).append((i, j))
     if rest:
-        check = [i for i, m in enumerate(mats)
-                 if not owned[i] and isinstance(m, np.ndarray)]
-        for (i, j), v in zip(rest, _trace_products(mats, rest, check)):
+        for i, m in enumerate(mats):
+            if not owned[i] and isinstance(m, np.ndarray):
+                require_hermitian(m)
+        for (i, j), v in zip(rest, _trace_products(mats, rest)):
             g[i][j] = g[j][i] = v
     for i, j in memo:
         g[i][j] = g[j][i] = owner.trace(mats[i], mats[j])

@@ -23,16 +23,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def swept_checks(monkeypatch):
-    """The matrices each trace sweep of a selection validates, in order.
+    """The matrices each selection validates before its trace sweep, in
+    order.
 
-    A selection validates the arrays that no owner owns inside its trace
-    sweep (``hermitian._trace_products``'s ``check``), not by a separate
-    ``require_hermitian`` call; the fixture records them there.
+    A selection checks the arrays that no owner owns in one place, by
+    ``require_hermitian`` just before the sweep (``multi_target._gram``);
+    the fixture records them there.
     """
-    seen, real = [], multi_target._trace_products
+    seen, real = [], multi_target.require_hermitian
 
-    def sweep(mats, pairs, check=()):
-        seen.extend(mats[k] for k in check)
-        return real(mats, pairs, check)
-    monkeypatch.setattr(multi_target, "_trace_products", sweep)
+    def check(a, *args, **kwargs):
+        seen.append(a)
+        return real(a, *args, **kwargs)
+    monkeypatch.setattr(multi_target, "require_hermitian", check)
     return seen

@@ -288,8 +288,10 @@ def test_ols_gram_guard():
 def test_ols_gram_guard_is_the_condition_rule_without_svd(monkeypatch):
     # the Gram matrix's eigenvalues give its 2-norm condition number
     svd = []
-    real = np.linalg._linalg.svd
-    monkeypatch.setattr(np.linalg._linalg, "svd",
+    # numpy's private linalg module: numpy.linalg.linalg before numpy 2
+    linalg = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+    real = linalg.svd
+    monkeypatch.setattr(linalg, "svd",
                         lambda *a, **k: svd.append(a) or real(*a, **k))
     y = np.ones((2, 3))
     ols_fit(np.array([[1.0, 0.0, 0.0], [0.0, 1e-5, 0.0]]), y)  # cond 1e10

@@ -668,11 +668,13 @@ def test_least_squares_replication_checks_and_reduces_once(monkeypatch,
     # takes eigenvalues (np.linalg.cond would call the svd of numpy's
     # private module, not np.linalg.svd)
     svd, blocks, terms, products, checked = [], [], [], [], []
-    real_svd, real_blocks = np.linalg._linalg.svd, estimators.ols_loo_blocks
+    # numpy's private linalg module: numpy.linalg.linalg before numpy 2
+    linalg = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+    real_svd, real_blocks = linalg.svd, estimators.ols_loo_blocks
     real_terms = estimators.ols_loo_terms
     real_products = estimators.OlsFit.loo_products
     real_check = hermitian.require_hermitian
-    monkeypatch.setattr(np.linalg._linalg, "svd",
+    monkeypatch.setattr(linalg, "svd",
                         lambda *a, **k: svd.append(a) or real_svd(*a, **k))
     monkeypatch.setattr(estimators, "ols_loo_blocks",
                         lambda fit: blocks.append(fit) or real_blocks(fit))
@@ -695,7 +697,7 @@ def test_least_squares_replication_checks_and_reduces_once(monkeypatch,
     (fit,) = terms
     assert blocks == [fit] and [f for f, _ in products] == [fit, fit]
     r, past = (m for _, m in products)
-    checked += swept_checks  # the selections validate inside their sweeps
+    checked += swept_checks  # the selections check before their sweeps
     assert r is fit.r and checked == [past]  # the knowledge-aided target
 
 

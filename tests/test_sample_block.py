@@ -287,9 +287,9 @@ def test_the_owner_keeps_the_norm_of_a_registered_truth(owner, monkeypatch):
     monkeypatch.setattr(estimators, "real_trace_product",
                         lambda a, b: memo.append((a, b)) or real_product(a, b))
 
-    def sweep(mats, pairs, check=()):
+    def sweep(mats, pairs):
         swept.extend((mats[i], mats[j]) for i, j in pairs)
-        return real_sweep(mats, pairs, check)
+        return real_sweep(mats, pairs)
     monkeypatch.setattr(multi_target, "_trace_products", sweep)
     consts = [mt_oracle_moments(base, own, truth).const,
               oracle_moments(base, own[0], truth).const]

@@ -1,5 +1,6 @@
-"""The trace sweep validates the raw operands it reads, skips exact zero
-tiles and takes tr R^2 of raw samples from their Gram."""
+"""A selection checks its raw operands once, before the trace sweep; the
+sweep skips exact zero tiles and takes tr R^2 of raw samples from their
+Gram."""
 import sys
 
 import numpy as np
@@ -10,7 +11,12 @@ from hypothesis import strategies as st
 from shrinkcov import estimators, hermitian
 from shrinkcov.datagen import RngStream, ar_covariance, gaussian_samples
 from shrinkcov.estimators import _SampleFactor, sample_block, scm
-from shrinkcov.hermitian import _tiles, _trace_products, real_trace_product
+from shrinkcov.hermitian import (
+    _tiles,
+    _trace_products,
+    real_trace_product,
+    require_hermitian,
+)
 from shrinkcov.multi_target import mt_oracle_moments, mt_select
 from shrinkcov.single_target import select_single_target, shrink
 from shrinkcov.targets import (
@@ -92,8 +98,8 @@ operand = st.tuples(st.booleans(), st.sampled_from(KINDS),
 @example(n=129, ops=[(False, "dense", "mirrored-inf", "upper", 1, False),
                      (False, "dense", "above", "lower", 2, True)],
          first_rows=False, seed=3)
-# the first operand's error wins over a later one's, whichever the walk
-# meets first
+# the first operand's error wins over a later one's, whichever tile
+# holds either
 @example(n=300, ops=[(False, "dense", "above", "lower", 5, True),
                      (False, "dense", "nan", "upper", 0, True)],
          first_rows=False, seed=4)
@@ -106,7 +112,7 @@ operand = st.tuples(st.booleans(), st.sampled_from(KINDS),
                      (False, "diagonal", "none", "upper", 0, True),
                      (False, "dense", "mirrored-inf", "upper", 2, True)],
          first_rows=True, seed=6)
-def test_fused_sweep_decides_and_sums_as_check_then_plain_sweep(
+def test_check_then_sweep_decides_and_sums_as_dense_check_then_plain_sweep(
         n, ops, first_rows, seed):
     # each operand: (complex, kind, plant, region, position, checked)
     rng = np.random.default_rng(seed)
@@ -117,8 +123,13 @@ def test_fused_sweep_decides_and_sums_as_check_then_plain_sweep(
     rows = max(1, k - 1) if first_rows else k  # the oracle's rows, or all
     pairs = [(i, j) for i in range(rows) for j in range(i, k)]
     tiles = list(_tiles(n, max(m.itemsize for m in mats)))
+
+    def check_then_sweep():  # the order of multi_target._gram
+        for i in check:
+            require_hermitian(mats[i])
+        return _trace_products(mats, pairs)
     want = _outcome(lambda: trace_products_unfused(mats, pairs, check, tiles))
-    assert _outcome(lambda: _trace_products(mats, pairs, check)) == want
+    assert _outcome(check_then_sweep) == want
 
 
 # ---------------------------------------------------------------------------
@@ -130,12 +141,9 @@ def _highdim_op(n=300, t=20, seed=5):
     return gaussian_samples(sigma, t, RngStream(seed).generator())
 
 
-def test_selection_op_validates_each_raw_target_once_per_selection(
-        monkeypatch, swept_checks):
-    y = _highdim_op()
-    r = scm(y)
-    targets = [scaled_identity_target(r), diagonal_target(r),
-               toeplitz_average_target(r)]
+def _counted_checks_and_tiles(monkeypatch):
+    """The matrices every ``require_hermitian`` call of the package checks,
+    and the tiles of R that ``_SampleFactor.tile`` forms, in order."""
     real, checks = hermitian.require_hermitian, []
     for module in list(sys.modules.values()):
         if (getattr(module, "__name__", "").startswith("shrinkcov")
@@ -147,6 +155,16 @@ def test_selection_op_validates_each_raw_target_once_per_selection(
     monkeypatch.setattr(estimators._SampleFactor, "tile",
                         lambda f, rows, cols: tiles.append((rows, cols))
                         or real_tile(f, rows, cols))
+    return checks, tiles
+
+
+def test_selection_op_validates_each_raw_target_once_per_selection(
+        monkeypatch):
+    y = _highdim_op()
+    r = scm(y)
+    targets = [scaled_identity_target(r), diagonal_target(r),
+               toeplitz_average_target(r)]
+    checks, tiles = _counted_checks_and_tiles(monkeypatch)
     grid = list(_tiles(y.shape[0], y.itemsize))
     assert len(grid) > 1
 
@@ -155,27 +173,43 @@ def test_selection_op_validates_each_raw_target_once_per_selection(
     sol = select_single_target("cv", targets[0], samples=y)
     shrink(r, targets[0], sol)
     mt_select("cv", targets, samples=y)
-    assert swept_checks == [] and tiles == []
+    assert checks == [] and tiles == []
 
-    # their copies are raw: each is validated once per selection
+    # their copies are raw: each is checked once per selection, and R,
+    # read from the samples, never
     copies = [m.copy() for m in targets]
     sol = select_single_target("cv", copies[0], samples=y)
-    assert [m is copies[0] for m in swept_checks] == [True]
+    shrink(r, copies[0], sol)
+    assert len(checks) == 1 and checks[0] is copies[0]
     # the identity's off-diagonal tiles are zero: R is formed on the diagonal
     assert tiles == [(rows, cols) for rows, cols in grid if rows == cols]
-    shrink(r, copies[0], sol)
-    swept_checks.clear()
+    checks.clear()
     tiles.clear()
     mt_select("cv", copies, samples=y)
-    assert list(map(id, swept_checks)) == list(map(id, copies))
+    assert list(map(id, checks)) == list(map(id, copies))
     assert tiles == grid  # the Toeplitz target needs every tile of R, once
-    # no separate check of a raw target, nor of R, in any selection
-    assert checks == []
-    # an op's only checks: the target builders' checks of the caller's R
+    # an op's only other checks: the target builders' checks of the
+    # caller's R
+    checks.clear()
     for build in (scaled_identity_target, diagonal_target,
                   toeplitz_average_target):
         build(r)
     assert len(checks) == 3 and all(a is r for a in checks)
+
+
+def test_a_bad_raw_operand_fails_before_the_sweep_forms_a_tile(monkeypatch):
+    y = _highdim_op()
+    bad = toeplitz_average_target(scm(y)).copy()
+    bad[0, 1] += 1.0  # no longer Hermitian
+    with pytest.raises(ValueError) as direct:
+        require_hermitian(bad)
+    checks, tiles = _counted_checks_and_tiles(monkeypatch)
+    assert len(list(_tiles(y.shape[0], y.itemsize))) > 1
+    with pytest.raises(ValueError) as got:
+        mt_select("cv", [bad], samples=y)
+    assert str(got.value) == str(direct.value)
+    assert tiles == []
+    assert len(checks) == 1 and checks[0] is bad
 
 
 @pytest.mark.parametrize("cplx", [False, True])
@@ -208,7 +242,7 @@ def test_a_zero_tile_skips_only_a_product_with_finite_r():
         factor = _SampleFactor(sample_block(big))
         assert factor.finite is finite
         with np.errstate(over="ignore", invalid="ignore"):  # R's overflow
-            (got,) = _trace_products([factor, d], [(0, 1)], [1])
+            (got,) = _trace_products([factor, d], [(0, 1)])
         assert np.isnan(got) is not finite
 
 
