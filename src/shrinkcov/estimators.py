@@ -19,44 +19,37 @@ reads them directly without a loop over samples.
 Both base estimates, :class:`SampleBlock` and :class:`OlsFit`, are owners:
 each holds its samples ``y`` (a fit, its outputs), R, the targets built
 from R and a truth registered on it (``own``) read-only: all a selection
-needs.  A function given the owner skips the Hermitian check for
-exactly those objects, matched by identity, and memoizes their pairwise
-trace products, a squared norm ||M||_F^2 = tr(M M) among them: an owned
-matrix cannot change, and its id is not reused while the owner lives.
-It keeps the kind of each target built from its R, so a product with
-its scaled identity mu I can be read as mu times a sum the owner keeps
-(:func:`ols_loo_terms`).  Every other matrix is checked, and its
-products are taken again, on every call: its caller may change it in
-place.  A selection checks each raw matrix, a raw R included, in one
-place: :func:`shrinkcov.multi_target._gram` runs
-:func:`require_hermitian` on it just before the trace sweep, so
-:func:`_operands` hands it over unchecked.  A target builder given a
-raw R checks it itself (:func:`_base`).  A raw R, target or truth, like
-raw samples, is read in 64-bit precision.
+needs.  R and the targets are read-only for good (:func:`_frozen`).  A
+function given the owner skips the Hermitian check for exactly those
+objects, matched by identity, and memoizes their pairwise trace
+products, a squared norm ||M||_F^2 = tr(M M) among them: an owned matrix
+cannot change, and its id is not reused while the owner lives.  Every
+other matrix is checked, and its products are taken again, on every
+call: its caller may change it in place.  A selection checks each raw
+matrix, a raw R included, in one place, just before its trace sweep
+(:func:`shrinkcov.multi_target._gram`), so :func:`_operands` hands it
+over unchecked.  A target builder given a raw R checks it itself
+(:func:`_base`).  A raw R, target or truth, like raw samples, is read in
+64-bit precision.
 
-A target built from a raw R comes back read-only for good: numpy
-refuses to make it writable again.  While it lives it is registered in
-a module-level weak registry, by identity, with its kind: scaled
-identity, diagonal or Toeplitz (:func:`_register`).  Its structure, the
-diagonal and a Toeplitz target's bands, is read from it when used
-(:func:`_structure`), and a selection trusts a finite one, without a
-check, only while the target is the very object registered, as an
-owner trusts what it owns; a copy is raw.
+A target records its kind, scaled identity, diagonal or Toeplitz: on
+its owner if an owner built it, else, built from a raw R, in a
+module-level weak registry by identity while it lives (:func:`_register`).
+One function reads both records (:func:`_structure`): the diagonal and a
+Toeplitz target's bands, read from the target when used, and trusted
+only while finite and while the target is the very object recorded; a
+copy is raw.  From them a selection on a block over several tiles with
+T < N takes each product with R or another structured target in closed
+form, and the least-squares path the products of a scaled identity.
 
 A sample block forms R on first use, and a selection on the block does
 not use it for matrices the block does not own.  :func:`_operands`
 decides how R is read: for those matrices it hands the trace sweep R as
 its :class:`_SampleFactor`, whose tiles are formed from two row blocks
 of ``y`` when the sweep reaches them and dropped after, so raw samples
-and raw targets are selected on without an N x N R.  A sweep of several
-tiles reads tr R^2 from the T x T Gram of ``y`` when T < N
-(``SampleBlock.tr_r2``), and forms R's tiles only where a target's tile
-is not zero.  When every other operand is a registered target there is
-no sweep: the Gram comes in closed form from the block's tr R^2, row
-norms and band sums and the targets' structures
-(:func:`shrinkcov.multi_target._structured_gram`).
+and raw targets are selected on without an N x N R.  The sweep forms
+R's tiles only where a target's tile is not zero.
 """
-
 from __future__ import annotations
 
 import weakref
@@ -107,20 +100,17 @@ class _Owner:
     _kinds: dict = field(default_factory=dict, init=False, repr=False)
 
     def own(self, m: np.ndarray, kind: str | None = None) -> np.ndarray:
-        """Register ``m``; a target's ``kind`` (:func:`_register`) with it."""
-        m.flags.writeable = False
-        if kind is not None:
+        """Register ``m`` read-only; a target of ``kind`` (:func:`_register`)
+        that the owner built, read-only for good (:func:`_frozen`)."""
+        if kind is None:
+            m.flags.writeable = False
+        else:
+            m = _frozen(m)
             self._kinds[id(m)] = kind
         return self._owned.setdefault(id(m), m)
 
     def owns(self, m) -> bool:
         return self._owned.get(id(m)) is m
-
-    def scale(self, m) -> float | None:
-        """mu of an owned scaled identity target mu I, else None."""
-        if self.owns(m) and self._kinds.get(id(m)) == "identity":
-            return float(m[0, 0])
-        return None
 
     def checked(self, m) -> np.ndarray:
         """An owned ``m`` as it is; any other checked in 64-bit precision."""
@@ -146,10 +136,10 @@ class SampleBlock(_Owner):
     fourth-moment sum ``quart`` = sum_t ||y_t||^4, which every SCM
     selector of one draw reads, ``tr_r`` = ||Y||_F^2 / T, the trace the
     convex selectors' guard reads, and ``tr_r2`` = tr R^2 =
-    ||Y^H Y||_F^2 / T^2 from the T x T Gram of the samples, which a trace
-    sweep of several tiles reads when T < N.  The row norms ``row_norms``
-    ||y_i||^2 (T times R's diagonal) and the band sums ``band_sums`` give
-    R's products with registered targets in closed form.  Each is formed
+    ||Y^H Y||_F^2 / T^2 from the T x T Gram of the samples.  It, the row
+    norms ``row_norms`` ||y_i||^2 (T times R's diagonal) and the band sums
+    ``band_sums`` give R's products over several tiles with T < N in
+    closed form (:func:`shrinkcov.multi_target._gram`).  Each is formed
     on first use.  A selection with a matrix the block does not own reads
     R from ``y`` a tile at a time (:func:`_operands`) and does not form
     ``r``.
@@ -159,7 +149,7 @@ class SampleBlock(_Owner):
 
     @cached_property
     def r(self) -> np.ndarray:
-        return self.own(scm(self.y))
+        return self.own(_frozen(scm(self.y)))
 
     @cached_property
     def quart(self) -> float:
@@ -239,12 +229,6 @@ class _SampleFactor:
     def finite(self) -> bool:
         return self.block.tr_r * self.y.shape[1] <= 1e300
 
-    def norm_sq(self) -> float | None:
-        """tr R^2 from the block's Gram (``SampleBlock.tr_r2``) when
-        T < N, where the Gram is the smaller; None otherwise."""
-        n, t = self.y.shape
-        return self.block.tr_r2 if t < n else None
-
     def tile(self, rows: slice, cols: slice) -> np.ndarray:
         """R[rows, cols], scaled in place; when it is all of R, the
         product that :func:`scm` forms, bit for bit."""
@@ -253,18 +237,23 @@ class _SampleFactor:
         return t
 
 
+def _frozen(m: np.ndarray) -> np.ndarray:
+    """``m`` read-only for good: a view of its buffer made read-only,
+    which numpy refuses to make writable again."""
+    m.flags.writeable = False
+    return np.asarray(memoryview(m))
+
+
 # Targets the builders formed from a raw R, by id: (a weak reference to the target,
 # its kind: "identity", "diagonal" or "toeplitz"); see :func:`_register`
 _STRUCTURES: dict = {}
 
 
 def _register(m: np.ndarray, kind: str) -> np.ndarray:
-    """``m``, a target of ``kind`` a builder formed from a raw R, as a
-    read-only array that numpy refuses to make writable again (a view of
-    a read-only buffer of ``m``), registered with its kind while it
+    """``m``, a target of ``kind`` a builder formed from a raw R, read-only
+    for good (:func:`_frozen`) and registered with its kind while it
     lives."""
-    m.flags.writeable = False
-    m = np.asarray(memoryview(m))
+    m = _frozen(m)
     key = id(m)
     ref = weakref.ref(m, lambda _, registry=_STRUCTURES:
                       registry.pop(key, None))
@@ -272,18 +261,21 @@ def _register(m: np.ndarray, kind: str) -> np.ndarray:
     return m
 
 
-def _structure(m) -> tuple | None:
-    """(diagonal, bands or None) of ``m`` if it is the very target
-    registered under its id, read from it: the bands m[0, 1:] of a
-    Toeplitz one.  None for any other ``m``, and for a structure that is
-    not finite, which leaves the target to the check before the trace
-    sweep (:func:`shrinkcov.multi_target._gram`)."""
-    entry = _STRUCTURES.get(id(m))
-    if entry is None or entry[0]() is not m:
+def _structure(m, owner: _Owner | None = None) -> tuple | None:
+    """(kind, diagonal, bands or None) of a target ``m``: the very target
+    registered under its id, or one that ``owner`` built, read from it:
+    the bands m[0, 1:] of a Toeplitz one.  None for any other ``m``, and
+    for a structure that is not finite, which leaves the target to the
+    trace sweep (:func:`shrinkcov.multi_target._gram`)."""
+    ref, kind = _STRUCTURES.get(id(m), (None, None))
+    if ref is None or ref() is not m:
+        owned = owner is not None and owner.owns(m)
+        kind = owner._kinds.get(id(m)) if owned else None
+    if kind is None:
         return None
-    d, c = m.diagonal(), (m[0, 1:] if entry[1] == "toeplitz" else None)
+    d, c = m.diagonal(), (m[0, 1:] if kind == "toeplitz" else None)
     if np.isfinite(d).all() and (c is None or np.isfinite(c).all()):
-        return d, c
+        return kind, d, c
     return None
 
 
@@ -308,16 +300,14 @@ def _rows(r: np.ndarray) -> np.ndarray:
 
 def _operands(base, mats) -> tuple[list, _Owner | None]:
     """([R, *mats], owner) of a block, fit or raw R (:func:`_base`), for
-    trace products.  Every array in it that no owner owns is raw, and
-    :func:`shrinkcov.multi_target._gram` checks it before the trace
-    sweep; so here each is only widened to 64-bit precision, and a raw R
-    checked to be square with a row.
+    trace products (:func:`shrinkcov.multi_target._gram`), which checks
+    the raw arrays it sweeps; so here each array no owner owns is only
+    widened to 64-bit precision, and a raw R checked to be square with a
+    row.
 
     A block that does not own every one of ``mats`` gives R as its
     sample factor, which the trace sweep forms a tile at a time, so its
-    ``r`` is not formed, or which gives its products with registered
-    targets in closed form (:func:`_structure`); an owner of them all
-    gives its ``r``, whose products with them come from its memo.
+    ``r`` is not formed; an owner of them all gives its ``r``.
     """
     if not isinstance(base, _Owner):
         r = _rows(_require_square(_widened(base)))
@@ -370,8 +360,8 @@ class OlsFit(_Owner):
     @cached_property
     def r(self) -> np.ndarray:
         n = self.coef.shape[0]
-        return self.own(self.coef @ self.coef.conj().T
-                        + self.noise_var * np.eye(n))
+        return self.own(_frozen(self.coef @ self.coef.conj().T
+                                + self.noise_var * np.eye(n)))
 
     @cached_property
     def tr_r(self) -> float:

@@ -17,13 +17,10 @@ one contiguous inner product, and the Gram matrix of the selection
 moments takes its products in one sweep over the tiles, the diagonal
 ones once and the others twice, reading each operand's tile as it
 reaches it.  The sweep checks nothing: its caller runs
-:func:`require_hermitian` on each raw operand first
-(:func:`shrinkcov.multi_target._gram`).  It skips the products of
-exactly zero tiles (the off-diagonal ones of a diagonal target), and
-over several tiles it may read tr R^2 of raw samples from their T x T
-Gram.  Targets built from a raw R skip the sweep altogether over
-several tiles with T < N: their structure gives every product in closed
-form (:func:`shrinkcov.multi_target._structured_gram`).
+:func:`require_hermitian` on each raw operand first, and takes only
+the products that neither a target's structure nor an owner's memo
+gives (:func:`shrinkcov.multi_target._gram`).  It skips the products of
+exactly zero tiles (the off-diagonal ones of a diagonal target).
 All the passes and :func:`frobenius_norm_sq` reduce in numpy without
 BLAS, so they do not depend on the BLAS thread count.  Every entry point
 computes in 64-bit precision: :func:`validate_samples` widens narrower
@@ -109,16 +106,13 @@ def _trace_products(mats, pairs) -> list[float]:
     then that of the diagonal tiles plus twice that of the others.  Each
     operand is read once, a tile at a time: ``m[rows, cols]`` of an
     array, ``m.tile(rows, cols)`` of any other operand (one with
-    ``shape``, ``dtype``, ``itemsize``, ``finite`` and ``norm_sq()``,
-    which may form its tile when the sweep reaches it), and no operand is
-    copied whole.
+    ``shape``, ``dtype``, ``itemsize`` and ``finite``, which may form its
+    tile when the sweep reaches it), and no operand is copied whole.
 
     A product in which one tile is exactly zero and the other finite is
     an exact 0 term, and is skipped; an operand's tile is formed only for
-    a product it enters.  Over several tiles, an operand that is not an
-    array may give its tr(M^2) by ``norm_sq()`` (None: the sweep takes
-    it).  When one tile is the whole matrix, the sweep takes every
-    product, each :func:`real_trace_product`'s einsum, bit for bit.
+    a product it enters.  When one tile is the whole matrix, every
+    product is :func:`real_trace_product`'s einsum, bit for bit.
     """
     n = mats[0].shape[0]
     for m in mats:
@@ -126,24 +120,14 @@ def _trace_products(mats, pairs) -> list[float]:
             raise ValueError(f"trace of mismatched shapes {mats[0].shape} "
                              f"and {m.shape}; expected square operands of "
                              "equal shape")
-    tiles = list(_tiles(n, max(m.itemsize for m in mats)))
-    sums, walk = [0.0] * len(pairs), []
-    for p, (i, j) in enumerate(pairs):
-        given = (mats[i].norm_sq() if i == j and len(tiles) > 1
-                 and not isinstance(mats[i], np.ndarray) else None)
-        if given is None:
-            walk.append(p)
-        else:
-            sums[p] = given
+    sums = [0.0] * len(pairs)
     cplx = [np.iscomplexobj(m) for m in mats]
-    arrays = {k for p in walk for k in pairs[p]
-              if isinstance(mats[k], np.ndarray)}
-    for rows, cols in tiles:
+    arrays = {k for p in pairs for k in p if isinstance(mats[k], np.ndarray)}
+    for rows, cols in _tiles(n, max(m.itemsize for m in mats)):
         tile = {k: mats[k][rows, cols] for k in arrays}
         zero = {k: not x.any() for k, x in tile.items()}
         weight = 1.0 if rows == cols else 2.0
-        for p in walk:
-            i, j = pairs[p]
+        for p, (i, j) in enumerate(pairs):
             if zero.get(i) or zero.get(j):
                 k = j if zero.get(i) else i  # the other operand
                 # an array's tile is tested; a tile formed on demand is

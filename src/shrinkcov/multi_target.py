@@ -35,8 +35,8 @@ import numpy as np
 
 from .estimators import (
     OlsFit,
+    SampleBlock,
     _operands,
-    _SampleFactor,
     _structure,
     sample_block,
 )
@@ -305,78 +305,75 @@ def solve_nonneg_qp_simplex(m: MultiMoments) -> tuple[np.ndarray, float]:
 def _gram(mats, owner=None) -> np.ndarray:
     """Symmetric matrix of the real trace products tr(M_i M_j) of Hermitian
     matrices, the coefficients of every selection quadratic; its diagonal
-    holds the squared norms ||M_i||_F^2.
+    holds the squared norms ||M_i||_F^2.  ``mats`` is [R, *others] and
+    ``owner`` their block or fit (:func:`shrinkcov.estimators._operands`).
 
-    A pair that ``owner`` (a block or a fit) owns both of comes from its
-    memo; every other pair is taken in one sweep over the operands
-    (:func:`hermitian._trace_products`), in which R may be a sample
-    factor (:func:`shrinkcov.estimators._operands`).  This is where a
-    selection checks its raw operands: just before the sweep, every
-    array that ``owner`` does not own goes through
-    :func:`require_hermitian`, in operand order; each is in a pair the
-    sweep takes.  When R is a sample factor over several tiles with
-    T < N and every other operand a registered target, the whole Gram
-    comes in closed form instead (:func:`_structured_gram`), and nothing
-    is checked.
-    """
-    if (g := _structured_gram(mats)) is not None:
-        return g
-    k = len(mats)
-    owned = [False] * k if owner is None else list(map(owner.owns, mats))
-    g, rest, memo = [[0.0] * k for _ in range(k)], [], []
-    for i in range(k):
-        for j in range(i, k):
-            (memo if owned[i] and owned[j] else rest).append((i, j))
-    if rest:
-        for i, m in enumerate(mats):
-            if not owned[i] and isinstance(m, np.ndarray):
-                require_hermitian(m)
-        for (i, j), v in zip(rest, _trace_products(mats, rest)):
-            g[i][j] = g[j][i] = v
-    for i, j in memo:
-        g[i][j] = g[j][i] = owner.trace(mats[i], mats[j])
-    return np.array(g)
+    Each pair takes the first rule that applies:
 
-
-def _structured_gram(mats) -> np.ndarray | None:
-    """The Gram of :func:`_gram` from Y and the targets' structures, in
-    O(N T log N), when R is a sample factor over several tiles with T < N
-    and every target is registered (:func:`estimators._structure`) and of
-    R's shape; None for any other operands, so that the sweep raises a
-    mismatched shape's error.
+    1. the closed form, when ``owner`` is a block over several tiles with
+       T < N and each operand is R or a target of R's shape with a
+       structure (:func:`shrinkcov.estimators._structure`);
+    2. the owner's memo, when it owns both operands;
+    3. one sweep over the pairs left (:func:`hermitian._trace_products`),
+       in which R may be a sample factor.  This is where a selection
+       checks its raw operands: just before the sweep, every array that
+       is neither owned nor structured goes through
+       :func:`require_hermitian`, in operand order; each is in a pair the
+       sweep takes.
 
     A target is its diagonal d plus, if Toeplitz, its bands c_k, k >= 1,
     so with r_i = ||y_i||^2 / T, R's diagonal, s_k R's band sums
-    (``SampleBlock.band_sums``) and n_k = N - k band k's length:
-    tr R^2 = ``SampleBlock.tr_r2``, tr(R X) = sum_i d_i r_i + 2 sum_k c_k
-    Re s_k, and tr(X X') = sum_i d_i d'_i + 2 sum_k n_k c_k c'_k, the band
-    terms present only where the targets have bands.
+    (``SampleBlock.band_sums``, one FFT) and n_k = N - k band k's length,
+    the closed form is O(N) a pair: tr R^2 = ``SampleBlock.tr_r2``, from
+    the T x T Gram, tr(R X) = sum_i d_i r_i + 2 sum_k c_k Re s_k, and
+    tr(X X') = sum_i d_i d'_i + 2 sum_k n_k c_k c'_k, the band terms
+    present only where the targets have bands.  It agrees with the sweep
+    to about 1e-12 relative, not bit for bit; at one tile every product
+    is the sweep's or the memo's, :func:`real_trace_product`'s einsum.
     """
-    r = mats[0]
-    if not isinstance(r, _SampleFactor):
-        return None
-    n, t = r.y.shape
-    if (t >= n or n <= _tile_side(max(m.itemsize for m in mats))
-            or any(m.shape != r.shape for m in mats[1:])):
-        return None
-    structs = [_structure(m) for m in mats[1:]]
-    if any(x is None for x in structs):
-        return None
-    block, lengths = r.block, np.arange(n - 1, 0, -1.0)
-    k = len(mats)
-    g = np.empty((k, k))
-    g[0, 0] = block.tr_r2
-    for i, (d, c) in enumerate(structs, 1):
+    k, shape = len(mats), mats[0].shape
+    structs = [None] * k
+    if (isinstance(owner, SampleBlock) and owner.y.shape[1] < shape[0]
+            and shape[0] > _tile_side(max(m.itemsize for m in mats))):
+        structs = [(), *(_structure(m, owner) if m.shape == shape else None
+                         for m in mats[1:])]
+    owned = [False] * k if owner is None else list(map(owner.owns, mats))
+    g, rest, memo = np.empty((k, k)), [], []
+    for i in range(k):
+        for j in range(i, k):
+            if structs[i] is not None and structs[j] is not None:
+                g[i, j] = g[j, i] = _closed_form(owner, structs[i], structs[j])
+            else:
+                (memo if owned[i] and owned[j] else rest).append((i, j))
+    if rest:
+        for i, m in enumerate(mats):
+            if (not owned[i] and structs[i] is None
+                    and isinstance(m, np.ndarray)):
+                require_hermitian(m)
+        for (i, j), v in zip(rest, _trace_products(mats, rest)):
+            g[i, j] = g[j, i] = v
+    for i, j in memo:
+        g[i, j] = g[j, i] = owner.trace(mats[i], mats[j])
+    return g
+
+
+def _closed_form(block, x: tuple, y: tuple) -> float:
+    """tr(M M') of :func:`_gram`'s closed form, each operand R, given as
+    (), or a target, given as its structure; R comes first."""
+    n, t = block.y.shape
+    if not y:
+        return block.tr_r2
+    _, d, c = y
+    if not x:
         v = _inner(d, block.row_norms) / t
         if c is not None:
             v += 2.0 * _inner(c, block.band_sums[1:])
-        g[0, i] = g[i, 0] = v
-        for j, (d2, c2) in enumerate(structs[i - 1:], i):
-            v = _inner(d, d2)
-            if c is not None and c2 is not None:
-                v += 2.0 * _inner(lengths * c, c2)
-            g[i, j] = g[j, i] = v
-    return g
+        return v
+    _, d0, c0 = x
+    v = _inner(d0, d)
+    if c0 is not None and c is not None:
+        v += 2.0 * _inner(np.arange(n - 1, 0, -1.0) * c0, c)
+    return v
 
 
 def _inner(u: np.ndarray, v: np.ndarray) -> float:
@@ -441,7 +438,8 @@ def mt_ols_loocv_moments(fit: OlsFit, targets) -> MultiMoments:
     or refit is formed.  The terms of R, tr(D_t^2), ||y_t||^2 and tr D_t
     depend on the fit alone, which keeps them (``fit.loo_terms``); a
     call forms those of each of its targets (``fit.loo_products``), but
-    of a scaled identity mu I the fit built, they are mu tr D_t and
+    of a scaled identity mu I with a structure
+    (:func:`shrinkcov.estimators._structure`), they are mu tr D_t and
     mu ||y_t||^2.  The fit's own R and targets are not checked again,
     and their products come from its memo.
     """
@@ -450,9 +448,9 @@ def mt_ols_loocv_moments(fit: OlsFit, targets) -> MultiMoments:
     tr_dr, tr_d2, quad_r, ny2, tr_d = fit.loo_terms
     row, quad = [a[0, 0] - 2.0 * tr_dr + tr_d2], [quad_r]  # tr(R_t^2)
     for k, m in enumerate(mats[1:], 1):
-        mu = fit.scale(m)
-        tr_dm, quad_m = (fit.loo_products(m) if mu is None
-                         else (mu * tr_d, mu * ny2))
+        kind, d, _ = _structure(m, fit) or (None, None, None)
+        tr_dm, quad_m = ((d[0] * tr_d, d[0] * ny2) if kind == "identity"
+                         else fit.loo_products(m))
         row.append(a[0, k] - tr_dm)     # tr(R_t T_k)
         quad.append(quad_m)             # y_t^H T_k y_t
 
@@ -468,8 +466,9 @@ def mt_oracle_moments(base: np.ndarray, targets, truth: np.ndarray) -> MultiMome
 
     ``base`` may be a sample block or a least-squares fit; R is then its
     own, and the products of the matrices it owns (R, its targets and a
-    registered truth) come from its memo.  A block that does not own
-    them all does not form R (:func:`shrinkcov.estimators._operands`).
+    truth it owns) come in closed form or from its memo (:func:`_gram`).
+    A block that does not own them all does not form R
+    (:func:`shrinkcov.estimators._operands`).
     The quadratic is read from the Gram of (R, T_1..T_K, Sigma): its
     constant is tr(Sigma Sigma) = ||Sigma||_F^2.
     """

@@ -329,6 +329,24 @@ def test_block_matrices_are_read_only_and_scm_stays_writable():
     assert cov.flags.writeable
 
 
+@pytest.mark.parametrize("complex_field", (False, True))
+def test_an_owners_r_and_targets_cannot_be_made_writable_again(complex_field):
+    # an owner trusts R and the targets it built by identity, and a
+    # closed-form Gram reads their structure: numpy must refuse to unlock
+    # them, so that none can be edited and locked again
+    y, truth = _data(complex_field)
+    x = random_samples(2, 9, np.random.default_rng(4), complex_field)
+    for owner in (sample_block(y), ols_fit(x, y)):
+        for m in (owner.r, *[build(owner) for build in BUILDERS]):
+            before = m.copy()
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                m.flags.writeable = True
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                m.setflags(write=True)
+            assert owner.owns(m) and np.array_equal(m, before)
+        assert owner.own(truth) is truth  # a truth is the caller's promise
+
+
 @pytest.mark.parametrize("build", BUILDERS)
 def test_raw_matrices_are_still_checked(build):
     for bad in _bad_matrices(4, True):

@@ -1,7 +1,9 @@
-"""Targets built from a raw R carry their structure: over several tiles
-with T < N, a selection on raw samples takes its Gram in closed form
-from Y, and trusts a target only while it is the very object registered,
-which numpy refuses to make writable again."""
+"""Targets carry their structure, on their owner or, built from a raw R,
+in the registry: over several tiles with T < N, a selection on a block
+takes each pair of R and structured targets in closed form from Y, its
+owner's pairs from the memo and only the rest in one sweep, and trusts a
+registered target only while it is the very object registered, which
+numpy refuses to make writable again."""
 import gc
 
 import numpy as np
@@ -27,7 +29,7 @@ from shrinkcov.targets import (
     toeplitz_average_target,
 )
 
-from oracles import gram_dense, random_samples
+from oracles import gram_dense, random_psd, random_samples
 
 BUILDERS = (scaled_identity_target, diagonal_target, toeplitz_average_target)
 METHODS = ("cv", "cv_constrained", "oracle", "oracle_constrained")
@@ -239,3 +241,116 @@ def test_a_target_whose_band_sum_overflows_has_no_structure():
     with pytest.raises(ValueError) as got:
         mt_select("cv", [target], samples=y)
     assert str(got.value) == str(parent.value)
+
+
+# ---------------------------------------------------------------------------
+# one rule per pair: closed form, then the owner's memo, then one sweep
+
+# an operand: its source and, for a target, the builder (index into
+# BUILDERS); a "registered" target is built from a raw R, an "owned" one
+# from the block, and a "copy" is a copy of either
+SOURCES = ("registered", "registered-other", "owned", "copy-registered",
+           "copy-owned", "random-psd", "truth", "owned-truth")
+
+
+def _pair_operands(block, picks, rng):
+    """The operands ``picks`` name, the same object for a repeated pick."""
+    y, n = block.y, block.y.shape[0]
+    other = scm(_ar_samples(n, 7, 0.3, rng, bool(rng.integers(2))))
+    cplx = bool(rng.integers(2))
+    made = {}
+
+    def make(source, b):
+        if source == "registered":
+            return BUILDERS[b](scm(y))
+        if source == "registered-other":
+            return BUILDERS[b](other)
+        if source == "owned":
+            return BUILDERS[b](block)
+        if source.startswith("copy"):
+            return make(source[5:], b).copy()
+        if source == "random-psd":
+            return random_psd(n, rng, cplx, rank=3)
+        truth = ar_covariance(n, 0.6)
+        return block.own(truth) if source == "owned-truth" else truth
+    return [made.setdefault(p, make(*p)) for p in picks]
+
+
+@pytest.mark.parametrize("short", (True, False))  # T < N, or T >= N
+@pytest.mark.parametrize("cplx", (False, True))
+@pytest.mark.parametrize("n", (60, 129, 300))  # 60: one tile, real or complex
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_pair_of_a_mixed_gram_matches_the_dense_gram(n, cplx, short,
+                                                          data):
+    t = data.draw(st.integers(3, n - 1) if short else st.integers(n, n + 40),
+                  label="t")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    picks = data.draw(st.lists(st.tuples(st.sampled_from(SOURCES),
+                                         st.integers(0, 2)),
+                               min_size=1, max_size=5), label="operands")
+    rng = np.random.default_rng(seed)
+    block = sample_block(_ar_samples(n, t, rng.uniform(-0.9, 0.9), rng, cplx))
+    mats = _pair_operands(block, picks, rng)
+    got = _gram(*_operands(block, mats))
+    want = gram_dense(block.y, mats)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("cplx", (False, True))
+def test_a_bad_copy_among_structured_operands_fails_in_operand_order(cplx):
+    y = _ar_samples(300, 20, 0.5, np.random.default_rng(8), cplx)
+    block = sample_block(y)
+    registered = toeplitz_average_target(scm(y))
+    owned = diagonal_target(block)
+    skew = registered.copy()
+    skew[0, 1] += 1.0  # no longer Hermitian
+    blank = owned.copy()
+    blank[3, 3] = np.nan
+    for bad in ([skew, blank], [blank, skew]):
+        with pytest.raises(ValueError) as first:
+            require_hermitian(bad[0])
+        for targets in ([registered, bad[0], owned, bad[1]],
+                        [owned, bad[0], registered, bad[1]]):
+            with pytest.raises(ValueError) as got:
+                mt_select("cv", targets, samples=block)
+            assert str(got.value) == str(first.value)
+
+
+def _swept_pairs(monkeypatch):
+    """The operand pairs every trace sweep of a selection takes."""
+    real, pairs = multi_target._trace_products, []
+
+    def sweep(mats, wanted):
+        pairs.extend((mats[i], mats[j]) for i, j in wanted)
+        return real(mats, wanted)
+    monkeypatch.setattr(multi_target, "_trace_products", sweep)
+    return pairs
+
+
+def test_an_oracle_with_a_raw_truth_sweeps_only_the_truths_pairs(
+        monkeypatch, swept_checks):
+    y = _ar_samples(300, 20, 0.5, np.random.default_rng(9), False)
+    r = scm(y)
+    targets = [build(r) for build in BUILDERS]
+    sigma = ar_covariance(300, 0.5)
+    swept = _swept_pairs(monkeypatch)
+    mt_select("oracle", targets, samples=y, truth=sigma)
+    assert len(swept_checks) == 1 and swept_checks[0] is sigma
+    assert len(swept) == 5
+    assert all(b is sigma for _, b in swept)
+
+
+def test_a_blocks_own_targets_take_the_closed_form(monkeypatch):
+    y = _ar_samples(300, 20, 0.5, np.random.default_rng(10), False)
+    block = sample_block(y)
+    targets = [build(block) for build in BUILDERS]
+    products = []
+    real = estimators.real_trace_product
+    monkeypatch.setattr(estimators, "real_trace_product",
+                        lambda a, b: products.append((a, b)) or real(a, b))
+    monkeypatch.setattr(multi_target, "_trace_products", _no_sweep)
+    for method in ("cv", "cv_constrained"):
+        mt_select(method, targets, samples=block)
+        select_single_target(method, targets[2], samples=block)
+    assert products == []

@@ -1,6 +1,6 @@
 """A selection checks its raw operands once, before the trace sweep; the
-sweep skips exact zero tiles and takes tr R^2 of raw samples from their
-Gram."""
+sweep skips exact zero tiles, and over several tiles with T < N the Gram
+takes tr R^2 of samples from their T x T Gram instead."""
 import sys
 
 import numpy as np
@@ -17,7 +17,7 @@ from shrinkcov.hermitian import (
     real_trace_product,
     require_hermitian,
 )
-from shrinkcov.multi_target import mt_oracle_moments, mt_select
+from shrinkcov.multi_target import _gram, mt_oracle_moments, mt_select
 from shrinkcov.single_target import select_single_target, shrink
 from shrinkcov.targets import (
     diagonal_target,
@@ -219,7 +219,8 @@ def test_tr_r2_of_a_multi_tile_sweep_comes_from_the_samples_gram(n, t, cplx):
     y = random_samples(n, t, rng, cplx)
     block = sample_block(y)
     r = scm(y)
-    (got,) = _trace_products([_SampleFactor(block)], [(0, 0)])
+    assert len(list(_tiles(n, y.itemsize))) > 1
+    got = _gram([_SampleFactor(block)], block)[0, 0]
     want = real_trace_product(r, r)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
     gram = y.conj().T @ y
@@ -227,6 +228,7 @@ def test_tr_r2_of_a_multi_tile_sweep_comes_from_the_samples_gram(n, t, cplx):
         assert got == block.tr_r2 == hermitian.frobenius_norm_sq(gram) / t ** 2
     else:  # the Gram is no smaller than R: the sweep takes it
         assert "tr_r2" not in vars(block)
+        assert got == _trace_products([_SampleFactor(block)], [(0, 0)])[0]
 
 
 def test_a_zero_tile_skips_only_a_product_with_finite_r():
