@@ -27,28 +27,30 @@ cannot change, and its id is not reused while the owner lives.  Every
 other matrix is checked, and its products are taken again, on every
 call: its caller may change it in place.  A selection checks each raw
 matrix, a raw R included, in one place, just before its trace sweep
-(:func:`shrinkcov.multi_target._gram`), so :func:`_operands` hands it
-over unchecked.  A target builder given a raw R checks it itself
-(:func:`_base`).  A raw R, target or truth, like raw samples, is read in
-64-bit precision.
+(:func:`shrinkcov.multi_target._gram`, which takes the base itself).  A
+target builder given a raw R checks it itself (:func:`_base`).  A raw R,
+target or truth, like raw samples, is read in 64-bit precision.  Samples
+are bounded where they enter (||Y||_F^2 <= 1e300, :func:`validate_samples`),
+so every R a block forms, each tile of it and its sums are finite.
 
 A target records its kind, scaled identity, diagonal or Toeplitz: on
 its owner if an owner built it, else, built from a raw R, in a
 module-level weak registry by identity while it lives (:func:`_register`).
-One function reads both records (:func:`_structure`): the diagonal and a
-Toeplitz target's bands, read from the target when used, and trusted
-only while finite and while the target is the very object recorded; a
-copy is raw.  From them a selection on a block over several tiles with
-T < N takes each product with R or another structured target in closed
-form, and the least-squares path the products of a scaled identity.
+A builder refuses a target of a raw R whose diagonal or bands are not
+finite, so every recorded structure is finite.  One function reads both
+records (:func:`_structure`): the diagonal and a Toeplitz target's bands,
+read from the target when used, and trusted only while the target is the
+very object recorded; a copy is raw.  From them a selection on a block
+over several tiles with T < N takes each product with R or another
+structured target in closed form, and the least-squares path the
+products of a scaled identity.
 
 A sample block forms R on first use, and a selection on the block does
-not use it for matrices the block does not own.  :func:`_operands`
-decides how R is read: for those matrices it hands the trace sweep R as
-its :class:`_SampleFactor`, whose tiles are formed from two row blocks
-of ``y`` when the sweep reaches them and dropped after, so raw samples
-and raw targets are selected on without an N x N R.  The sweep forms
-R's tiles only where a target's tile is not zero.
+not use it for matrices the block does not own: for those the Gram hands
+the trace sweep R as its :class:`_SampleFactor`, whose tiles are formed
+from two row blocks of ``y`` when the sweep reaches them and dropped
+after, so raw samples and raw targets are selected on without an N x N
+R.  The sweep forms R's tiles only where a target's tile is not zero.
 """
 from __future__ import annotations
 
@@ -60,7 +62,6 @@ import numpy as np
 
 from .hermitian import (
     _parts,
-    _require_square,
     _widened,
     frobenius_norm_sq,
     real_trace_product,
@@ -112,6 +113,10 @@ class _Owner:
     def owns(self, m) -> bool:
         return self._owned.get(id(m)) is m
 
+    def read(self, m) -> np.ndarray:
+        """An owned ``m`` as it is; any other in 64-bit precision."""
+        return m if self.owns(m) else _widened(m)
+
     def checked(self, m) -> np.ndarray:
         """An owned ``m`` as it is; any other checked in 64-bit precision."""
         return m if self.owns(m) else require_hermitian(_widened(m))
@@ -135,14 +140,14 @@ class SampleBlock(_Owner):
     ``y`` is a read-only view; the block owns ``r``.  It also keeps the
     fourth-moment sum ``quart`` = sum_t ||y_t||^4, which every SCM
     selector of one draw reads, ``tr_r`` = ||Y||_F^2 / T, the trace the
-    convex selectors' guard reads, and ``tr_r2`` = tr R^2 =
-    ||Y^H Y||_F^2 / T^2 from the T x T Gram of the samples.  It, the row
-    norms ``row_norms`` ||y_i||^2 (T times R's diagonal) and the band sums
-    ``band_sums`` give R's products over several tiles with T < N in
-    closed form (:func:`shrinkcov.multi_target._gram`).  Each is formed
-    on first use.  A selection with a matrix the block does not own reads
-    R from ``y`` a tile at a time (:func:`_operands`) and does not form
-    ``r``.
+    convex selectors' guard reads, the T x T Gram of the samples
+    ``y_gram`` = Y^H Y (read-only) and ``tr_r2`` = tr R^2 =
+    ||Y^H Y||_F^2 / T^2.  It, the row norms ``row_norms`` ||y_i||^2 (T
+    times R's diagonal) and the band sums ``band_sums`` give R's products
+    over several tiles with T < N in closed form
+    (:func:`shrinkcov.multi_target._gram`).  Each is formed on first use.
+    A selection with a matrix the block does not own reads R from ``y`` a
+    tile at a time (:class:`_SampleFactor`) and does not form ``r``.
     """
 
     y: np.ndarray
@@ -160,9 +165,12 @@ class SampleBlock(_Owner):
         return frobenius_norm_sq(self.y) / self.y.shape[1]
 
     @cached_property
+    def y_gram(self) -> np.ndarray:
+        return _frozen(self.y.conj().T @ self.y)
+
+    @cached_property
     def tr_r2(self) -> float:
-        gram = self.y.conj().T @ self.y
-        return frobenius_norm_sq(gram) / self.y.shape[1] ** 2
+        return frobenius_norm_sq(self.y_gram) / self.y.shape[1] ** 2
 
     @cached_property
     def row_norms(self) -> np.ndarray:
@@ -215,19 +223,15 @@ class _SampleFactor:
     trace sweep (:func:`shrinkcov.hermitian._trace_products`), which
     forms R one tile at a time.
 
-    Every tile is ``finite`` when ||Y||_F^2 is at most 1e300: each entry
-    of y[rows] y[cols]^H is then bounded by it, far below overflow.
+    Every tile is finite: the block's ||Y||_F^2 is at most 1e300
+    (:func:`validate_samples`), and it bounds each entry of
+    y[rows] y[cols]^H, far below overflow.
     """
 
     def __init__(self, block: SampleBlock):
         y = self.y = block.y
-        self.block = block
         self.shape = (y.shape[0], y.shape[0])
         self.dtype, self.itemsize = y.dtype, y.itemsize
-
-    @property
-    def finite(self) -> bool:
-        return self.block.tr_r * self.y.shape[1] <= 1e300
 
     def tile(self, rows: slice, cols: slice) -> np.ndarray:
         """R[rows, cols], scaled in place; when it is all of R, the
@@ -252,7 +256,11 @@ _STRUCTURES: dict = {}
 def _register(m: np.ndarray, kind: str) -> np.ndarray:
     """``m``, a target of ``kind`` a builder formed from a raw R, read-only
     for good (:func:`_frozen`) and registered with its kind while it
-    lives."""
+    lives.  A target whose diagonal or bands are not finite (a finite R's
+    sums can overflow) is refused: every recorded structure is finite."""
+    bands = m[0, 1:] if kind == "toeplitz" else ()
+    if not (np.isfinite(m.diagonal()).all() and np.isfinite(bands).all()):
+        raise ValueError(f"{kind} target is not finite: R's sums overflow")
     m = _frozen(m)
     key = id(m)
     ref = weakref.ref(m, lambda _, registry=_STRUCTURES:
@@ -264,19 +272,16 @@ def _register(m: np.ndarray, kind: str) -> np.ndarray:
 def _structure(m, owner: _Owner | None = None) -> tuple | None:
     """(kind, diagonal, bands or None) of a target ``m``: the very target
     registered under its id, or one that ``owner`` built, read from it:
-    the bands m[0, 1:] of a Toeplitz one.  None for any other ``m``, and
-    for a structure that is not finite, which leaves the target to the
-    trace sweep (:func:`shrinkcov.multi_target._gram`)."""
+    the bands m[0, 1:] of a Toeplitz one.  None for any other ``m``, which
+    leaves it to the trace sweep (:func:`shrinkcov.multi_target._gram`).
+    """
     ref, kind = _STRUCTURES.get(id(m), (None, None))
     if ref is None or ref() is not m:
         owned = owner is not None and owner.owns(m)
         kind = owner._kinds.get(id(m)) if owned else None
     if kind is None:
         return None
-    d, c = m.diagonal(), (m[0, 1:] if kind == "toeplitz" else None)
-    if np.isfinite(d).all() and (c is None or np.isfinite(c).all()):
-        return kind, d, c
-    return None
+    return kind, m.diagonal(), (m[0, 1:] if kind == "toeplitz" else None)
 
 
 def _base(base) -> tuple:
@@ -296,26 +301,6 @@ def _rows(r: np.ndarray) -> np.ndarray:
     if r.shape[0] == 0:
         raise ValueError(f"covariance has no rows (shape {r.shape})")
     return r
-
-
-def _operands(base, mats) -> tuple[list, _Owner | None]:
-    """([R, *mats], owner) of a block, fit or raw R (:func:`_base`), for
-    trace products (:func:`shrinkcov.multi_target._gram`), which checks
-    the raw arrays it sweeps; so here each array no owner owns is only
-    widened to 64-bit precision, and a raw R checked to be square with a
-    row.
-
-    A block that does not own every one of ``mats`` gives R as its
-    sample factor, which the trace sweep forms a tile at a time, so its
-    ``r`` is not formed; an owner of them all gives its ``r``.
-    """
-    if not isinstance(base, _Owner):
-        r = _rows(_require_square(_widened(base)))
-        return [r, *map(_widened, mats)], None
-    mats = [m if base.owns(m) else _widened(m) for m in mats]
-    if isinstance(base, SampleBlock) and not all(map(base.owns, mats)):
-        return [_SampleFactor(base), *mats], base
-    return [base.r, *mats], base
 
 
 # ---------------------------------------------------------------------------

@@ -258,16 +258,16 @@ def _spectral_scene(samples: np.ndarray, truth: np.ndarray, judge: Callable,
     """SCM scene plus R's eigenpairs on its range: R = basis diag(eigs) basis^H.
 
     They come from the smaller of the two Gram matrices: for T < N from
-    Y^H Y = V diag(w) V^H, as basis Y V / sqrt(w) and eigs w / T, and
-    otherwise from R itself.  Directions with w at or below the rank
-    cutoff (its size times eps times the largest w) are left out: in the
-    null space they take the shrunk eigenvalue tau mu, which theirs
-    exceeds by at most rho times that cutoff.
+    the block's Y^H Y = V diag(w) V^H (``y_gram``), as basis Y V / sqrt(w)
+    and eigs w / T, and otherwise from R itself.  Directions with w at or
+    below the rank cutoff (its size times eps times the largest w) are
+    left out: in the null space they take the shrunk eigenvalue tau mu,
+    which theirs exceeds by at most rho times that cutoff.
     """
     s = _scm_scene(samples, truth, judge, **inputs)
     y = s.source.y
     n, t = y.shape
-    w, v = np.linalg.eigh(y.conj().T @ y if t < n else s.source.r)
+    w, v = np.linalg.eigh(s.source.y_gram if t < n else s.source.r)
     keep = w > w.size * np.finfo(float).eps * w[-1]
     w, v = w[keep], v[:, keep]
     s.basis, s.eigs = ((y @ v) / np.sqrt(w), w / t) if t < n else (v, w)

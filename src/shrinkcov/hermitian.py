@@ -106,8 +106,9 @@ def _trace_products(mats, pairs) -> list[float]:
     then that of the diagonal tiles plus twice that of the others.  Each
     operand is read once, a tile at a time: ``m[rows, cols]`` of an
     array, ``m.tile(rows, cols)`` of any other operand (one with
-    ``shape``, ``dtype``, ``itemsize`` and ``finite``, which may form its
-    tile when the sweep reaches it), and no operand is copied whole.
+    ``shape``, ``dtype`` and ``itemsize``, which forms its tile when the
+    sweep reaches it, and whose tiles are finite), and no operand is
+    copied whole.
 
     A product in which one tile is exactly zero and the other finite is
     an exact 0 term, and is skipped; an operand's tile is formed only for
@@ -130,10 +131,8 @@ def _trace_products(mats, pairs) -> list[float]:
         for p, (i, j) in enumerate(pairs):
             if zero.get(i) or zero.get(j):
                 k = j if zero.get(i) else i  # the other operand
-                # an array's tile is tested; a tile formed on demand is
-                # finite when its operand says so (``finite``)
-                if zero.get(k) or (np.isfinite(tile[k]).all() if k in arrays
-                                   else mats[k].finite):
+                # an array's tile is tested; one formed on demand is finite
+                if k not in arrays or zero[k] or np.isfinite(tile[k]).all():
                     continue
             for k in (i, j):
                 if k not in tile:
@@ -266,7 +265,9 @@ def _max_abs_difference(x: np.ndarray, y: np.ndarray) -> float:
 
 def validate_samples(y: np.ndarray, min_count: int = 1,
                      name: str = "samples") -> np.ndarray:
-    """Validate an N x T sample block: 2-d, N >= 1, finite, min_count columns.
+    """Validate an N x T sample block: 2-d, N >= 1, min_count columns, and
+    ||Y||_F^2 <= 1e300, so that it and every sum of products of its
+    entries (Y Y^H, its trace, its band sums) are finite.
 
     Samples come back in 64-bit precision (:func:`_widened`), so the
     estimates formed from them can be scaled in place and every path
@@ -281,8 +282,8 @@ def validate_samples(y: np.ndarray, min_count: int = 1,
     if y.shape[1] < min_count:
         raise ValueError(f"{name} needs at least {min_count} columns, "
                          f"got {y.shape[1]}")
-    if not np.all(np.isfinite(y)):
-        raise ValueError(f"{name} contains non-finite entries")
+    if not frobenius_norm_sq(y) <= 1e300:  # NaN for a NaN entry
+        raise ValueError(f"{name} has non-finite entries or ||Y||_F^2 > 1e300")
     return y
 
 

@@ -36,11 +36,14 @@ import numpy as np
 from .estimators import (
     OlsFit,
     SampleBlock,
-    _operands,
+    _Owner,
+    _rows,
+    _SampleFactor,
     _structure,
     sample_block,
 )
 from .hermitian import (
+    _require_square,
     _tile_side,
     _trace_products,
     _widened,
@@ -302,23 +305,25 @@ def solve_nonneg_qp_simplex(m: MultiMoments) -> tuple[np.ndarray, float]:
 # moment accumulation
 
 
-def _gram(mats, owner=None) -> np.ndarray:
-    """Symmetric matrix of the real trace products tr(M_i M_j) of Hermitian
-    matrices, the coefficients of every selection quadratic; its diagonal
-    holds the squared norms ||M_i||_F^2.  ``mats`` is [R, *others] and
-    ``owner`` their block or fit (:func:`shrinkcov.estimators._operands`).
+def _gram(base, mats) -> np.ndarray:
+    """Symmetric matrix of the real trace products tr(M_i M_j) of R and the
+    Hermitian ``mats``, R first, the coefficients of every selection
+    quadratic; its diagonal holds the squared norms ||M_i||_F^2.
 
-    Each pair takes the first rule that applies:
+    ``base`` is a raw R (square, with a row), a sample block or a
+    least-squares fit; here alone is decided how R enters each pair, by
+    the first rule that applies:
 
-    1. the closed form, when ``owner`` is a block over several tiles with
-       T < N and each operand is R or a target of R's shape with a
-       structure (:func:`shrinkcov.estimators._structure`);
+    1. the closed form from Y, when ``base`` is a block over several
+       tiles with T < N and each operand is R or a target of R's shape
+       with a structure (:func:`shrinkcov.estimators._structure`);
     2. the owner's memo, when it owns both operands;
     3. one sweep over the pairs left (:func:`hermitian._trace_products`),
-       in which R may be a sample factor.  This is where a selection
-       checks its raw operands: just before the sweep, every array that
-       is neither owned nor structured goes through
-       :func:`require_hermitian`, in operand order; each is in a pair the
+       R being a block's sample factor unless the block owns every
+       matrix.  This is where a selection checks its raw operands: just
+       before the sweep, every array that is neither owned nor
+       structured, a raw R first, goes through :func:`require_hermitian`
+       in operand order, read in 64-bit precision; each is in a pair the
        sweep takes.
 
     A target is its diagonal d plus, if Toeplitz, its bands c_k, k >= 1,
@@ -331,7 +336,15 @@ def _gram(mats, owner=None) -> np.ndarray:
     to about 1e-12 relative, not bit for bit; at one tile every product
     is the sweep's or the memo's, :func:`real_trace_product`'s einsum.
     """
-    k, shape = len(mats), mats[0].shape
+    if isinstance(base, _Owner):
+        owner, mats = base, list(map(base.read, mats))
+        r = (_SampleFactor(base) if isinstance(base, SampleBlock)
+             and not all(map(base.owns, mats)) else base.r)
+    else:
+        owner = None
+        r, mats = _rows(_require_square(_widened(base))), map(_widened, mats)
+    mats = [r, *mats]
+    k, shape = len(mats), r.shape
     structs = [None] * k
     if (isinstance(owner, SampleBlock) and owner.y.shape[1] < shape[0]
             and shape[0] > _tile_side(max(m.itemsize for m in mats))):
@@ -419,7 +432,7 @@ def mt_scm_loocv_moments(samples: np.ndarray, targets) -> MultiMoments:
 def _scm_loocv_moments(block, targets) -> MultiMoments:
     """:func:`mt_scm_loocv_moments` of a block of T >= 2 samples."""
     count, quart = block.y.shape[1], block.quart
-    a = _gram(_operands(block, targets)[0], block)
+    a = _gram(block, targets)
     b = a[0].copy()
     tr_r2 = float(a[0, 0])
     a[0, 0] = (count * (count - 2) / (count - 1) ** 2 * tr_r2
@@ -443,11 +456,11 @@ def mt_ols_loocv_moments(fit: OlsFit, targets) -> MultiMoments:
     mu ||y_t||^2.  The fit's own R and targets are not checked again,
     and their products come from its memo.
     """
-    mats = _operands(fit, targets)[0]
-    a = _gram(mats, fit)  # validates the raw targets first
+    targets = list(map(fit.read, targets))
+    a = _gram(fit, targets)  # validates the raw targets first
     tr_dr, tr_d2, quad_r, ny2, tr_d = fit.loo_terms
     row, quad = [a[0, 0] - 2.0 * tr_dr + tr_d2], [quad_r]  # tr(R_t^2)
-    for k, m in enumerate(mats[1:], 1):
+    for k, m in enumerate(targets, 1):
         kind, d, _ = _structure(m, fit) or (None, None, None)
         tr_dm, quad_m = ((d[0] * tr_d, d[0] * ny2) if kind == "identity"
                          else fit.loo_products(m))
@@ -466,15 +479,13 @@ def mt_oracle_moments(base: np.ndarray, targets, truth: np.ndarray) -> MultiMome
 
     ``base`` may be a sample block or a least-squares fit; R is then its
     own, and the products of the matrices it owns (R, its targets and a
-    truth it owns) come in closed form or from its memo (:func:`_gram`).
-    A block that does not own them all does not form R
-    (:func:`shrinkcov.estimators._operands`).
+    truth it owns) come in closed form or from its memo, and a block that
+    does not own them all does not form R (:func:`_gram`).
     The quadratic is read from the Gram of (R, T_1..T_K, Sigma): its
     constant is tr(Sigma Sigma) = ||Sigma||_F^2.
     """
-    mats, owner = _operands(base, [*targets, truth])
-    k = len(mats) - 1
-    g = _gram(mats, owner)
+    g = _gram(base, [*targets, truth])
+    k = len(g) - 1
     return MultiMoments(a=g[:k, :k], b=g[:k, k], const=float(g[k, k]))
 
 

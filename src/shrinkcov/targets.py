@@ -7,11 +7,11 @@ PSD whenever the input is; the Toeplitz band average need not be (see
 :func:`toeplitz_average_target`).  Given an owner (a sample block or a
 least-squares fit) in place of R, a target reads its R unchecked and is
 owned by it with its kind.  A raw R is checked, an integer or bool one
-read as float64, and its target is registered with its kind.  Either
-way the target comes back read-only for good, so that a selection of
-N >> T takes its products in closed form from its diagonal and any
-Toeplitz bands (:mod:`shrinkcov.estimators`); a copy of the target is
-an ordinary, writable array.
+read as float64, and its target is registered with its kind, or refused
+if R's sums overflow.  Either way the target comes back read-only for
+good, so that a selection of N >> T takes its products in closed form
+from its diagonal and any Toeplitz bands (:mod:`shrinkcov.estimators`);
+a copy of the target is an ordinary, writable array.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """The validated sample block: same numbers as the raw path, trust per object."""
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +158,36 @@ def test_sample_block_validates_raw_input_once_and_passes_blocks():
     for samples in (bad, np.zeros((0, 3)), np.ones(4)):
         with pytest.raises(ValueError):
             sample_block(samples)
+
+
+@pytest.mark.parametrize("complex_field", (False, True))
+@pytest.mark.parametrize("n, t", [(6, 9), (300, 20)])  # one tile, several
+def test_samples_whose_squared_norm_exceeds_1e300_are_rejected(
+        n, t, complex_field):
+    # every entry is finite, but ||Y||_F^2 is 2e300: R's entries, trace
+    # and band sums would come near overflow, so the samples are refused
+    # where they enter, with no overflow warning on the way
+    y, _ = _data(complex_field, n=n, t=t)
+    x = np.vstack([np.eye(t)[:2], np.ones((1, t))])  # full rank, T > M
+    for squared_norm, ok in ((0.5e300, True), (2e300, False)):
+        big, wide = (a * np.sqrt(squared_norm / hermitian.frobenius_norm_sq(a))
+                     for a in (y, x))
+        for call in (lambda: scm(big), lambda: sample_block(big),
+                     lambda: ols_fit(x, big), lambda: ols_fit(wide, y)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if ok:
+                    call()
+                    continue
+                with pytest.raises(ValueError, match="1e300"):
+                    call()
+    assert np.isfinite(scm(big / 2.0)).all()  # ||Y||_F^2 = 0.5e300
+    for bad in (np.nan, np.inf, -np.inf):
+        blank = y.copy()
+        blank[-1, -1] = bad
+        for call in (scm, sample_block, lambda a: ols_fit(x, a)):
+            with pytest.raises(ValueError, match="non-finite"):
+                call(blank)
 
 
 # ---------------------------------------------------------------------------

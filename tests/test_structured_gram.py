@@ -15,8 +15,8 @@ from shrinkcov import estimators, multi_target
 from shrinkcov.datagen import ar_covariance
 from shrinkcov.estimators import (
     _fast_length,
-    _operands,
     _structure,
+    ols_fit,
     sample_block,
     scm,
 )
@@ -85,7 +85,7 @@ def test_closed_form_gram_matches_the_dense_gram(data, n, cplx):
     block = sample_block(y)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(multi_target, "_trace_products", _no_sweep)
-        got = _gram(_operands(block, targets)[0], block)
+        got = _gram(block, targets)
     want = gram_dense(y, targets)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
@@ -226,21 +226,39 @@ def test_the_registry_forgets_a_dead_target_and_its_id():
         del estimators._STRUCTURES[id(stranger)]
 
 
-def test_a_target_whose_band_sum_overflows_has_no_structure():
+def test_a_target_whose_band_sum_overflows_is_refused():
     y, _ = _raw()
     n = y.shape[0]
     r = np.eye(n)
     r[np.arange(n - 1), np.arange(1, n)] = 1e308  # band 1 sums to inf
     r[np.arange(1, n), np.arange(n - 1)] = 1e308
-    with np.errstate(over="ignore"):
-        target = toeplitz_average_target(r)
-    assert np.isinf(target[0, 1]) and not target.flags.writeable
-    assert _structure(target) is None
-    with pytest.raises(ValueError) as parent:
-        require_hermitian(target)
-    with pytest.raises(ValueError) as got:
-        mt_select("cv", [target], samples=y)
-    assert str(got.value) == str(parent.value)
+    require_hermitian(r)  # a finite R: only its sums overflow
+    gc.collect()
+    before = set(estimators._STRUCTURES)
+    with np.errstate(over="ignore"):  # numpy's own overflow warning first
+        with pytest.raises(ValueError, match="toeplitz target is not finite"):
+            toeplitz_average_target(r)
+    gc.collect()
+    assert set(estimators._STRUCTURES) == before
+
+
+@pytest.mark.parametrize("cplx", (False, True))
+@pytest.mark.parametrize("n", (3, 200))
+def test_a_raw_r_whose_sums_overflow_gets_no_target(n, cplx):
+    # a finite, Hermitian R whose trace and band sums overflow
+    dtype = complex if cplx else float
+    r = np.full((n, n), 1e308, dtype)
+    gc.collect()
+    before = set(estimators._STRUCTURES)
+    for build, kind in ((scaled_identity_target, "identity"),
+                        (toeplitz_average_target, "toeplitz")):
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match=f"{kind} target is not "
+                               "finite"):
+                build(r)
+    assert np.isfinite(diagonal_target(r)).all()  # its diagonal is R's
+    gc.collect()
+    assert set(estimators._STRUCTURES) == before
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +310,7 @@ def test_every_pair_of_a_mixed_gram_matches_the_dense_gram(n, cplx, short,
     rng = np.random.default_rng(seed)
     block = sample_block(_ar_samples(n, t, rng.uniform(-0.9, 0.9), rng, cplx))
     mats = _pair_operands(block, picks, rng)
-    got = _gram(*_operands(block, mats))
+    got = _gram(block, mats)
     want = gram_dense(block.y, mats)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
@@ -315,6 +333,74 @@ def test_a_bad_copy_among_structured_operands_fails_in_operand_order(cplx):
             with pytest.raises(ValueError) as got:
                 mt_select("cv", targets, samples=block)
             assert str(got.value) == str(first.value)
+
+
+# ---------------------------------------------------------------------------
+# one entry: the Gram takes the base itself, a raw R, a block or a fit
+
+
+def _fit(n, t, rng, cplx):
+    x = random_samples(3, t, rng, cplx)
+    return ols_fit(x, _ar_samples(n, t, 0.5, rng, cplx))
+
+
+@pytest.mark.parametrize("base", ("raw", "fit"))
+@pytest.mark.parametrize("cplx", (False, True))
+@pytest.mark.parametrize("n, t", [(60, 20), (300, 20), (129, 200)])
+def test_a_gram_of_a_raw_r_or_a_fit_matches_the_dense_gram(n, t, cplx, base):
+    rng = np.random.default_rng(n + t + 2 * cplx)
+    y = _ar_samples(n, t, 0.5, rng, cplx)
+    r = scm(y)
+    mats = [toeplitz_average_target(r), diagonal_target(r).copy(),
+            random_psd(n, rng, cplx, rank=3), ar_covariance(n, 0.6)]
+    if base == "raw":
+        got, want = _gram(r, mats), gram_dense(y, mats)
+    else:
+        fit = _fit(n, t, rng, cplx)
+        mats += [build(fit) for build in BUILDERS]
+        mats.append(fit.own(ar_covariance(n, 0.3)))
+        got = _gram(fit, mats)
+        dense = [np.array(m) for m in (fit.r, *mats)]
+        want = [[real_trace_product(a, b) for b in dense] for a in dense]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def _message(call) -> str:
+    with pytest.raises(ValueError) as error:
+        call()
+    return str(error.value)
+
+
+@pytest.mark.parametrize("cplx", (False, True))
+@pytest.mark.parametrize("n", (60, 300))
+def test_a_bad_raw_r_or_operand_fails_with_its_own_message_in_order(n, cplx):
+    rng = np.random.default_rng(n + cplx)
+    y = _ar_samples(n, 20, 0.5, rng, cplx)
+    r, block, fit = scm(y), sample_block(y), _fit(n, 20, rng, cplx)
+    good = toeplitz_average_target(r)
+    skew, blank = r.copy(), good.copy()
+    skew[0, 1] += 1.0  # no longer Hermitian
+    blank[1, 1] = np.nan
+    other = np.eye(n + 1)  # Hermitian, but of another size
+    skew_error = _message(lambda: require_hermitian(skew))
+    blank_error = _message(lambda: require_hermitian(blank))
+    shapes = _message(lambda: real_trace_product(r, other))
+    assert "not Hermitian" in skew_error and "non-finite" in blank_error
+    assert "trace of mismatched shapes" in shapes
+    # a raw R is checked with the raw operands, first among them
+    for targets in ([blank], [good, blank]):
+        assert _message(lambda: _gram(skew, targets)) == skew_error
+    assert _message(lambda: _gram(np.zeros((0, 0)), [good])).startswith(
+        "covariance has no rows")
+    assert "expected a square matrix" in _message(
+        lambda: _gram(np.ones((n, n + 1)), [good]))
+    for base in (r, block, fit):
+        for first, second, error in ((skew, blank, skew_error),
+                                     (blank, skew, blank_error)):
+            for targets in ([good, first, other, second],
+                            [first, good, second]):
+                assert _message(lambda: _gram(base, targets)) == error
+        assert _message(lambda: _gram(base, [good, other])) == shapes
 
 
 def _swept_pairs(monkeypatch):

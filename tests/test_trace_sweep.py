@@ -220,7 +220,9 @@ def test_tr_r2_of_a_multi_tile_sweep_comes_from_the_samples_gram(n, t, cplx):
     block = sample_block(y)
     r = scm(y)
     assert len(list(_tiles(n, y.itemsize))) > 1
-    got = _gram([_SampleFactor(block)], block)[0, 0]
+    m = random_hermitian(n, rng, cplx)  # unowned: R enters as its factor
+    got = _gram(block, [m])[0, 0]
+    assert "r" not in vars(block)
     want = real_trace_product(r, r)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
     gram = y.conj().T @ y
@@ -232,20 +234,25 @@ def test_tr_r2_of_a_multi_tile_sweep_comes_from_the_samples_gram(n, t, cplx):
 
 
 def test_a_zero_tile_skips_only_a_product_with_finite_r():
-    # the last rows' products overflow: R's last diagonal tile is infinite
-    # where the target's is zero, so that product is 0 * inf, NaN, as in
-    # the plain sweep; with R finite everywhere it is an exact 0
+    # a block's R is finite (its samples are bounded), so a product with a
+    # zero tile of the target is an exact 0 term; an array R is tested: its
+    # last diagonal tile is infinite where the target's is zero, so that
+    # product is 0 * inf, NaN, as in the plain sweep
     rng = np.random.default_rng(9)
     y = random_samples(300, 20, rng, False)
+    r = scm(y)
     d = np.diag(np.r_[np.ones(256), np.zeros(44)])
-    for scale, finite in ((1.0, True), (1e160, False)):
-        big = y.copy()
-        big[256:] *= scale
-        factor = _SampleFactor(sample_block(big))
-        assert factor.finite is finite
-        with np.errstate(over="ignore", invalid="ignore"):  # R's overflow
-            (got,) = _trace_products([factor, d], [(0, 1)])
-        assert np.isnan(got) is not finite
+    diagonal = [rows.start for rows, cols in _tiles(300, 8) if rows == cols]
+    assert diagonal[-1] == 256  # R's last diagonal tile: rows 256..299
+    (got,) = _trace_products([_SampleFactor(sample_block(y)), d], [(0, 1)])
+    assert got == pytest.approx(real_trace_product(r, d), rel=1e-12, abs=0.0)
+    assert _trace_products([_SampleFactor(sample_block(y)), 0.0 * d],
+                           [(0, 1)]) == [0.0]
+    assert not np.isnan(_trace_products([r, d], [(0, 1)])[0])
+    r[256:, 256:] = np.inf
+    with np.errstate(invalid="ignore"):  # 0 * inf
+        (got,) = _trace_products([r, d], [(0, 1)])
+    assert np.isnan(got)
 
 
 def test_two_selections_on_one_block_take_tr_r2_once(monkeypatch):
